@@ -6,13 +6,11 @@ size m-1: level m candidates are generated from the level m-1 frontier the
 way frequent-itemset miners generate candidates (extend by a larger element,
 require every (m-1)-subset to be on the frontier).  Each candidate is
 checked by splitting the hypothesis set on one column at a time and bailing
-out on the first one-sided split.  Levels are sorted before use so results,
-including the witness, do not depend on the worker count.
+out on the first one-sided split.  Candidates come out in lexicographic
+order, so the first set of the top level is the witness.
 
-A candidate filter may be installed to restrict the search to a
-downward-closed family of subsets (the similarity module uses this to search
-forests only).  The filter must accept every subset of any set it accepts;
-otherwise the frontier-based generation is not sound.
+The lifted dimension does not run through this search; see
+``similarity.lifted_vc``, which reuses the column and split helpers here.
 
 ``vc_naive`` is an independent brute-force oracle: it tests every one of the
 2^n subsets with a plain projection count and exists solely to cross-check
@@ -21,18 +19,14 @@ the engine.
 
 from __future__ import annotations
 
-import multiprocessing
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainTooLargeForOracleError
 from .space import HypothesisSpace, ShatterWitness, check_subset, is_shattered
 
 #: vc_naive enumerates 2^n subsets; beyond this it is no longer an oracle.
 ORACLE_DOMAIN_CAP = 20
-
-CandidateFilter = Callable[["tuple[int, ...]"], bool]
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,11 +37,10 @@ class VcResult:
     witness: ShatterWitness
 
 
-def _columns(space: HypothesisSpace) -> "list[int]":
-    """Column bitmasks: bit i of cols[j] is hypothesis i's label of element j."""
-    cols = [0] * space.domain_size
-    for i, h in enumerate(space.hypotheses):
-        b = h.bits
+def _columns(rows: Iterable[int], width: int) -> "list[int]":
+    """Column bitmasks: bit i of cols[j] is row i's label of element j."""
+    cols = [0] * width
+    for i, b in enumerate(rows):
         while b:
             low = b & -b
             cols[low.bit_length() - 1] |= 1 << i
@@ -71,103 +64,64 @@ def _shatters(cols: Sequence[int], full: int, subset: Sequence[int]) -> bool:
     return True
 
 
+Extensions = Callable[["tuple[int, ...]"], Iterable[int]]
+
+
+def _larger(domain_size: int) -> Extensions:
+    """Every element above a set's largest: the extensions of plain subsets."""
+    return lambda s: range(s[-1] + 1 if s else 0, domain_size)
+
+
 def _candidates(
-    frontier: "list[tuple[int, ...]]", domain_size: int, m: int
+    frontier: "list[tuple[int, ...]]", m: int, extensions: Extensions
 ) -> "list[tuple[int, ...]]":
-    """Extend frontier sets by a larger element; prune candidates with a
-    non-shattered (m-1)-subset.  Output inherits the frontier's sorted order."""
-    prev = set(frontier) if m >= 2 else None
+    """Extend frontier sets by each element ``extensions`` yields (all larger
+    than the set's last); prune candidates with a non-shattered (m-1)-subset.
+    Output inherits the frontier's sorted order."""
+    prev = set(frontier)
     out = []
     for s in frontier:
-        start = s[-1] + 1 if s else 0
-        for e in range(start, domain_size):
+        for e in extensions(s):
             c = s + (e,)
-            if prev is not None:
-                # dropping the last element gives s itself, already known shattered
-                ok = True
-                for t in range(m - 1):
-                    if c[:t] + c[t + 1 :] not in prev:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            out.append(c)
+            # dropping the last element gives s itself, already known shattered
+            for t in range(m - 1):
+                if c[:t] + c[t + 1 :] not in prev:
+                    break
+            else:
+                out.append(c)
     return out
 
 
-_WORKER_STATE: "tuple | None" = None
+def _top_level(
+    cols: Sequence[int], full: int, limit: int, extensions: Extensions
+) -> "tuple[int, ...]":
+    """Level-wise search up to size ``limit``; the first set of the top level.
 
-
-def _check_candidate(subset: "tuple[int, ...]") -> bool:
-    cols, full, flt = _WORKER_STATE
-    if flt is not None and not flt(subset):
-        return False
-    return _shatters(cols, full, subset)
-
-
-@contextmanager
-def _level_mapper(cols, full, candidate_filter, jobs):
-    """Yield a function mapping candidate lists to shattered flags.
-
-    jobs > 1 uses a fork pool; the workers inherit the search context, which
-    is fixed for the whole call.  Tiny levels are checked inline either way.
+    The family the extensions generate must be downward closed, so that
+    every shattered member extends a shattered member one smaller.
     """
-    if jobs <= 1:
-        def run(cands):
-            if candidate_filter is None:
-                return [_shatters(cols, full, c) for c in cands]
-            return [candidate_filter(c) and _shatters(cols, full, c) for c in cands]
-
-        yield run
-        return
-
-    global _WORKER_STATE
-    previous = _WORKER_STATE
-    _WORKER_STATE = (cols, full, candidate_filter)
-    pool = multiprocessing.get_context("fork").Pool(jobs)
-    try:
-        def run(cands):
-            if len(cands) < 4 * jobs:
-                return [_check_candidate(c) for c in cands]
-            chunk = max(16, len(cands) // (jobs * 8))
-            return pool.map(_check_candidate, cands, chunksize=chunk)
-
-        yield run
-    finally:
-        pool.close()
-        pool.join()
-        _WORKER_STATE = previous
+    best: "tuple[int, ...]" = ()
+    frontier = [()]
+    for m in range(1, limit + 1):
+        level = [c for c in _candidates(frontier, m, extensions) if _shatters(cols, full, c)]
+        if not level:
+            break
+        frontier = level
+        best = frontier[0]
+    return best
 
 
-def vc_exact(
-    space: HypothesisSpace,
-    *,
-    candidate_filter: Optional[CandidateFilter] = None,
-    jobs: int = 1,
-) -> VcResult:
+def vc_exact(space: HypothesisSpace) -> VcResult:
     """Exact VC dimension with a deterministic maximum shattered witness.
 
     Uses the a-priori bound dimension <= floor(log2 |H|) and hereditary
     level-wise pruning.  The witness is the lexicographically smallest
-    maximum shattered subset, independent of ``jobs``.
+    maximum shattered subset.
     """
-    cols = _columns(space)
+    cols = _columns([h.bits for h in space.hypotheses], space.domain_size)
     count = len(space.hypotheses)
-    full = (1 << count) - 1
     limit = min(space.domain_size, count.bit_length() - 1)
-    best: "tuple[int, ...]" = ()
-    with _level_mapper(cols, full, candidate_filter, jobs) as run:
-        frontier = [()]
-        for m in range(1, limit + 1):
-            cands = _candidates(frontier, space.domain_size, m)
-            if not cands:
-                break
-            level = [c for c, ok in zip(cands, run(cands)) if ok]
-            if not level:
-                break
-            level.sort()
-            frontier = level
-            best = frontier[0]
+    best = _top_level(cols, (1 << count) - 1, limit, _larger(space.domain_size))
     witness = is_shattered(space, best)
     assert isinstance(witness, ShatterWitness)
     return VcResult(len(best), witness)
@@ -177,8 +131,6 @@ def shattered_level(
     space: HypothesisSpace,
     m: int,
     previous_level: "Sequence[tuple[int, ...]]",
-    *,
-    candidate_filter: Optional[CandidateFilter] = None,
 ) -> "list[tuple[int, ...]]":
     """All shattered subsets of size m, given the complete level m-1.
 
@@ -193,16 +145,10 @@ def shattered_level(
         if len(s) != m - 1:
             raise ValueError(f"previous level entries must have size {m - 1}")
         check_subset(space.domain_size, s)
-    cols = _columns(space)
+    cols = _columns([h.bits for h in space.hypotheses], space.domain_size)
     full = (1 << len(space.hypotheses)) - 1
-    out = []
-    for c in _candidates(prev, space.domain_size, m):
-        if candidate_filter is not None and not candidate_filter(c):
-            continue
-        if _shatters(cols, full, c):
-            out.append(c)
-    out.sort()
-    return out
+    cands = _candidates(prev, m, _larger(space.domain_size))
+    return [c for c in cands if _shatters(cols, full, c)]
 
 
 def vc_naive(space: HypothesisSpace) -> int:

@@ -1,10 +1,11 @@
 """Per-space bound verification, ratio search, and report emission.
 
-``verify_theorem`` measures one space: its VC dimension, the VC dimension of
-its lifted space (computed with the forest candidate filter), the ratio
-between them, and whether both sides of the d - 1 <= d_sim <= floor(4.55 d)
-bracket hold.  It reports rather than asserts, so a hypothetical
-counterexample is captured instead of crashed on.
+``verify_theorem`` measures one space: its VC dimension (``vc_exact``), the
+VC dimension of its lifted space (``lifted_vc``, a search over vertex
+partitions), the ratio between them, and whether both sides of the
+``theorem_bounds`` bracket d - 1 <= d_sim <= floor(4.55 d) hold.  It reports
+rather than asserts, so a hypothetical counterexample is captured instead of
+crashed on.
 
 ``ratio_search`` drives verify over a space stream and tracks the maximum
 d_sim / d, probing the conjecture that the true upper factor is 2.  Streams
@@ -23,11 +24,11 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
-from .bounds import DELTA, urner_bound
+from .bounds import theorem_bounds, urner_bound
 from .engine import vc_exact
-from .errors import InvalidSpecError, PairDomainEmptyError
+from .errors import InvalidSpecError
 from .families import FamilySpec, spaces_for
-from .similarity import forest_filter, lift_space, pair_domain
+from .similarity import lifted_vc
 from .space import HypothesisSpace, space_to_dict
 
 #: Fixed CSV column order of report files.
@@ -110,17 +111,6 @@ class BoundReport:
         return row
 
 
-def _lifted_vc(space: HypothesisSpace):
-    """(dimension, witness pairs) of the lifted space; (0, ()) when n < 2."""
-    try:
-        lifted = lift_space(space)
-    except PairDomainEmptyError:
-        return 0, ()
-    result = vc_exact(lifted, candidate_filter=forest_filter(space.domain_size))
-    domain = pair_domain(space.domain_size)
-    return result.dimension, tuple(domain.unrank(r) for r in result.witness.subset)
-
-
 def verify_theorem(
     space: HypothesisSpace, family_spec: Union[FamilySpec, str] = "file"
 ) -> BoundReport:
@@ -128,8 +118,9 @@ def verify_theorem(
     start = time.perf_counter()
     base = vc_exact(space)
     d = base.dimension
-    d_sim, witness_sim = _lifted_vc(space)
+    d_sim, witness_sim = lifted_vc(space)
     ratio = Fraction(d_sim, d) if d > 0 else None
+    lower, upper = theorem_bounds(d)
     report = BoundReport(
         family_spec=family_spec,
         n=space.domain_size,
@@ -137,8 +128,8 @@ def verify_theorem(
         d=d,
         d_sim=d_sim,
         ratio=ratio,
-        lower_ok=d - 1 <= d_sim,
-        upper_ok=d_sim <= (d * DELTA.numerator) // DELTA.denominator,
+        lower_ok=lower <= d_sim,
+        upper_ok=d_sim <= upper,
         witness_base=base.witness.subset,
         witness_sim=witness_sim,
         urner_value=urner_bound(d) if d >= 1 else None,
@@ -169,7 +160,7 @@ class RatioSearchResult:
 
 def _dims_job(space: HypothesisSpace) -> "tuple[int, int]":
     d = vc_exact(space).dimension
-    d_sim, _ = _lifted_vc(space)
+    d_sim, _ = lifted_vc(space)
     return d, d_sim
 
 

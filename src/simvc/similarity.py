@@ -10,9 +10,13 @@ full ordered-with-diagonal domain purely so the equivalence can be tested.
 Pair sets double as graphs (edges over the endpoint vertices).  A pair set
 shattered by any lifted space must be acyclic: around a cycle, a labelling
 with exactly one 0-edge would connect two vertices by both an all-equal path
-and a one-flip path.  ``forest_filter`` turns that fact into a candidate
-filter for the search engine, and ``balanced_labelling`` constructs the
-per-component half-and-half labelling used to bound sparse families.
+and a one-flip path.  The edge labellings of a forest are the vertex
+labellings of its endpoints up to flipping each tree, so whether a forest is
+shattered depends only on how its vertices split into trees.  ``lifted_vc``
+therefore searches one forest per vertex partition: the min-centred star
+forest, which joins every block to its smallest vertex.  ``balanced_labelling``
+constructs the per-component half-and-half labelling used to bound sparse
+families.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
+from .engine import Extensions, _columns, _top_level
 from .errors import (
     DuplicateElementsError,
     IndexOutOfRangeError,
@@ -29,7 +34,7 @@ from .errors import (
     NotAForestError,
     PairDomainEmptyError,
 )
-from .space import Hypothesis, HypothesisSpace, _canonical_space
+from .space import Hypothesis, HypothesisSpace, ShatterWitness, _canonical_space, is_shattered
 
 #: A canonical pair (i, j) with i < j, and a sorted, deduplicated set of them.
 Pair = tuple[int, int]
@@ -321,25 +326,47 @@ def balanced_labelling(pairs: Iterable[Sequence[int]], domain_size: int) -> Hypo
     return Hypothesis(bits, domain_size)
 
 
-def forest_filter(base_size: int) -> Callable[["tuple[int, ...]"], bool]:
-    """Candidate filter for the search engine: accept only acyclic rank sets.
+def _star_extensions(pairs: "Sequence[Pair]") -> Extensions:
+    """Pair ranks that keep a min-centred star forest one when added last."""
 
-    Sound for lifted spaces because every shattered pair set is a forest,
-    and downward-closed because subgraphs of forests are forests.
-    """
-    pairs = pair_domain(base_size).pairs
-
-    def accept(ranks: "tuple[int, ...]") -> bool:
-        parent: dict = {}
+    def extensions(ranks: "tuple[int, ...]") -> "list[int]":
+        leaves = 0
         for r in ranks:
-            a, b = pairs[r]
-            while a in parent:
-                a = parent[a]
-            while b in parent:
-                b = parent[b]
-            if a == b:
-                return False
-            parent[a] = b
-        return True
+            leaves |= 1 << pairs[r][1]
+        # Every centre so far is at most a < b, as ranks are lexicographic, so
+        # pair (a, b) keeps a star forest iff neither end is already a leaf.
+        return [
+            e
+            for e in range(ranks[-1] + 1 if ranks else 0, len(pairs))
+            if not ((leaves >> pairs[e][0]) | (leaves >> pairs[e][1])) & 1
+        ]
 
-    return accept
+    return extensions
+
+
+def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
+    """d_sim = vc(lift(H)) with its witness pairs; (0, ()) when n < 2.
+
+    A level-wise search over min-centred star forests: unions of
+    vertex-disjoint stars, each centred at its block's smallest vertex.
+    There is one per vertex partition and the family is downward closed, so
+    the usual hereditary pruning applies.  Within a partition the star union
+    is the lexicographically smallest spanning forest, so the witness -- the
+    smallest rank set on the top level -- is the lexicographically smallest
+    maximum shattered pair set of the whole lifted space.
+    """
+    n = space.domain_size
+    if n < 2:
+        return 0, ()
+    # h and its complement lift alike; keep the one labelling element 0 with 0
+    top = (1 << n) - 1
+    rows = {h.bits ^ top if h.bits & 1 else h.bits for h in space.hypotheses}
+    cols = _columns(rows, n)
+    pairs = pair_domain(n).pairs
+    # the column of pair (a, b) flipped: 1 where a and b differ
+    pair_cols = [cols[a] ^ cols[b] for a, b in pairs]
+    # a forest over n vertices has at most n - 1 edges
+    limit = min(n - 1, len(rows).bit_length() - 1)
+    best = _top_level(pair_cols, (1 << len(rows)) - 1, limit, _star_extensions(pairs))
+    assert isinstance(is_shattered(lift_space(space), best), ShatterWitness)
+    return len(best), tuple(pairs[r] for r in best)

@@ -44,23 +44,6 @@ class TestVcExact:
         space = restrict(make_space(2, ["00", "11"]), ())
         assert vc_exact(space).dimension == 0
 
-    def test_rejecting_filter_forces_dimension_zero(self):
-        result = vc_exact(full_cube(3), candidate_filter=lambda s: False)
-        assert result.dimension == 0
-
-    def test_restricting_filter_matches_restriction(self):
-        space = random_space(6, 24, 99)
-        allowed = (0, 3)
-        filt = lambda s: set(s) <= set(allowed)
-        got = vc_exact(space, candidate_filter=filt).dimension
-        want = vc_exact(restrict(space, allowed)).dimension
-        assert got == want
-
-    def test_jobs_do_not_change_result(self):
-        for seed in (1, 2, 3):
-            space = random_space(7, 30, seed)
-            assert vc_exact(space) == vc_exact(space, jobs=3)
-
 
 class TestVcNaive:
     def test_full_cube(self):

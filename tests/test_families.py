@@ -9,10 +9,9 @@ from simvc import (
     InvalidSpecError,
     binom_partial_sum,
     enumerate_spaces,
-    forest_filter,
     full_cube,
     k_sparse,
-    lift_space,
+    lifted_vc,
     random_space,
     random_space_stream,
     spaces_for,
@@ -58,8 +57,7 @@ class TestFullCube:
         assert vc_exact(space).dimension == 3
 
     def test_lifted_cube_dimension(self):
-        lifted = lift_space(full_cube(4))
-        assert vc_exact(lifted, candidate_filter=forest_filter(4)).dimension == 3
+        assert lifted_vc(full_cube(4))[0] == 3
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParamsError):
@@ -165,9 +163,7 @@ def test_boundary_probe_n_equals_2k(capsys):
     observed = {}
     for k in (1, 2, 3):
         n = 2 * k
-        space = k_sparse(n, k)
-        lifted = lift_space(space)
-        d_sim = vc_exact(lifted, candidate_filter=forest_filter(n)).dimension
+        d_sim, _ = lifted_vc(k_sparse(n, k))
         observed[k] = d_sim
         print(f"boundary probe: k={k} n={n} lifted vc = {d_sim} (2k would be {2 * k})")
     # sanity only: the general bracket still applies

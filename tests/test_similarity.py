@@ -20,7 +20,6 @@ from simvc import (
     components,
     endpoints,
     enumerate_spaces,
-    forest_filter,
     full_cube,
     is_forest,
     is_shattered,
@@ -28,16 +27,20 @@ from simvc import (
     lift_hypothesis,
     lift_space,
     lift_space_ordered,
+    lifted_vc,
     make_space,
     pair_domain,
     pattern_count,
     random_space,
     restrict,
     shattered_level,
+    splitmix64_stream,
     vc_exact,
 )
 
-from conftest import spaces
+from simvc.similarity import _star_extensions
+
+from conftest import spaces, space_from_ints
 
 
 def reference_lift(h: Hypothesis) -> str:
@@ -258,13 +261,6 @@ class TestForestNecessity:
                     if not is_forest([domain.pairs[r] for r in ranks]):
                         assert not is_shattered(lifted, ranks).shattered
 
-    def test_filtered_and_unfiltered_dimensions_agree(self):
-        for n, seed in ((3, 11), (4, 12), (4, 13)):
-            lifted = lift_space(random_space(n, min(1 << n, 12), seed))
-            plain = vc_exact(lifted).dimension
-            pruned = vc_exact(lifted, candidate_filter=forest_filter(n)).dimension
-            assert plain == pruned
-
 
 class TestCardinalityStep:
     @given(spaces(max_n=6, max_size=16), st.data())
@@ -280,22 +276,108 @@ class TestCardinalityStep:
         assert pattern_count(lifted, ranks) <= pattern_count(space, endpoints(pairs))
 
 
+def lifted_oracle(space):
+    """Lift + unfiltered vc_exact, with the witness ranks turned back into pairs."""
+    result = vc_exact(lift_space(space))
+    domain = pair_domain(space.domain_size)
+    return result.dimension, tuple(domain.unrank(r) for r in result.witness.subset)
+
+
+class TestLiftedVcOracle:
+    def test_exhaustive_small_domains(self):
+        for space in enumerate_spaces(1):
+            assert lifted_vc(space) == (0, ())
+        for n in (2, 3):
+            for space in enumerate_spaces(n):
+                assert lifted_vc(space) == lifted_oracle(space)
+
+    def test_seeded_random_spaces(self):
+        rng = splitmix64_stream(0x5117)
+        for _ in range(200):
+            n = 2 + next(rng) % 6  # 2..7
+            size = 1 + next(rng) % min(1 << n, 32)
+            space = random_space(n, size, next(rng))
+            assert lifted_vc(space) == lifted_oracle(space)
+
+    def test_cubes_reach_n_minus_one(self):
+        for n in range(2, 7):
+            d_sim, witness = lifted_vc(full_cube(n))
+            assert d_sim == n - 1
+            assert witness == tuple((0, j) for j in range(1, n))
+
+
+def test_star_forests_are_one_per_vertex_partition():
+    # lifted_vc searches these; Bell(n) set partitions of n vertices
+    bell = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
+    for n, count in bell.items():
+        pairs = pair_domain(n).pairs
+        extensions = _star_extensions(pairs)
+        forests, todo = [], [()]
+        while todo:
+            ranks = todo.pop()
+            forests.append([pairs[r] for r in ranks])
+            todo.extend(ranks + (e,) for e in extensions(ranks))
+        blocks = {components(f).components for f in forests}
+        assert len(forests) == len(blocks) == count
+        for f in forests:
+            starts = {c[0] for c in components(f).components}
+            assert all(a in starts for a, _ in f)
+
+
+def _permuted(space, perm):
+    """Element j of ``space`` becomes element perm[j]."""
+    n = space.domain_size
+    # space_from_ints reads bit n-1-j as the label of element j
+    return space_from_ints(
+        n,
+        (sum(((h.bits >> j) & 1) << (n - 1 - perm[j]) for j in range(n)) for h in space.hypotheses),
+    )
+
+
+class TestLiftedVcInvariance:
+    """d_sim (and d) under symmetries of the domain and of the labels."""
+
+    @given(spaces(max_n=6, max_size=16), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_domain_permutation(self, space, data):
+        perm = data.draw(st.permutations(range(space.domain_size)))
+        moved = _permuted(space, perm)
+        assert lifted_vc(moved)[0] == lifted_vc(space)[0]
+        assert vc_exact(moved).dimension == vc_exact(space).dimension
+
+    @given(spaces(max_n=6, max_size=16), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_xor_mask(self, space, data):
+        # the lift turns the mask into a flip of the pair columns it separates,
+        # which keeps every shattered pair set, so the witness stays too
+        n = space.domain_size
+        mask = data.draw(st.integers(0, (1 << n) - 1))
+        flipped = make_space(n, [Hypothesis(h.bits ^ mask, n) for h in space.hypotheses])
+        assert lifted_vc(flipped) == lifted_vc(space)
+        assert vc_exact(flipped).dimension == vc_exact(space).dimension
+
+    @given(spaces(max_n=6, max_size=16))
+    @settings(max_examples=60, deadline=None)
+    def test_adding_complements(self, space):
+        # h and its complement lift to the same labelling
+        closed = make_space(
+            space.domain_size, list(space.hypotheses) + [h.complement() for h in space.hypotheses]
+        )
+        assert lifted_vc(closed) == lifted_vc(space)
+
+
 class TestOrderedModeEquivalence:
     def test_exhaustive_small(self):
         for n in (2, 3):
             for space in enumerate_spaces(n):
-                canonical = vc_exact(
-                    lift_space(space), candidate_filter=forest_filter(n)
-                ).dimension
+                canonical, _ = lifted_vc(space)
                 ordered = vc_exact(lift_space_ordered(space)).dimension
                 assert canonical == ordered
 
     def test_sampled_n4(self):
         for seed in range(8):
             space = random_space(4, 1 + seed % 12, seed)
-            canonical = vc_exact(
-                lift_space(space), candidate_filter=forest_filter(4)
-            ).dimension
+            canonical, _ = lifted_vc(space)
             ordered = vc_exact(lift_space_ordered(space)).dimension
             assert canonical == ordered
 
