@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidQueryError, OutOfRangeError
+from .errors import SimvcError
 
 #: Upper-bound factor of the similarity-VC bound, as an exact rational.
 DELTA = Fraction(91, 20)
@@ -36,7 +36,7 @@ def sauer_guaranteed_vc(space_size: int, domain_size: int) -> int:
     if domain_size < 0:
         raise ValueError("domain_size must be non-negative")
     if space_size > (1 << domain_size):
-        raise InvalidQueryError(
+        raise SimvcError(
             f"space_size {space_size} exceeds 2^{domain_size} possible hypotheses"
         )
     best = 0
@@ -47,29 +47,10 @@ def sauer_guaranteed_vc(space_size: int, domain_size: int) -> int:
     return best
 
 
-@dataclass(frozen=True, slots=True)
-class SauerQuery:
-    """Validated (|H|, |X|) query for the growth-function bound."""
-
-    space_size: int
-    domain_size: int
-
-    def __post_init__(self) -> None:
-        if self.space_size < 1 or self.domain_size < 0:
-            raise ValueError("space_size must be >= 1 and domain_size >= 0")
-        if self.space_size > (1 << self.domain_size):
-            raise InvalidQueryError(
-                f"space_size {self.space_size} exceeds 2^{self.domain_size}"
-            )
-
-    def guaranteed_vc(self) -> int:
-        return sauer_guaranteed_vc(self.space_size, self.domain_size)
-
-
 def binary_entropy(eps: float) -> float:
     """H(eps) = eps*log2(1/eps) + (1-eps)*log2(1/(1-eps)); endpoints are 0."""
     if not 0.0 <= eps <= 1.0:
-        raise OutOfRangeError(f"entropy argument {eps} outside [0, 1]")
+        raise SimvcError(f"entropy argument {eps} outside [0, 1]")
     if eps == 0.0 or eps == 1.0:
         return 0.0
     return eps * math.log2(1.0 / eps) + (1.0 - eps) * math.log2(1.0 / (1.0 - eps))
@@ -94,9 +75,9 @@ def entropy_sum_holds(n: int, eps: float) -> EntropySumCheck:
     so the cutoff never suffers a one-ulp slip.
     """
     if n < 1:
-        raise OutOfRangeError("n must be at least 1")
+        raise SimvcError("n must be at least 1")
     if not 0.0 < eps < 0.5:
-        raise OutOfRangeError(f"eps {eps} outside the open interval (0, 1/2)")
+        raise SimvcError(f"eps {eps} outside the open interval (0, 1/2)")
     cutoff = int(Fraction(eps).limit_denominator(10**9) * n)
     lhs = binom_partial_sum(n, cutoff)
     rhs = 2.0 ** (binary_entropy(eps) * n)
@@ -110,7 +91,7 @@ def theorem_bounds(d: int) -> "tuple[int, int]":
     since the lifted dimension is an integer.
     """
     if d < 0:
-        raise OutOfRangeError("d must be non-negative")
+        raise SimvcError("d must be non-negative")
     return max(d - 1, 0), (d * DELTA.numerator) // DELTA.denominator
 
 
@@ -127,7 +108,7 @@ class BoundConstants:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 0.5:
-            raise OutOfRangeError(f"epsilon {self.epsilon} outside (0, 1/2)")
+            raise SimvcError(f"epsilon {self.epsilon} outside (0, 1/2)")
         if binary_entropy(self.epsilon) >= 0.5:
             raise ValueError(f"H({self.epsilon}) >= 1/2: epsilon does not satisfy the condition")
         if self.delta <= 1.0:
@@ -145,7 +126,7 @@ def solve_optimal_delta(tolerance: float = 1e-9) -> BoundConstants:
     exactly and delta = 1/(2*epsilon) is a hair above the optimum.
     """
     if tolerance <= 0:
-        raise OutOfRangeError("tolerance must be positive")
+        raise SimvcError("tolerance must be positive")
     lo, hi = 1e-9, 0.5
     while hi - lo > tolerance:
         mid = (lo + hi) / 2.0
@@ -159,5 +140,5 @@ def solve_optimal_delta(tolerance: float = 1e-9) -> BoundConstants:
 def urner_bound(d: int) -> float:
     """Comparison curve 2d*log2(2d); smaller than floor(4.55d) only for d <= 2."""
     if d < 1:
-        raise OutOfRangeError("d must be at least 1")
+        raise SimvcError("d must be at least 1")
     return 2.0 * d * math.log2(2.0 * d)

@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 from .bounds import binary_entropy, sauer_guaranteed_vc, solve_optimal_delta
 from .engine import vc_exact, vc_naive
-from .errors import SimvcError
 from .experiments import ratio_search, run_report, verify_theorem
 from .families import FamilySpec, enumerate_spaces, random_space_stream, spaces_for
 from .similarity import lift_space
@@ -202,6 +201,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SimvcError, ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         sys.stderr.write(f"vc: error: {exc}\n")
         return 1

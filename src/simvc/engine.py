@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import DomainTooLargeForOracleError
-from .space import HypothesisSpace, ShatterWitness, check_subset, is_shattered
+from .errors import SimvcError
+from .space import HypothesisSpace, ShatterWitness, is_shattered
 
 #: vc_naive enumerates 2^n subsets; beyond this it is no longer an oracle.
 ORACLE_DOMAIN_CAP = 20
@@ -127,34 +127,10 @@ def vc_exact(space: HypothesisSpace) -> VcResult:
     return VcResult(len(best), witness)
 
 
-def shattered_level(
-    space: HypothesisSpace,
-    m: int,
-    previous_level: "Sequence[tuple[int, ...]]",
-) -> "list[tuple[int, ...]]":
-    """All shattered subsets of size m, given the complete level m-1.
-
-    ``previous_level`` must be exactly the shattered subsets of size m-1
-    (the singleton [()] for m = 1); correctness rests on shattering being
-    hereditary.
-    """
-    if m < 1:
-        raise ValueError("level must be at least 1")
-    prev = sorted(previous_level)
-    for s in prev:
-        if len(s) != m - 1:
-            raise ValueError(f"previous level entries must have size {m - 1}")
-        check_subset(space.domain_size, s)
-    cols = _columns([h.bits for h in space.hypotheses], space.domain_size)
-    full = (1 << len(space.hypotheses)) - 1
-    cands = _candidates(prev, m, _larger(space.domain_size))
-    return [c for c in cands if _shatters(cols, full, c)]
-
-
 def vc_naive(space: HypothesisSpace) -> int:
     """Brute-force oracle: test every subset of the domain, no pruning."""
     if space.domain_size > ORACLE_DOMAIN_CAP:
-        raise DomainTooLargeForOracleError(
+        raise SimvcError(
             f"oracle requires domain_size <= {ORACLE_DOMAIN_CAP}, got {space.domain_size}"
         )
     bits = [h.bits for h in space.hypotheses]

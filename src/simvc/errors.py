@@ -1,61 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""The toolkit's one exception type."""
 
 
-class SimvcError(Exception):
-    """Base class for all toolkit errors."""
+class SimvcError(ValueError):
+    """Invalid input to the toolkit: bad parameters, sizes, indices or specs.
 
-
-class EmptySpaceError(SimvcError):
-    """A hypothesis space would contain no hypotheses."""
-
-
-class LengthMismatchError(SimvcError):
-    """A bit vector does not match the expected length."""
-
-
-class DomainTooLargeError(SimvcError):
-    """Domain size exceeds the configured maximum."""
-
-
-class IndexOutOfRangeError(SimvcError):
-    """A domain index falls outside the domain."""
-
-
-class SubsetTooLargeError(SimvcError):
-    """A subset exceeds the bit budget of the pattern table."""
-
-
-class DomainTooLargeForOracleError(SimvcError):
-    """The brute-force oracle cannot enumerate 2^n subsets for this n."""
-
-
-class DuplicateElementsError(SimvcError):
-    """Chain elements must be distinct."""
-
-
-class PairDomainEmptyError(SimvcError):
-    """A domain with fewer than two elements has no pairs to lift onto."""
-
-
-class NotAForestError(SimvcError):
-    """The pair graph contains a cycle."""
-
-
-class InvalidParamsError(SimvcError):
-    """Family parameters outside their valid ranges."""
-
-
-class DomainTooLargeForEnumerationError(SimvcError):
-    """Exhaustive space enumeration is only feasible for tiny domains."""
-
-
-class OutOfRangeError(SimvcError):
-    """A numeric argument falls outside its valid interval."""
-
-
-class InvalidQueryError(SimvcError):
-    """A growth-function query violates |H| <= 2^|X|."""
-
-
-class InvalidSpecError(SimvcError):
-    """A family description in a report spec file is malformed."""
+    A ``ValueError``, so callers that catch ``ValueError`` catch it too; the
+    message says which check failed.
+    """

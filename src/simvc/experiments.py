@@ -10,7 +10,8 @@ crashed on.
 ``ratio_search`` drives verify over a space stream and tracks the maximum
 d_sim / d, probing the conjecture that the true upper factor is 2.  Streams
 are processed in chunks by a worker pool; results are folded in stream
-order, so the outcome is independent of the worker count.
+order, so the outcome is independent of the worker count.  ``run_report``
+shares that ordered map.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import multiprocessing
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
+from itertools import islice, tee
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .bounds import theorem_bounds, urner_bound
 from .engine import vc_exact
-from .errors import InvalidSpecError
+from .errors import SimvcError
 from .families import FamilySpec, spaces_for
 from .similarity import lifted_vc
 from .space import HypothesisSpace, space_to_dict
@@ -172,6 +173,25 @@ def _chunks(stream: Iterator, size: int) -> Iterator[list]:
         yield batch
 
 
+def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
+    """``fn`` over ``items`` in input order: in-process for one job, else a fork pool.
+
+    ``jobs`` is checked before any worker starts.  The pool takes the
+    stream in chunks of ``_CHUNK``, so it never holds all of it at once.
+    """
+    if jobs < 1:
+        raise SimvcError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1:
+        return map(fn, items)
+
+    def pooled() -> Iterator:
+        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+            for batch in _chunks(iter(items), _CHUNK):
+                yield from pool.map(fn, batch)
+
+    return pooled()
+
+
 def ratio_search(
     spaces: Iterable[HypothesisSpace], budget: int, jobs: int = 1
 ) -> RatioSearchResult:
@@ -182,29 +202,19 @@ def ratio_search(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    stream = islice(iter(spaces), budget)
+    stream, to_workers = tee(islice(iter(spaces), budget))
     best: Optional[Fraction] = None
     argmax: Optional[HypothesisSpace] = None
     examined = 0
-
-    def fold(space: HypothesisSpace, dims: "tuple[int, int]") -> None:
-        nonlocal best, argmax, examined
+    # the map comes first in zip so that it runs to its end and closes the pool
+    for (d, d_sim), space in zip(_ordered_map(_dims_job, to_workers, jobs), stream):
         examined += 1
-        d, d_sim = dims
         if d < 1:
-            return
+            continue
         ratio = Fraction(d_sim, d)
         if best is None or ratio > best:
             best = ratio
             argmax = space
-    if jobs <= 1:
-        for space in stream:
-            fold(space, _dims_job(space))
-    else:
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            for batch in _chunks(stream, _CHUNK):
-                for space, dims in zip(batch, pool.map(_dims_job, batch)):
-                    fold(space, dims)
     return RatioSearchResult(
         max_ratio=best,
         argmax_space=argmax,
@@ -216,19 +226,6 @@ def ratio_search(
 def _verify_job(item: "tuple[Union[FamilySpec, str], HypothesisSpace]") -> BoundReport:
     spec, space = item
     return verify_theorem(space, family_spec=spec)
-
-
-def iter_reports(
-    pairs: "Iterable[tuple[Union[FamilySpec, str], HypothesisSpace]]", jobs: int = 1
-) -> Iterator[BoundReport]:
-    """Verify a (family, space) stream; rows come out in stream order."""
-    if jobs <= 1:
-        for item in pairs:
-            yield _verify_job(item)
-        return
-    with multiprocessing.get_context("fork").Pool(jobs) as pool:
-        for batch in _chunks(iter(pairs), _CHUNK):
-            yield from pool.map(_verify_job, batch)
 
 
 def _write_csv(out: TextIO, reports: Iterable[BoundReport], include_timing: bool) -> int:
@@ -265,9 +262,9 @@ def run_report(
     is byte-identical across runs and worker counts.
     """
     if output_format not in ("csv", "jsonl"):
-        raise InvalidSpecError(f"unknown report format {output_format!r}")
+        raise SimvcError(f"unknown report format {output_format!r}")
     pairs = ((spec, space) for spec in specs for space in spaces_for(spec))
-    reports = iter_reports(pairs, jobs=jobs)
+    reports = _ordered_map(_verify_job, pairs, jobs)
     with open(output_path, "w", encoding="utf-8", newline="") as out:
         if output_format == "csv":
             return _write_csv(out, reports, include_timing)

@@ -15,11 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .errors import (
-    DomainTooLargeForEnumerationError,
-    InvalidParamsError,
-    InvalidSpecError,
-)
+from .errors import SimvcError
 from .space import (
     DOMAIN_SIZE_CAP,
     HypothesisSpace,
@@ -73,11 +69,11 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         if self.kind not in FAMILY_KINDS:
-            raise InvalidParamsError(f"unknown family kind {self.kind!r}")
+            raise SimvcError(f"unknown family kind {self.kind!r}")
         if self.kind == "k_sparse" and self.k is None:
-            raise InvalidParamsError("k_sparse requires k")
+            raise SimvcError("k_sparse requires k")
         if self.kind == "random" and (self.size is None or self.seed is None):
-            raise InvalidParamsError("random requires size and seed")
+            raise SimvcError("random requires size and seed")
 
     def to_dict(self) -> dict:
         doc = {"family": self.kind, "n": self.n}
@@ -90,37 +86,33 @@ class FamilySpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "FamilySpec":
         if not isinstance(doc, dict):
-            raise InvalidSpecError(f"family spec must be an object, got {doc!r}")
+            raise SimvcError(f"family spec must be an object, got {doc!r}")
         raw_kind = doc.get("family", doc.get("kind"))
         kind = _KIND_ALIASES.get(raw_kind)
         if kind is None:
-            raise InvalidSpecError(f"unknown family {raw_kind!r}")
+            raise SimvcError(f"unknown family {raw_kind!r}")
         if "n" not in doc:
-            raise InvalidSpecError("family spec requires n")
+            raise SimvcError("family spec requires n")
         try:
-            return cls(
-                kind,
-                int(doc["n"]),
-                k=int(doc["k"]) if doc.get("k") is not None else None,
-                size=int(doc["size"]) if doc.get("size") is not None else None,
-                seed=int(doc["seed"]) if doc.get("seed") is not None else None,
-            )
+            n = int(doc["n"])
+            optional = {
+                key: int(doc[key]) for key in ("k", "size", "seed") if doc.get(key) is not None
+            }
         except (TypeError, ValueError) as exc:
-            raise InvalidSpecError(f"malformed family spec {doc!r}: {exc}") from None
-        except InvalidParamsError as exc:
-            raise InvalidSpecError(str(exc)) from None
+            raise SimvcError(f"malformed family spec {doc!r}: {exc}") from None
+        return cls(kind, n, **optional)
 
 
 def _check_n(n: int) -> None:
     if not 1 <= n <= DOMAIN_SIZE_CAP:
-        raise InvalidParamsError(f"n must be in 1..{DOMAIN_SIZE_CAP}, got {n}")
+        raise SimvcError(f"n must be in 1..{DOMAIN_SIZE_CAP}, got {n}")
 
 
 def k_sparse(n: int, k: int) -> HypothesisSpace:
     """All labellings of [n] with at most k ones; |H| = sum_{w<=k} C(n, w)."""
     _check_n(n)
     if not 0 <= k <= n:
-        raise InvalidParamsError(f"k must be in 0..{n}, got {k}")
+        raise SimvcError(f"k must be in 0..{n}, got {k}")
     bits = []
     for weight in range(k + 1):
         for positions in combinations(range(n), weight):
@@ -144,7 +136,7 @@ def random_space(n: int, size: int, seed: int) -> HypothesisSpace:
     """Uniformly sampled space of ``size`` distinct hypotheses, reproducible from seed."""
     _check_n(n)
     if not 1 <= size <= (1 << n):
-        raise InvalidParamsError(f"size must be in 1..2^{n}, got {size}")
+        raise SimvcError(f"size must be in 1..2^{n}, got {size}")
     mask = (1 << n) - 1
     stream = splitmix64_stream(seed)
     chosen: set = set()
@@ -156,7 +148,7 @@ def random_space(n: int, size: int, seed: int) -> HypothesisSpace:
 def random_space_stream(n: int, size: int, samples: int, seed: int) -> Iterator[HypothesisSpace]:
     """``samples`` random spaces; the i-th uses the i-th SplitMix64 output of ``seed``."""
     if samples < 1:
-        raise InvalidParamsError(f"samples must be at least 1, got {samples}")
+        raise SimvcError(f"samples must be at least 1, got {samples}")
     seeds = splitmix64_stream(seed)
     for _ in range(samples):
         yield random_space(n, size, next(seeds))
@@ -169,9 +161,9 @@ def enumerate_spaces(n: int) -> Iterator[HypothesisSpace]:
     binary: mask bit i selects cube hypothesis i.
     """
     if n < 1:
-        raise InvalidParamsError(f"n must be at least 1, got {n}")
+        raise SimvcError(f"n must be at least 1, got {n}")
     if n > ENUMERATION_CAP:
-        raise DomainTooLargeForEnumerationError(
+        raise SimvcError(
             f"exhaustive enumeration caps at n = {ENUMERATION_CAP}, got {n}"
         )
     cube = full_cube(n).hypotheses

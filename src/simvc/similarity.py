@@ -4,8 +4,7 @@ A hypothesis h induces a labelling of pairs: a pair (w, x) is labelled 1
 exactly when h(w) = h(x).  The canonical pair domain is the set of unordered
 pairs {i < j} without the diagonal -- the two orders of a pair always carry
 identical labels and a diagonal pair is always labelled 1, so neither can
-ever contribute to a shattered set.  ``lift_space_ordered`` provides the
-full ordered-with-diagonal domain purely so the equivalence can be tested.
+ever contribute to a shattered set.
 
 Pair sets double as graphs (edges over the endpoint vertices).  A pair set
 shattered by any lifted space must be acyclic: around a cycle, a labelling
@@ -27,14 +26,8 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .engine import Extensions, _columns, _top_level
-from .errors import (
-    DuplicateElementsError,
-    IndexOutOfRangeError,
-    LengthMismatchError,
-    NotAForestError,
-    PairDomainEmptyError,
-)
-from .space import Hypothesis, HypothesisSpace, ShatterWitness, _canonical_space, is_shattered
+from .errors import SimvcError
+from .space import Hypothesis, HypothesisSpace, _canonical_space, pattern_count
 
 #: A canonical pair (i, j) with i < j, and a sorted, deduplicated set of them.
 Pair = tuple[int, int]
@@ -69,13 +62,13 @@ class PairDomain:
         try:
             return self._rank[key]
         except KeyError:
-            raise IndexOutOfRangeError(
+            raise SimvcError(
                 f"pair {key} out of range for base domain of size {self.base_size}"
             ) from None
 
     def unrank(self, rank: int) -> "tuple[int, int]":
         if not 0 <= rank < len(self.pairs):
-            raise IndexOutOfRangeError(
+            raise SimvcError(
                 f"pair rank {rank} out of range for base domain of size {self.base_size}"
             )
         return self.pairs[rank]
@@ -114,32 +107,12 @@ def lift_space(space: HypothesisSpace) -> HypothesisSpace:
     """
     n = space.domain_size
     if n < 2:
-        raise PairDomainEmptyError(
+        raise SimvcError(
             f"cannot lift a space over {n} element(s): the pair domain is empty "
             "(treat the lifted VC dimension as 0)"
         )
     m = n * (n - 1) // 2
     return _canonical_space(m, (_lift_bits(h.bits, n) for h in space.hypotheses))
-
-
-def lift_space_ordered(space: HypothesisSpace) -> HypothesisSpace:
-    """Compatibility mode: lift onto all n*n ordered pairs including the diagonal.
-
-    Exists to test that canonicalizing the pair domain never changes a VC
-    dimension; column rank of ordered pair (w, x) is w*n + x.
-    """
-    n = space.domain_size
-
-    def ordered_bits(bits: int) -> int:
-        out = 0
-        for w in range(n):
-            bw = (bits >> w) & 1
-            for x in range(n):
-                if bw == ((bits >> x) & 1):
-                    out |= 1 << (w * n + x)
-        return out
-
-    return _canonical_space(n * n, (ordered_bits(h.bits) for h in space.hypotheses))
 
 
 def canonical_pairs(pairs: Iterable[Sequence[int]]) -> "tuple[tuple[int, int], ...]":
@@ -153,22 +126,6 @@ def canonical_pairs(pairs: Iterable[Sequence[int]]) -> "tuple[tuple[int, int], .
             raise ValueError("pair endpoints must be non-negative")
         out.add((a, b) if a < b else (b, a))
     return tuple(sorted(out))
-
-
-def endpoints(pairs: Iterable[Sequence[int]]) -> "tuple[int, ...]":
-    """Sorted distinct endpoint set of a pair set."""
-    ps = canonical_pairs(pairs)
-    return tuple(sorted({v for p in ps for v in p}))
-
-
-def chain_pairs(elements: Sequence[int]) -> "tuple[tuple[int, int], ...]":
-    """Consecutive pairs of a chain of distinct elements, canonicalized."""
-    elems = list(elements)
-    if len(elems) < 2:
-        raise ValueError("a chain needs at least two elements to form pairs")
-    if len(set(elems)) != len(elems):
-        raise DuplicateElementsError(f"chain elements must be distinct: {elems}")
-    return canonical_pairs(zip(elems, elems[1:]))
 
 
 def chain_witness(
@@ -188,16 +145,16 @@ def chain_witness(
     if not elems:
         raise ValueError("chain must contain at least one element")
     if len(set(elems)) != len(elems):
-        raise DuplicateElementsError(f"chain elements must be distinct: {elems}")
+        raise SimvcError(f"chain elements must be distinct: {elems}")
     if len(labels) != len(elems) - 1:
-        raise LengthMismatchError(
+        raise SimvcError(
             f"{len(labels)} labels for a chain of {len(elems)} elements; expected {len(elems) - 1}"
         )
     if start_bit not in (0, 1):
         raise ValueError("start_bit must be 0 or 1")
     for e in elems:
         if not 0 <= e < domain_size:
-            raise IndexOutOfRangeError(
+            raise SimvcError(
                 f"chain element {e} out of range for domain of size {domain_size}"
             )
     bits = 0
@@ -313,12 +270,12 @@ def balanced_labelling(pairs: Iterable[Sequence[int]], domain_size: int) -> Hypo
     ps = canonical_pairs(pairs)
     fc = is_forest(ps)
     if not fc:
-        raise NotAForestError(f"pair set contains a cycle: {fc.cycle}")
+        raise SimvcError(f"pair set contains a cycle: {fc.cycle}")
     bits = 0
     for comp in components(ps).components:
         for v in comp:
             if v >= domain_size:
-                raise IndexOutOfRangeError(
+                raise SimvcError(
                     f"vertex {v} out of range for domain of size {domain_size}"
                 )
         for v in comp[: len(comp) // 2]:
@@ -368,5 +325,5 @@ def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
     # a forest over n vertices has at most n - 1 edges
     limit = min(n - 1, len(rows).bit_length() - 1)
     best = _top_level(pair_cols, (1 << len(rows)) - 1, limit, _star_extensions(pairs))
-    assert isinstance(is_shattered(lift_space(space), best), ShatterWitness)
+    assert pattern_count(lift_space(space), best) == 1 << len(best)
     return len(best), tuple(pairs[r] for r in best)

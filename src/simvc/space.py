@@ -22,13 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from .errors import (
-    DomainTooLargeError,
-    EmptySpaceError,
-    IndexOutOfRangeError,
-    LengthMismatchError,
-    SubsetTooLargeError,
-)
+from .errors import SimvcError
 
 #: Maximum domain size for original spaces.  Exact VC computation is
 #: exponential; this keeps supported inputs desk-scale and pattern values
@@ -84,7 +78,7 @@ class Hypothesis:
 
     def value(self, index: int) -> int:
         if not 0 <= index < self.length:
-            raise IndexOutOfRangeError(
+            raise SimvcError(
                 f"index {index} out of range for hypothesis of length {self.length}"
             )
         return (self.bits >> index) & 1
@@ -115,11 +109,11 @@ class HypothesisSpace:
         if self.domain_size < 0:
             raise ValueError("domain_size must be non-negative")
         if not self.hypotheses:
-            raise EmptySpaceError("a hypothesis space must contain at least one hypothesis")
+            raise SimvcError("a hypothesis space must contain at least one hypothesis")
         prev = -1
         for h in self.hypotheses:
             if h.length != self.domain_size:
-                raise LengthMismatchError(
+                raise SimvcError(
                     f"hypothesis of length {h.length} in a space over {self.domain_size} elements"
                 )
             if h.lex_key <= prev:
@@ -152,25 +146,25 @@ def make_space(
     if domain_size < 1:
         raise ValueError("domain_size must be at least 1")
     if domain_size > max_domain_size:
-        raise DomainTooLargeError(
+        raise SimvcError(
             f"domain_size {domain_size} exceeds the supported maximum {max_domain_size}"
         )
     bits_list = []
     for raw in raw_hypotheses:
         if isinstance(raw, Hypothesis):
             if raw.length != domain_size:
-                raise LengthMismatchError(
+                raise SimvcError(
                     f"hypothesis of length {raw.length}, expected {domain_size}"
                 )
             bits_list.append(raw.bits)
         else:
             if len(raw) != domain_size:
-                raise LengthMismatchError(
+                raise SimvcError(
                     f"hypothesis {raw!r} has length {len(raw)}, expected {domain_size}"
                 )
             bits_list.append(Hypothesis.from_string(raw).bits)
     if not bits_list:
-        raise EmptySpaceError("no hypotheses supplied")
+        raise SimvcError("no hypotheses supplied")
     return _canonical_space(domain_size, bits_list)
 
 
@@ -179,7 +173,7 @@ def check_subset(domain_size: int, subset: Sequence[int]) -> None:
     prev = -1
     for e in subset:
         if not 0 <= e < domain_size:
-            raise IndexOutOfRangeError(
+            raise SimvcError(
                 f"domain index {e} out of range for domain of size {domain_size}"
             )
         if e <= prev:
@@ -254,7 +248,7 @@ def is_shattered(
     check_subset(space.domain_size, subset)
     m = len(subset)
     if m > PATTERN_BITS_CAP:
-        raise SubsetTooLargeError(
+        raise SimvcError(
             f"subset of size {m} exceeds the {PATTERN_BITS_CAP}-bit pattern budget"
         )
     observed = {_project(h.bits, subset) for h in space.hypotheses}

@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from simvc import (
     BoundConstants,
-    InvalidQueryError,
-    OutOfRangeError,
-    SauerQuery,
+    SimvcError,
     binary_entropy,
     binom_partial_sum,
     entropy_sum_holds,
@@ -50,13 +48,8 @@ class TestSauer:
         assert sauer_guaranteed_vc(1, 5) == 0
 
     def test_invalid_query(self):
-        with pytest.raises(InvalidQueryError):
+        with pytest.raises(SimvcError, match=r"space_size 17 exceeds 2\^4 possible hypotheses"):
             sauer_guaranteed_vc(17, 4)
-        with pytest.raises(InvalidQueryError):
-            SauerQuery(17, 4)
-
-    def test_query_object_delegates(self):
-        assert SauerQuery(6, 4).guaranteed_vc() == 2
 
     @given(st.integers(0, 12), st.data())
     @settings(max_examples=80, deadline=None)
@@ -78,9 +71,9 @@ class TestBinaryEntropy:
         assert value < 0.5
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(SimvcError, match=r"entropy argument -0.1 outside \[0, 1\]"):
             binary_entropy(-0.1)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(SimvcError, match=r"entropy argument 1.1 outside \[0, 1\]"):
             binary_entropy(1.1)
 
     def test_symmetry_and_maximum_on_grid(self):
@@ -108,9 +101,9 @@ class TestEntropySum:
         assert entropy_sum_holds(20, 0.11).holds
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(SimvcError, match="eps 0.5 outside the open interval"):
             entropy_sum_holds(10, 0.5)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(SimvcError, match="n must be at least 1"):
             entropy_sum_holds(0, 0.3)
 
     def test_grid(self):
@@ -126,7 +119,7 @@ class TestTheoremBounds:
         assert theorem_bounds(1) == (0, 4)
 
     def test_negative_rejected(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(SimvcError, match="d must be non-negative"):
             theorem_bounds(-1)
 
     @given(st.integers(0, 200))
@@ -151,11 +144,11 @@ class TestOptimalDelta:
         assert solve_optimal_delta(1e-9).delta < 4.55
 
     def test_tolerance_must_be_positive(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(SimvcError, match="tolerance must be positive"):
             solve_optimal_delta(0.0)
 
     def test_constants_validation(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(SimvcError, match=r"epsilon 0.6 outside \(0, 1/2\)"):
             BoundConstants.from_epsilon(0.6)
         with pytest.raises(ValueError):
             BoundConstants.from_epsilon(0.4)  # H(0.4) > 1/2
@@ -168,7 +161,7 @@ class TestUrnerBound:
         assert urner_bound(8) == 64.0
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(SimvcError, match="d must be at least 1"):
             urner_bound(0)
 
     def test_crossover_with_linear_bound(self):

@@ -136,6 +136,14 @@ class TestSearch:
         assert doc["spaces_examined"] == 25
         assert doc["argmax_space"] is not None
 
+    def test_jobs_below_one_is_input_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "search", "--mode", "exhaustive", "--n", "2", "--jobs", "0"
+        )
+        assert code == 1
+        assert out == ""
+        assert "jobs must be at least 1, got 0" in err
+
     def test_violation_is_preserved_and_exits_two(self, capsys, monkeypatch):
         fake = RatioSearchResult(
             max_ratio=Fraction(5, 2),
@@ -210,6 +218,18 @@ class TestReport:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 1
+
+    def test_jobs_below_one_is_input_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([{"family": "cube", "n": 2}]))
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "report", "--spec", str(spec), "--format", "csv",
+            "--out", str(out), "--jobs", "0",
+        )
+        assert code == 1
+        assert "jobs must be at least 1, got 0" in err
+        assert not out.exists()
 
     def test_spec_must_be_array(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -1,10 +1,10 @@
-"""Exact engine vs the brute-force oracle, plus the level-wise surface."""
+"""Exact engine vs the brute-force oracle."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from simvc import (
-    DomainTooLargeForOracleError,
+    SimvcError,
     enumerate_spaces,
     full_cube,
     k_sparse,
@@ -12,7 +12,6 @@ from simvc import (
     random_space,
     restrict,
     sauer_guaranteed_vc,
-    shattered_level,
     splitmix64_stream,
     vc_exact,
     vc_naive,
@@ -57,7 +56,7 @@ class TestVcNaive:
         assert vc_naive(make_space(3, ["000", "111"])) == 1
 
     def test_oracle_domain_cap(self):
-        with pytest.raises(DomainTooLargeForOracleError):
+        with pytest.raises(SimvcError, match="oracle requires domain_size <= 20, got 21"):
             vc_naive(make_space(21, ["0" * 21, "1" * 21]))
 
 
@@ -80,29 +79,6 @@ class TestOracleEquivalence:
         for _ in range(400):
             space = random_space(4, 1 + next(rng) % 16, next(rng))
             assert vc_exact(space).dimension == vc_naive(space)
-
-
-class TestShatteredLevel:
-    def test_level_one_full_cube(self):
-        assert shattered_level(full_cube(3), 1, [()]) == [(0,), (1,), (2,)]
-
-    def test_no_shattered_pairs_in_sparse_one(self):
-        assert shattered_level(k_sparse(3, 1), 2, [(0,), (1,), (2,)]) == []
-
-    @given(spaces())
-    @settings(max_examples=40, deadline=None)
-    def test_level_one_is_nonconstant_columns(self, space):
-        level = shattered_level(space, 1, [()])
-        expected = [
-            (j,)
-            for j in range(space.domain_size)
-            if len({h.value(j) for h in space.hypotheses}) == 2
-        ]
-        assert level == expected
-
-    def test_rejects_malformed_previous_level(self):
-        with pytest.raises(ValueError):
-            shattered_level(full_cube(3), 2, [(0, 1)])
 
 
 class TestEngineInvariants:

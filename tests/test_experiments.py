@@ -8,10 +8,10 @@ import pytest
 from simvc import (
     CSV_COLUMNS,
     FamilySpec,
+    SimvcError,
     enumerate_spaces,
     full_cube,
     is_forest,
-    iter_reports,
     k_sparse,
     lift_space,
     make_space,
@@ -103,6 +103,11 @@ class TestRatioSearch:
         serial = ratio_search(stream(), budget=40)
         parallel = ratio_search(stream(), budget=40, jobs=4)
         assert serial == parallel
+        # 255 spaces span two pool chunks; the argmax must still be the first
+        serial = ratio_search(enumerate_spaces(3), budget=255)
+        parallel = ratio_search(enumerate_spaces(3), budget=255, jobs=2)
+        assert serial == parallel
+        assert serial.argmax_space is not None
 
     def test_oracle_recomputation_n3(self):
         # same maximum through the naive oracle on base and lifted spaces
@@ -177,28 +182,32 @@ class TestRunReport:
         assert a.read_text().splitlines()[0] == ",".join(CSV_COLUMNS[:-1])
 
     def test_unknown_format_rejected(self, tmp_path):
-        from simvc import InvalidSpecError
-
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(SimvcError, match="unknown report format 'xml'"):
             run_report([], "xml", tmp_path / "x")
 
 
 class TestIterReports:
-    def test_stream_order_preserved(self):
-        pairs = [("file", full_cube(2)), ("file", k_sparse(3, 1))]
-        rows = list(iter_reports(pairs))
-        assert [(r.d, r.d_sim) for r in rows] == [(2, 1), (1, 2)]
+    """Report rows come out in stream order, whatever the worker count."""
 
-    def test_parallel_matches_serial(self):
-        pairs = [("file", s) for s in enumerate_spaces(3)]
-        serial = [r.to_dict(include_timing=False) for r in iter_reports(iter(pairs))]
-        parallel = [
-            r.to_dict(include_timing=False) for r in iter_reports(iter(pairs), jobs=4)
-        ]
-        assert serial == parallel
+    def test_stream_order_preserved(self, tmp_path):
+        out = tmp_path / "rows.jsonl"
+        run_report([FamilySpec("full_cube", 2), FamilySpec("k_sparse", 3, k=1)], "jsonl", out)
+        docs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(d["d"], d["d_sim"]) for d in docs] == [(2, 1), (1, 2)]
+
+    def test_parallel_matches_serial(self, tmp_path):
+        # 255 rows span two pool chunks
+        serial = tmp_path / "serial.jsonl"
+        parallel = tmp_path / "parallel.jsonl"
+        run_report([FamilySpec("exhaustive", 3)], "jsonl", serial, include_timing=False)
+        run_report(
+            [FamilySpec("exhaustive", 3)], "jsonl", parallel, jobs=4, include_timing=False
+        )
+        assert serial.read_bytes() == parallel.read_bytes()
 
     def test_every_witness_sim_is_forest(self):
         for n in (2, 3):
-            for report in iter_reports(("file", s) for s in enumerate_spaces(n)):
+            for space in enumerate_spaces(n):
+                report = verify_theorem(space)
                 assert is_forest(report.witness_sim)
                 assert report.lower_ok and report.upper_ok

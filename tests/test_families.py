@@ -3,10 +3,8 @@
 import pytest
 
 from simvc import (
-    DomainTooLargeForEnumerationError,
     FamilySpec,
-    InvalidParamsError,
-    InvalidSpecError,
+    SimvcError,
     binom_partial_sum,
     enumerate_spaces,
     full_cube,
@@ -34,11 +32,11 @@ class TestKSparse:
         assert k_sparse(4, 4) == full_cube(4)
 
     def test_invalid_params(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(SimvcError, match=r"k must be in 0\.\.3, got 4"):
             k_sparse(3, 4)
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(SimvcError, match=r"n must be in 1\.\.24, got 0"):
             k_sparse(0, 0)
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(SimvcError, match=r"k must be in 0\.\.3, got -1"):
             k_sparse(3, -1)
 
     def test_vc_values_small_grid(self):
@@ -60,9 +58,9 @@ class TestFullCube:
         assert lifted_vc(full_cube(4))[0] == 3
 
     def test_invalid_params(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(SimvcError, match=r"n must be in 1\.\.24, got 0"):
             full_cube(0)
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(SimvcError, match=r"n must be in 1\.\.24, got 25"):
             full_cube(25)
 
 
@@ -82,9 +80,9 @@ class TestRandomSpace:
         assert random_space(8, 12, 1) != random_space(8, 12, 2)
 
     def test_invalid_params(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(SimvcError, match=r"size must be in 1\.\.2\^3, got 9"):
             random_space(3, 9, 0)
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(SimvcError, match=r"size must be in 1\.\.2\^3, got 0"):
             random_space(3, 0, 0)
 
     def test_stream_is_reproducible(self):
@@ -128,7 +126,7 @@ class TestEnumerateSpaces:
         assert len(seen) == 15
 
     def test_cap(self):
-        with pytest.raises(DomainTooLargeForEnumerationError):
+        with pytest.raises(SimvcError, match="exhaustive enumeration caps at n = 4, got 5"):
             next(enumerate_spaces(5))
 
 
@@ -142,12 +140,17 @@ class TestFamilySpec:
         assert FamilySpec.from_dict({"family": "cube", "n": 3}).kind == "full_cube"
 
     def test_missing_params(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(SimvcError, match="k_sparse requires k"):
             FamilySpec("k_sparse", 5)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(SimvcError, match="unknown family 'nope'"):
             FamilySpec.from_dict({"family": "nope", "n": 3})
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(SimvcError, match="family spec requires n"):
             FamilySpec.from_dict({"family": "cube"})
+        # a parameter check inside the spec keeps its own message
+        with pytest.raises(SimvcError, match="^random requires size and seed$"):
+            FamilySpec.from_dict({"family": "random", "n": 3, "size": 2})
+        with pytest.raises(SimvcError, match="malformed family spec"):
+            FamilySpec.from_dict({"family": "cube", "n": "three"})
 
     def test_spaces_for(self):
         assert list(spaces_for(FamilySpec("k_sparse", 3, k=1))) == [k_sparse(3, 1)]

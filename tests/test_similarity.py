@@ -6,19 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simvc import (
-    DuplicateElementsError,
     Hypothesis,
-    IndexOutOfRangeError,
-    LengthMismatchError,
-    NotAForestError,
     PairDomain,
-    PairDomainEmptyError,
+    SimvcError,
     balanced_labelling,
     canonical_pairs,
-    chain_pairs,
     chain_witness,
     components,
-    endpoints,
     enumerate_spaces,
     full_cube,
     is_forest,
@@ -26,14 +20,12 @@ from simvc import (
     k_sparse,
     lift_hypothesis,
     lift_space,
-    lift_space_ordered,
     lifted_vc,
     make_space,
     pair_domain,
     pattern_count,
     random_space,
     restrict,
-    shattered_level,
     splitmix64_stream,
     vc_exact,
 )
@@ -68,9 +60,9 @@ class TestPairDomain:
         domain = PairDomain(3)
         with pytest.raises(ValueError):
             domain.rank(1, 1)
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(SimvcError, match=r"pair \(0, 3\) out of range"):
             domain.rank(0, 3)
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(SimvcError, match="pair rank 3 out of range"):
             domain.unrank(3)
 
 
@@ -112,7 +104,7 @@ class TestLift:
         assert vc_exact(lifted).dimension == 0
 
     def test_lift_requires_pairs(self):
-        with pytest.raises(PairDomainEmptyError):
+        with pytest.raises(SimvcError, match="cannot lift a space over 1 element"):
             lift_space(make_space(1, ["0", "1"]))
 
     @given(spaces(max_n=6))
@@ -122,16 +114,6 @@ class TestLift:
 
 
 class TestChains:
-    def test_chain_pairs_construction(self):
-        assert chain_pairs([0, 1, 2]) == ((0, 1), (1, 2))
-        assert chain_pairs([3, 1]) == ((1, 3),)
-
-    def test_chain_pairs_errors(self):
-        with pytest.raises(ValueError):
-            chain_pairs([0])
-        with pytest.raises(DuplicateElementsError):
-            chain_pairs([0, 1, 0])
-
     def test_chain_witness_examples(self):
         assert chain_witness([0, 1, 2], (1, 1), 0, 3).to_string() == "000"
         assert chain_witness([0, 1, 2], (0, 1), 0, 3).to_string() == "011"
@@ -151,11 +133,11 @@ class TestChains:
         assert chain_witness([2, 4], (0,), 1, 6).to_string() == "001000"
 
     def test_chain_witness_errors(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(SimvcError, match="2 labels for a chain of 2 elements"):
             chain_witness([0, 1], (0, 1), 0, 3)
-        with pytest.raises(DuplicateElementsError):
+        with pytest.raises(SimvcError, match="chain elements must be distinct"):
             chain_witness([0, 0], (1,), 0, 3)
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(SimvcError, match="chain element 5 out of range"):
             chain_witness([0, 5], (1,), 0, 3)
 
     def test_soundness_on_sample_chains(self):
@@ -196,11 +178,6 @@ class TestForest:
         assert parts.tree_count == 2
         assert components([]).components == ()
 
-    def test_endpoints_examples(self):
-        assert endpoints([(0, 1), (1, 2)]) == (0, 1, 2)
-        assert endpoints([(0, 1), (2, 3)]) == (0, 1, 2, 3)
-        assert endpoints([]) == ()
-
 
 class TestBalancedLabelling:
     def test_path_gets_single_one(self):
@@ -213,7 +190,7 @@ class TestBalancedLabelling:
         assert balanced_labelling([], 2).to_string() == "00"
 
     def test_rejects_cycles(self):
-        with pytest.raises(NotAForestError):
+        with pytest.raises(SimvcError, match="pair set contains a cycle"):
             balanced_labelling([(0, 1), (1, 2), (0, 2)], 3)
 
     @given(st.data())
@@ -238,18 +215,15 @@ class TestBalancedLabelling:
 
 class TestForestNecessity:
     def test_shattered_pair_sets_are_forests(self):
-        # unfiltered search over the lifted space: every frontier set acyclic
+        # every rank set the lifted space shatters is acyclic
         for n in (3, 4):
             domain = pair_domain(n)
             for seed in (5, 6, 7):
                 lifted = lift_space(random_space(n, min(1 << n, 10), seed))
-                level = [()]
                 for m in range(1, len(domain) + 1):
-                    level = shattered_level(lifted, m, level)
-                    for ranks in level:
-                        assert is_forest([domain.pairs[r] for r in ranks])
-                    if not level:
-                        break
+                    for ranks in combinations(range(len(domain)), m):
+                        if is_shattered(lifted, ranks).shattered:
+                            assert is_forest([domain.pairs[r] for r in ranks])
 
     def test_nonforest_sets_never_shattered_in_full_cube_lift(self):
         # the full cube dominates every space, so this covers all of them
@@ -272,8 +246,8 @@ class TestCardinalityStep:
         )
         ranks = tuple(sorted(ranks))
         lifted = lift_space(space)
-        pairs = [domain.pairs[r] for r in ranks]
-        assert pattern_count(lifted, ranks) <= pattern_count(space, endpoints(pairs))
+        endpoints = sorted({v for r in ranks for v in domain.pairs[r]})
+        assert pattern_count(lifted, ranks) <= pattern_count(space, endpoints)
 
 
 def lifted_oracle(space):
@@ -366,24 +340,38 @@ class TestLiftedVcInvariance:
         assert lifted_vc(closed) == lifted_vc(space)
 
 
+def ordered_lift(space):
+    """Lift onto all n*n ordered pairs, diagonal included; pair (w, x) is column w*n + x."""
+    n = space.domain_size
+    return make_space(
+        n * n,
+        [
+            "".join("1" if h.value(w) == h.value(x) else "0" for w in range(n) for x in range(n))
+            for h in space.hypotheses
+        ],
+    )
+
+
 class TestOrderedModeEquivalence:
+    """Dropping reversed and diagonal pairs from the pair domain never changes d_sim."""
+
     def test_exhaustive_small(self):
         for n in (2, 3):
             for space in enumerate_spaces(n):
                 canonical, _ = lifted_vc(space)
-                ordered = vc_exact(lift_space_ordered(space)).dimension
+                ordered = vc_exact(ordered_lift(space)).dimension
                 assert canonical == ordered
 
     def test_sampled_n4(self):
         for seed in range(8):
             space = random_space(4, 1 + seed % 12, seed)
             canonical, _ = lifted_vc(space)
-            ordered = vc_exact(lift_space_ordered(space)).dimension
+            ordered = vc_exact(ordered_lift(space)).dimension
             assert canonical == ordered
 
     def test_ordered_lift_handles_single_element_domain(self):
         space = make_space(1, ["0", "1"])
-        assert vc_exact(lift_space_ordered(space)).dimension == 0
+        assert vc_exact(ordered_lift(space)).dimension == 0
 
 
 def test_restrict_of_lift_equals_chain_labelling():
@@ -392,7 +380,7 @@ def test_restrict_of_lift_equals_chain_labelling():
     labels = (1, 0)
     h = chain_witness(elems, labels, 0, 4)
     domain = pair_domain(4)
-    ranks = tuple(sorted(domain.rank(a, b) for a, b in chain_pairs(elems)))
+    ranks = tuple(sorted(domain.rank(a, b) for a, b in zip(elems, elems[1:])))
     projected = restrict(lift_space(make_space(4, [h])), ranks)
     lifted = lift_hypothesis(h)
     expected = "".join(str(lifted.value(r)) for r in ranks)

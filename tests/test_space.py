@@ -4,14 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simvc import (
-    DomainTooLargeError,
-    EmptySpaceError,
     Hypothesis,
-    IndexOutOfRangeError,
-    LengthMismatchError,
     MissingPattern,
     ShatterWitness,
-    SubsetTooLargeError,
+    SimvcError,
     full_cube,
     is_shattered,
     k_sparse,
@@ -36,15 +32,15 @@ class TestMakeSpace:
         assert a == b
 
     def test_empty_space(self):
-        with pytest.raises(EmptySpaceError):
+        with pytest.raises(SimvcError, match="no hypotheses supplied"):
             make_space(3, [])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(SimvcError, match="hypothesis '011' has length 3, expected 2"):
             make_space(2, ["011"])
 
     def test_domain_too_large(self):
-        with pytest.raises(DomainTooLargeError):
+        with pytest.raises(SimvcError, match="domain_size 25 exceeds the supported maximum 24"):
             make_space(25, ["0" * 25])
 
     def test_invalid_character(self):
@@ -65,7 +61,7 @@ class TestHypothesis:
         h = Hypothesis.from_string("011")
         assert [h.value(j) for j in range(3)] == [0, 1, 1]
         assert h.complement().to_string() == "100"
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(SimvcError, match="index 3 out of range for hypothesis of length 3"):
             h.value(3)
 
 
@@ -84,7 +80,7 @@ class TestRestrict:
         assert space.bit_strings() == [""]
 
     def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(SimvcError, match="domain index 2 out of range for domain of size 2"):
             restrict(full_cube(2), (2,))
 
     def test_column_order_follows_subset(self):
@@ -153,7 +149,7 @@ class TestIsShattered:
     def test_subset_too_large(self):
         doc = {"domain_size": 30, "hypotheses": ["0" * 30, "1" * 30]}
         space = space_from_dict(doc)
-        with pytest.raises(SubsetTooLargeError):
+        with pytest.raises(SimvcError, match="subset of size 25 exceeds the 24-bit pattern budget"):
             is_shattered(space, tuple(range(25)))
 
     @given(spaces(max_n=4), st.data())
