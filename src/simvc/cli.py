@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 from .bounds import binary_entropy, sauer_guaranteed_vc, solve_optimal_delta
 from .engine import vc_exact, vc_naive
-from .experiments import ratio_search, run_report, verify_theorem
-from .families import FamilySpec, enumerate_spaces, random_space_stream, spaces_for
+from .experiments import exhaustive_search, ratio_search, run_report, verify_theorem
+from .families import FamilySpec, random_space_stream, spaces_for
 from .similarity import lift_space
 from .space import space_from_dict, space_to_dict
 
@@ -95,14 +95,12 @@ def _cmd_search(args) -> int:
     if args.mode == "exhaustive":
         if args.n is None:
             raise ValueError("--mode exhaustive requires --n")
-        stream = enumerate_spaces(args.n)
-        budget = (1 << (1 << args.n)) - 1
+        result = exhaustive_search(args.n, jobs=args.jobs)
     else:
         if args.n is None or args.size is None:
             raise ValueError("--mode random requires --n and --size")
         stream = random_space_stream(args.n, args.size, args.samples, args.seed)
-        budget = args.samples
-    result = ratio_search(stream, budget, jobs=args.jobs)
+        result = ratio_search(stream, args.samples, jobs=args.jobs)
     _emit(result.to_dict())
     return 2 if result.conjecture_violated else 0
 

@@ -11,7 +11,9 @@ crashed on.
 d_sim / d, probing the conjecture that the true upper factor is 2.  Streams
 are processed in chunks by a worker pool; results are folded in stream
 order, so the outcome is independent of the worker count.  ``run_report``
-shares that ordered map.
+shares that ordered map.  ``exhaustive_search`` gives the result
+``ratio_search`` would give over ``enumerate_spaces(n)``, measuring one
+space per symmetry orbit (``exhaustive_orbits``) and counting every space.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Uni
 from .bounds import theorem_bounds, urner_bound
 from .engine import vc_exact
 from .errors import SimvcError
-from .families import FamilySpec, spaces_for
+from .families import FamilySpec, exhaustive_orbits, spaces_for
 from .similarity import lifted_vc
 from .space import HypothesisSpace, space_to_dict
 
@@ -192,23 +194,19 @@ def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
     return pooled()
 
 
-def ratio_search(
-    spaces: Iterable[HypothesisSpace], budget: int, jobs: int = 1
+def _fold_max_ratio(
+    dims: Iterable["tuple[int, int]"], weighted: Iterable["tuple[HypothesisSpace, int]"]
 ) -> RatioSearchResult:
-    """Maximum d_sim / d over up to ``budget`` spaces with d >= 1.
+    """First maximum of d_sim / d over ``(d, d_sim)`` paired with ``(space, count)``.
 
-    The argmax is the first space in stream order attaining the maximum;
-    spaces with d = 0 force d_sim = 0 and are excluded from the ratio.
+    ``count`` is how many spaces the measured one stands for.  ``dims``
+    comes first in zip so that it runs to its end and closes any pool.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    stream, to_workers = tee(islice(iter(spaces), budget))
     best: Optional[Fraction] = None
     argmax: Optional[HypothesisSpace] = None
     examined = 0
-    # the map comes first in zip so that it runs to its end and closes the pool
-    for (d, d_sim), space in zip(_ordered_map(_dims_job, to_workers, jobs), stream):
-        examined += 1
+    for (d, d_sim), (space, count) in zip(dims, weighted):
+        examined += count
         if d < 1:
             continue
         ratio = Fraction(d_sim, d)
@@ -221,6 +219,36 @@ def ratio_search(
         spaces_examined=examined,
         conjecture_violated=best is not None and best > 2,
     )
+
+
+def ratio_search(
+    spaces: Iterable[HypothesisSpace], budget: int, jobs: int = 1
+) -> RatioSearchResult:
+    """Maximum d_sim / d over up to ``budget`` spaces with d >= 1.
+
+    The argmax is the first space in stream order attaining the maximum;
+    spaces with d = 0 force d_sim = 0 and are excluded from the ratio.
+    """
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    stream, to_workers = tee(islice(iter(spaces), budget))
+    return _fold_max_ratio(
+        _ordered_map(_dims_job, to_workers, jobs), ((space, 1) for space in stream)
+    )
+
+
+def exhaustive_search(n: int, jobs: int = 1) -> RatioSearchResult:
+    """``ratio_search`` over every nonempty space on [n], one measurement per orbit.
+
+    Representatives are the smallest members of their orbits and come in
+    ``enumerate_spaces`` order, so the argmax is the same first space the
+    full stream would give; ``spaces_examined`` counts every space.
+    """
+    orbits, to_workers = tee(exhaustive_orbits(n))
+    spaces = (space for space, _ in to_workers)
+    result = _fold_max_ratio(_ordered_map(_dims_job, spaces, jobs), orbits)
+    assert result.spaces_examined == (1 << (1 << n)) - 1
+    return result
 
 
 def _verify_job(item: "tuple[Union[FamilySpec, str], HypothesisSpace]") -> BoundReport:

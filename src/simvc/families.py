@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterator, Optional
 
 from .errors import SimvcError
@@ -88,19 +88,23 @@ class FamilySpec:
         if not isinstance(doc, dict):
             raise SimvcError(f"family spec must be an object, got {doc!r}")
         raw_kind = doc.get("family", doc.get("kind"))
-        kind = _KIND_ALIASES.get(raw_kind)
+        kind = _KIND_ALIASES.get(raw_kind) if isinstance(raw_kind, str) else None
         if kind is None:
             raise SimvcError(f"unknown family {raw_kind!r}")
         if "n" not in doc:
             raise SimvcError("family spec requires n")
-        try:
-            n = int(doc["n"])
-            optional = {
-                key: int(doc[key]) for key in ("k", "size", "seed") if doc.get(key) is not None
-            }
-        except (TypeError, ValueError) as exc:
-            raise SimvcError(f"malformed family spec {doc!r}: {exc}") from None
-        return cls(kind, n, **optional)
+        params = {
+            key: doc[key]
+            for key in ("n", "k", "size", "seed")
+            if key == "n" or doc.get(key) is not None
+        }
+        for key, value in params.items():
+            # exact type: bool is an int subclass, and floats and strings are not coerced
+            if type(value) is not int:
+                raise SimvcError(
+                    f"malformed family spec {doc!r}: {key} must be an integer, got {value!r}"
+                )
+        return cls(kind, **params)
 
 
 def _check_n(n: int) -> None:
@@ -154,23 +158,70 @@ def random_space_stream(n: int, size: int, samples: int, seed: int) -> Iterator[
         yield random_space(n, size, next(seeds))
 
 
-def enumerate_spaces(n: int) -> Iterator[HypothesisSpace]:
-    """Every nonempty space over [n] exactly once, in a deterministic order.
-
-    Spaces are subsets of the lexicographically sorted cube, counted in
-    binary: mask bit i selects cube hypothesis i.
-    """
+def _check_enumeration_n(n: int) -> None:
     if n < 1:
         raise SimvcError(f"n must be at least 1, got {n}")
     if n > ENUMERATION_CAP:
         raise SimvcError(
             f"exhaustive enumeration caps at n = {ENUMERATION_CAP}, got {n}"
         )
+
+
+def enumerate_spaces(n: int) -> Iterator[HypothesisSpace]:
+    """Every nonempty space over [n] exactly once, in a deterministic order.
+
+    Spaces are subsets of the lexicographically sorted cube, counted in
+    binary: mask bit i selects cube hypothesis i.
+    """
+    _check_enumeration_n(n)
     cube = full_cube(n).hypotheses
     count = len(cube)
     for mask in range(1, 1 << count):
         picked = tuple(cube[i] for i in range(count) if (mask >> i) & 1)
         yield HypothesisSpace(n, picked)
+
+
+def exhaustive_orbits(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
+    """One ``(space, orbit_size)`` per orbit of the domain symmetries on spaces over [n].
+
+    The symmetries are the n! * 2^n maps that permute the domain and XOR
+    every hypothesis with a fixed mask; d and d_sim are invariant under
+    them.  Each space is the first member of its orbit in
+    ``enumerate_spaces(n)`` order, representatives come out in that order,
+    and the orbit sizes sum to 2^(2^n) - 1.  ``n`` is checked at the call.
+    """
+    _check_enumeration_n(n)
+    return _orbit_representatives(n)
+
+
+def _orbit_representatives(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
+    cube = full_cube(n).hypotheses
+    count = len(cube)
+    # each symmetry as a permutation of cube indices (cube[i].lex_key == i)
+    group = []
+    for perm in permutations(range(n)):
+        for flip in range(1 << n):
+            moved = []
+            for h in cube:
+                bits = flip
+                for j in range(n):
+                    bits ^= ((h.bits >> j) & 1) << perm[j]
+                moved.append(_revbits(bits, n))
+            group.append(tuple(moved))
+    seen = bytearray(1 << count)
+    for mask in range(1, 1 << count):
+        if seen[mask]:
+            continue
+        members = [i for i in range(count) if (mask >> i) & 1]
+        orbit_size = 0
+        for g in group:
+            image = 0
+            for i in members:
+                image |= 1 << g[i]
+            if not seen[image]:
+                seen[image] = 1
+                orbit_size += 1
+        yield HypothesisSpace(n, tuple(cube[i] for i in members)), orbit_size
 
 
 def spaces_for(spec: FamilySpec) -> Iterator[HypothesisSpace]:

@@ -17,6 +17,7 @@ from simvc import (
     chain_witness,
     entropy_sum_holds,
     enumerate_spaces,
+    exhaustive_search,
     full_cube,
     is_forest,
     is_shattered,
@@ -210,6 +211,8 @@ def test_criterion_4_max_ratio_is_two(exhaustive_sweeps):
     started = time.perf_counter()
     sweep_ratios = {n: exhaustive_sweeps[n].max_ratio for n in (3, 4)}
     search = ratio_search(enumerate_spaces(3), budget=255)
+    # the orbit search must reproduce the per-space n=4 sweep
+    orbit_search = exhaustive_search(4)
     counterexamples = []
     for n, ratio in sweep_ratios.items():
         if ratio > 2:
@@ -219,6 +222,9 @@ def test_criterion_4_max_ratio_is_two(exhaustive_sweeps):
         and sweep_ratios[4] == Fraction(2)
         and search.max_ratio == Fraction(2)
         and not search.conjecture_violated
+        and orbit_search.max_ratio == sweep_ratios[4]
+        and orbit_search.argmax_space.bit_strings() == exhaustive_sweeps[4].argmax_strings
+        and orbit_search.spaces_examined == exhaustive_sweeps[4].spaces
     )
     _line(
         4,

@@ -18,6 +18,24 @@ def write_space(path, space, **extra):
     return path
 
 
+EXHAUSTIVE_N4_OUTPUT = """\
+{
+  "max_ratio": "2",
+  "argmax_space": {
+    "domain_size": 4,
+    "hypotheses": [
+      "0000",
+      "0001",
+      "0010",
+      "0100"
+    ]
+  },
+  "spaces_examined": 65535,
+  "conjecture_violated": false
+}
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -144,20 +162,50 @@ class TestSearch:
         assert out == ""
         assert "jobs must be at least 1, got 0" in err
 
-    def test_violation_is_preserved_and_exits_two(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("n", ["-1", "0", "5"])
+    def test_exhaustive_domain_is_input_error(self, capsys, n):
+        code, out, err = run_cli(capsys, "search", "--mode", "exhaustive", "--n", n)
+        assert code == 1
+        assert out == ""
+        if n == "5":
+            assert "vc: error: exhaustive enumeration caps at n = 4, got 5" in err
+        else:
+            assert f"vc: error: n must be at least 1, got {n}" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_exhaustive_n4_output(self, capsys, jobs):
+        # 401 orbit representatives span four pool chunks at jobs 2
+        code, out, _ = run_cli(
+            capsys, "search", "--mode", "exhaustive", "--n", "4", "--jobs", jobs
+        )
+        assert code == 0
+        assert out == EXHAUSTIVE_N4_OUTPUT
+
+    def _assert_violation_preserved(self, capsys, monkeypatch, target, *argv):
         fake = RatioSearchResult(
             max_ratio=Fraction(5, 2),
             argmax_space=full_cube(2),
             spaces_examined=7,
             conjecture_violated=True,
         )
-        monkeypatch.setattr("simvc.cli.ratio_search", lambda *a, **k: fake)
-        code, out, _ = run_cli(capsys, "search", "--mode", "exhaustive", "--n", "2")
+        monkeypatch.setattr(target, lambda *a, **k: fake)
+        code, out, _ = run_cli(capsys, "search", *argv)
         assert code == 2
         doc = json.loads(out)
         assert doc["max_ratio"] == "5/2"
         assert doc["conjecture_violated"] is True
         assert doc["argmax_space"]["hypotheses"] == ["00", "01", "10", "11"]
+
+    def test_violation_is_preserved_and_exits_two(self, capsys, monkeypatch):
+        self._assert_violation_preserved(
+            capsys, monkeypatch, "simvc.cli.exhaustive_search", "--mode", "exhaustive", "--n", "2"
+        )
+
+    def test_random_violation_is_preserved_and_exits_two(self, capsys, monkeypatch):
+        self._assert_violation_preserved(
+            capsys, monkeypatch, "simvc.cli.ratio_search",
+            "--mode", "random", "--n", "3", "--size", "2", "--samples", "3",
+        )
 
 
 class TestBounds:
@@ -218,6 +266,26 @@ class TestReport:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"family": ["cube"], "n": 2}, "vc: error: unknown family ['cube']\n"),
+            ({"family": "cube", "n": 2.9}, "n must be an integer, got 2.9\n"),
+        ],
+        ids=["unhashable-family", "float-n"],
+    )
+    def test_bad_spec_entry_is_input_error(self, tmp_path, capsys, entry, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([entry]))
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(
+            capsys, "report", "--spec", str(spec), "--format", "csv", "--out", str(out)
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.endswith(message)
+        assert not out.exists()
 
     def test_jobs_below_one_is_input_error(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -10,6 +10,7 @@ from simvc import (
     FamilySpec,
     SimvcError,
     enumerate_spaces,
+    exhaustive_search,
     full_cube,
     is_forest,
     k_sparse,
@@ -130,6 +131,25 @@ class TestRatioSearch:
             "spaces_examined",
             "conjecture_violated",
         }
+
+
+class TestExhaustiveSearch:
+    def test_matches_full_stream(self):
+        # one measurement per orbit, same result as measuring every space
+        for n in (1, 2, 3):
+            total = (1 << (1 << n)) - 1
+            expected = ratio_search(enumerate_spaces(n), total)
+            assert expected.spaces_examined == total
+            for jobs in (1, 2):
+                assert exhaustive_search(n, jobs=jobs) == expected
+
+    def test_domain_and_jobs_are_checked(self):
+        with pytest.raises(SimvcError, match="n must be at least 1, got -1"):
+            exhaustive_search(-1)
+        with pytest.raises(SimvcError, match="caps at n = 4, got 5"):
+            exhaustive_search(5, jobs=2)
+        with pytest.raises(SimvcError, match="jobs must be at least 1, got 0"):
+            exhaustive_search(2, jobs=0)
 
 
 class TestRunReport:

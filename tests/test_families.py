@@ -1,5 +1,7 @@
 """Family generators and seeded streams."""
 
+from itertools import permutations
+
 import pytest
 
 from simvc import (
@@ -7,6 +9,7 @@ from simvc import (
     SimvcError,
     binom_partial_sum,
     enumerate_spaces,
+    exhaustive_orbits,
     full_cube,
     k_sparse,
     lifted_vc,
@@ -130,6 +133,54 @@ class TestEnumerateSpaces:
             next(enumerate_spaces(5))
 
 
+def _symmetry_images(space):
+    """Images of ``space`` under every permutation of the domain and XOR mask, as string sets."""
+    n = space.domain_size
+    strings = space.bit_strings()
+    images = set()
+    for perm in permutations(range(n)):
+        for flip in range(1 << n):
+            image = set()
+            for text in strings:
+                moved = ["0"] * n
+                for j, ch in enumerate(text):
+                    moved[perm[j]] = "1" if (ch == "1") != bool((flip >> j) & 1) else "0"
+                image.add("".join(moved))
+            images.add(frozenset(image))
+    return images
+
+
+class TestExhaustiveOrbits:
+    def test_counts_and_multiplicities(self):
+        for n, orbits in ((1, 2), (2, 5), (3, 21), (4, 401)):
+            pairs = list(exhaustive_orbits(n))
+            assert len(pairs) == orbits
+            assert sum(size for _, size in pairs) == (1 << (1 << n)) - 1
+
+    def test_matches_brute_force_orbits(self):
+        # every space lies in exactly one orbit, whose first member in
+        # enumeration order is its representative, with the orbit's size
+        for n in (1, 2, 3):
+            order = {frozenset(s.bit_strings()): i for i, s in enumerate(enumerate_spaces(n))}
+            covered = set()
+            last = -1
+            for space, size in exhaustive_orbits(n):
+                orbit = {order[image] for image in _symmetry_images(space)}
+                assert order[frozenset(space.bit_strings())] == min(orbit)
+                assert min(orbit) > last
+                last = min(orbit)
+                assert size == len(orbit)
+                assert not covered & orbit
+                covered |= orbit
+            assert covered == set(order.values())
+
+    def test_domain_is_checked_at_the_call(self):
+        with pytest.raises(SimvcError, match="^n must be at least 1, got 0$"):
+            exhaustive_orbits(0)
+        with pytest.raises(SimvcError, match="^exhaustive enumeration caps at n = 4, got 5$"):
+            exhaustive_orbits(5)
+
+
 class TestFamilySpec:
     def test_round_trip(self):
         spec = FamilySpec("random", 6, size=10, seed=3)
@@ -151,6 +202,29 @@ class TestFamilySpec:
             FamilySpec.from_dict({"family": "random", "n": 3, "size": 2})
         with pytest.raises(SimvcError, match="malformed family spec"):
             FamilySpec.from_dict({"family": "cube", "n": "three"})
+
+    def test_numbers_must_be_json_integers(self):
+        # no coercion: floats, booleans and strings (even "3") are malformed
+        for key, value in (("n", 2.9), ("n", 2.0), ("n", True), ("n", "3"), ("n", None)):
+            message = f"malformed family spec .*: {key} must be an integer, got {value!r}"
+            with pytest.raises(SimvcError, match=message):
+                FamilySpec.from_dict({"family": "cube", key: value})
+        for key in ("k", "size", "seed"):
+            doc = {"family": "random", "n": 4, "k": 1, "size": 3, "seed": 5}
+            doc[key] = 1.5
+            with pytest.raises(SimvcError, match=f"{key} must be an integer, got 1.5"):
+                FamilySpec.from_dict(doc)
+        doc = {"family": "ksparse", "n": 3, "k": False}
+        with pytest.raises(SimvcError, match="k must be an integer, got False"):
+            FamilySpec.from_dict(doc)
+        doc = {"family": "random", "n": 4, "size": 3, "seed": 2**64 - 1}
+        assert FamilySpec.from_dict(doc).seed == 2**64 - 1
+
+    def test_unhashable_family_is_unknown(self):
+        with pytest.raises(SimvcError, match=r"^unknown family \['cube'\]$"):
+            FamilySpec.from_dict({"family": ["cube"], "n": 2})
+        with pytest.raises(SimvcError, match=r"^unknown family \{\}$"):
+            FamilySpec.from_dict({"family": {}, "n": 2})
 
     def test_spaces_for(self):
         assert list(spaces_for(FamilySpec("k_sparse", 3, k=1))) == [k_sparse(3, 1)]
