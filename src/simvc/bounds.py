@@ -122,14 +122,18 @@ class BoundConstants:
 def solve_optimal_delta(tolerance: float = 1e-9) -> BoundConstants:
     """Best constants this argument allows: bisect H(eps) = 1/2 on (0, 1/2).
 
-    Returns the left end of the final bracket, so H(epsilon) < 1/2 holds
-    exactly and delta = 1/(2*epsilon) is a hair above the optimum.
+    Bisection stops once the bracket is no wider than ``tolerance`` or no
+    float lies strictly inside it.  Returns the left end of the final
+    bracket, so H(epsilon) < 1/2 holds exactly and delta = 1/(2*epsilon) is
+    a hair above the optimum.
     """
-    if tolerance <= 0:
-        raise SimvcError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise SimvcError(f"tolerance must be positive and finite, got {tolerance}")
     lo, hi = 1e-9, 0.5
     while hi - lo > tolerance:
         mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats
         if binary_entropy(mid) < 0.5:
             lo = mid
         else:

@@ -118,7 +118,7 @@ def vc_exact(space: HypothesisSpace) -> VcResult:
     level-wise pruning.  The witness is the lexicographically smallest
     maximum shattered subset.
     """
-    cols = _columns([h.bits for h in space.hypotheses], space.domain_size)
+    cols = _columns(space.hypotheses, space.domain_size)
     count = len(space.hypotheses)
     limit = min(space.domain_size, count.bit_length() - 1)
     best = _top_level(cols, (1 << count) - 1, limit, _larger(space.domain_size))
@@ -133,10 +133,9 @@ def vc_naive(space: HypothesisSpace) -> int:
         raise SimvcError(
             f"oracle requires domain_size <= {ORACLE_DOMAIN_CAP}, got {space.domain_size}"
         )
-    bits = [h.bits for h in space.hypotheses]
     best = 0
     for mask in range(1, 1 << space.domain_size):
         width = bin(mask).count("1")
-        if len({b & mask for b in bits}) == 1 << width and width > best:
+        if len({h & mask for h in space.hypotheses}) == 1 << width and width > best:
             best = width
     return best

@@ -16,13 +16,7 @@ from itertools import combinations, permutations
 from typing import Iterator, Optional
 
 from .errors import SimvcError
-from .space import (
-    DOMAIN_SIZE_CAP,
-    HypothesisSpace,
-    _cached_hypothesis,
-    _canonical_space,
-    _revbits,
-)
+from .space import DOMAIN_SIZE_CAP, HypothesisSpace, _canonical_space
 
 #: Full enumeration of 2^(2^n) - 1 nonempty spaces is feasible only here.
 ENUMERATION_CAP = 4
@@ -68,12 +62,21 @@ class FamilySpec:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # the generators' own range checks, so a bad spec fails before any space is built
         if self.kind not in FAMILY_KINDS:
             raise SimvcError(f"unknown family kind {self.kind!r}")
-        if self.kind == "k_sparse" and self.k is None:
-            raise SimvcError("k_sparse requires k")
-        if self.kind == "random" and (self.size is None or self.seed is None):
-            raise SimvcError("random requires size and seed")
+        if self.kind == "exhaustive":
+            _check_enumeration_n(self.n)
+        else:
+            _check_n(self.n)
+        if self.kind == "k_sparse":
+            if self.k is None:
+                raise SimvcError("k_sparse requires k")
+            _check_k(self.n, self.k)
+        if self.kind == "random":
+            if self.size is None or self.seed is None:
+                raise SimvcError("random requires size and seed")
+            _check_size(self.n, self.size)
 
     def to_dict(self) -> dict:
         doc = {"family": self.kind, "n": self.n}
@@ -112,11 +115,20 @@ def _check_n(n: int) -> None:
         raise SimvcError(f"n must be in 1..{DOMAIN_SIZE_CAP}, got {n}")
 
 
+def _check_k(n: int, k: int) -> None:
+    if not 0 <= k <= n:
+        raise SimvcError(f"k must be in 0..{n}, got {k}")
+
+
+def _check_size(n: int, size: int) -> None:
+    if not 1 <= size <= (1 << n):
+        raise SimvcError(f"size must be in 1..2^{n}, got {size}")
+
+
 def k_sparse(n: int, k: int) -> HypothesisSpace:
     """All labellings of [n] with at most k ones; |H| = sum_{w<=k} C(n, w)."""
     _check_n(n)
-    if not 0 <= k <= n:
-        raise SimvcError(f"k must be in 0..{n}, got {k}")
+    _check_k(n, k)
     bits = []
     for weight in range(k + 1):
         for positions in combinations(range(n), weight):
@@ -131,16 +143,13 @@ def k_sparse(n: int, k: int) -> HypothesisSpace:
 def full_cube(n: int) -> HypothesisSpace:
     """All 2^n labellings of [n]."""
     _check_n(n)
-    # enumerate lexicographic sort keys; bit-reversal is an involution
-    hyps = tuple(_cached_hypothesis(_revbits(key, n), n) for key in range(1 << n))
-    return HypothesisSpace(n, hyps)
+    return _canonical_space(n, range(1 << n))
 
 
 def random_space(n: int, size: int, seed: int) -> HypothesisSpace:
     """Uniformly sampled space of ``size`` distinct hypotheses, reproducible from seed."""
     _check_n(n)
-    if not 1 <= size <= (1 << n):
-        raise SimvcError(f"size must be in 1..2^{n}, got {size}")
+    _check_size(n, size)
     mask = (1 << n) - 1
     stream = splitmix64_stream(seed)
     chosen: set = set()
@@ -150,9 +159,18 @@ def random_space(n: int, size: int, seed: int) -> HypothesisSpace:
 
 
 def random_space_stream(n: int, size: int, samples: int, seed: int) -> Iterator[HypothesisSpace]:
-    """``samples`` random spaces; the i-th uses the i-th SplitMix64 output of ``seed``."""
+    """``samples`` random spaces; the i-th uses the i-th SplitMix64 output of ``seed``.
+
+    The arguments are checked at the call.
+    """
+    _check_n(n)
+    _check_size(n, size)
     if samples < 1:
         raise SimvcError(f"samples must be at least 1, got {samples}")
+    return _random_spaces(n, size, samples, seed)
+
+
+def _random_spaces(n: int, size: int, samples: int, seed: int) -> Iterator[HypothesisSpace]:
     seeds = splitmix64_stream(seed)
     for _ in range(samples):
         yield random_space(n, size, next(seeds))
@@ -197,7 +215,7 @@ def exhaustive_orbits(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
 def _orbit_representatives(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
     cube = full_cube(n).hypotheses
     count = len(cube)
-    # each symmetry as a permutation of cube indices (cube[i].lex_key == i)
+    # each symmetry as a permutation of cube indices
     group = []
     for perm in permutations(range(n)):
         for flip in range(1 << n):
@@ -205,8 +223,8 @@ def _orbit_representatives(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
             for h in cube:
                 bits = flip
                 for j in range(n):
-                    bits ^= ((h.bits >> j) & 1) << perm[j]
-                moved.append(_revbits(bits, n))
+                    bits ^= ((h >> j) & 1) << perm[j]
+                moved.append(cube.index(bits))
             group.append(tuple(moved))
     seen = bytearray(1 << count)
     for mask in range(1, 1 << count):

@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 from .engine import Extensions, _columns, _top_level
 from .errors import SimvcError
-from .space import Hypothesis, HypothesisSpace, _canonical_space, pattern_count
+from .space import HypothesisSpace, _canonical_space, pattern_count
 
 #: A canonical pair (i, j) with i < j, and a sorted, deduplicated set of them.
 Pair = tuple[int, int]
@@ -81,22 +81,23 @@ def pair_domain(base_size: int) -> PairDomain:
 
 
 @lru_cache(maxsize=1 << 15)
-def _lift_bits(bits: int, base_size: int) -> int:
+def lift_hypothesis(bits: int, n: int) -> int:
+    """Pair labelling induced by the labelling ``bits`` of [n], as an int.
+
+    The bit at the rank of pair (i, j) is 1 iff elements i and j carry the
+    same label.
+    """
+    if not 0 <= bits < 1 << n:
+        raise SimvcError(f"hypothesis {bits} does not fit a domain of {n} elements")
     out = 0
     r = 0
-    for i in range(base_size):
+    for i in range(n):
         bi = (bits >> i) & 1
-        for j in range(i + 1, base_size):
+        for j in range(i + 1, n):
             if bi == ((bits >> j) & 1):
                 out |= 1 << r
             r += 1
     return out
-
-
-def lift_hypothesis(h: Hypothesis) -> Hypothesis:
-    """Pair labelling induced by h: bit at pair (i, j) is 1 iff h(i) = h(j)."""
-    n = h.length
-    return Hypothesis(_lift_bits(h.bits, n), n * (n - 1) // 2)
 
 
 def lift_space(space: HypothesisSpace) -> HypothesisSpace:
@@ -112,7 +113,7 @@ def lift_space(space: HypothesisSpace) -> HypothesisSpace:
             "(treat the lifted VC dimension as 0)"
         )
     m = n * (n - 1) // 2
-    return _canonical_space(m, (_lift_bits(h.bits, n) for h in space.hypotheses))
+    return _canonical_space(m, (lift_hypothesis(h, n) for h in space.hypotheses))
 
 
 def canonical_pairs(pairs: Iterable[Sequence[int]]) -> "tuple[tuple[int, int], ...]":
@@ -133,8 +134,8 @@ def chain_witness(
     labels: Sequence[int],
     start_bit: int,
     domain_size: int,
-) -> Hypothesis:
-    """Hypothesis realizing a prescribed similarity labelling along a chain.
+) -> int:
+    """Hypothesis (as an int) realizing a prescribed similarity labelling along a chain.
 
     The value at elements[0] is ``start_bit``; it propagates down the chain,
     kept equal across a 1-labelled pair and flipped across a 0-labelled one,
@@ -167,7 +168,7 @@ def chain_witness(
         val = val if lab else 1 - val
         if val:
             bits |= 1 << e
-    return Hypothesis(bits, domain_size)
+    return bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,7 +262,7 @@ def components(pairs: Iterable[Sequence[int]]) -> ComponentPartition:
     return ComponentPartition(comps)
 
 
-def balanced_labelling(pairs: Iterable[Sequence[int]], domain_size: int) -> Hypothesis:
+def balanced_labelling(pairs: Iterable[Sequence[int]], domain_size: int) -> int:
     """Label floor(|C|/2) vertices of each component 1, the rest 0.
 
     The smallest-indexed vertices of each component receive the 1s; vertices
@@ -280,7 +281,7 @@ def balanced_labelling(pairs: Iterable[Sequence[int]], domain_size: int) -> Hypo
                 )
         for v in comp[: len(comp) // 2]:
             bits |= 1 << v
-    return Hypothesis(bits, domain_size)
+    return bits
 
 
 def _star_extensions(pairs: "Sequence[Pair]") -> Extensions:
@@ -317,7 +318,7 @@ def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
         return 0, ()
     # h and its complement lift alike; keep the one labelling element 0 with 0
     top = (1 << n) - 1
-    rows = {h.bits ^ top if h.bits & 1 else h.bits for h in space.hypotheses}
+    rows = {h ^ top if h & 1 else h for h in space.hypotheses}
     cols = _columns(rows, n)
     pairs = pair_domain(n).pairs
     # the column of pair (a, b) flipped: 1 where a and b differ

@@ -18,8 +18,7 @@ load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .errors import SimvcError
@@ -40,108 +39,72 @@ PATTERN_BITS_CAP = 24
 Subset = tuple[int, ...]
 
 
-def _revbits(bits: int, length: int) -> int:
-    """Bit-reverse so that integer order equals bit-string lexicographic order."""
-    out = 0
-    for j in range(length):
-        out = (out << 1) | ((bits >> j) & 1)
-    return out
+def _bit_string(bits: int, length: int) -> str:
+    """Character j is bit j; comparing these strings is the canonical order."""
+    # the sentinel bit keeps leading zeros, and the slice drops it again
+    return format(bits | 1 << length, "b")[:0:-1]
 
 
-@dataclass(frozen=True, slots=True)
-class Hypothesis:
-    """One labelling of the domain; bit j of ``bits`` is the label of element j."""
+def _lex_less(a: int, b: int) -> bool:
+    """Does a's bit string sort before b's?
 
-    bits: int
-    length: int
-    lex_key: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError("hypothesis length must be non-negative")
-        if not 0 <= self.bits < (1 << self.length):
-            raise ValueError("hypothesis bits do not fit the declared length")
-        object.__setattr__(self, "lex_key", _revbits(self.bits, self.length))
-
-    @classmethod
-    def from_string(cls, text: str) -> "Hypothesis":
-        bits = 0
-        for j, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << j
-            elif ch != "0":
-                raise ValueError(f"invalid bit character {ch!r} in {text!r}")
-        return cls(bits, len(text))
-
-    def to_string(self) -> str:
-        return "".join("1" if (self.bits >> j) & 1 else "0" for j in range(self.length))
-
-    def value(self, index: int) -> int:
-        if not 0 <= index < self.length:
-            raise SimvcError(
-                f"index {index} out of range for hypothesis of length {self.length}"
-            )
-        return (self.bits >> index) & 1
-
-    def complement(self) -> "Hypothesis":
-        return Hypothesis(self.bits ^ ((1 << self.length) - 1), self.length)
-
-
-@lru_cache(maxsize=1 << 16)
-def _cached_hypothesis(bits: int, length: int) -> Hypothesis:
-    # Hypothesis is immutable, so instances can be shared freely; sweeps over
-    # thousands of small spaces hit the same few labellings again and again.
-    return Hypothesis(bits, length)
+    The strings first differ at the lowest set bit of a ^ b.
+    """
+    diff = a ^ b
+    return b & diff & -diff != 0
 
 
 @dataclass(frozen=True, slots=True)
 class HypothesisSpace:
     """Canonical (deduplicated, lexicographically sorted) set of hypotheses.
 
+    Each hypothesis is an int whose bit j is the label of element j.
     ``domain_size`` 0 is permitted only as the degenerate result of an empty
     restriction; :func:`make_space` requires at least one element.
     """
 
     domain_size: int
-    hypotheses: "tuple[Hypothesis, ...]"
+    hypotheses: "tuple[int, ...]"
 
     def __post_init__(self) -> None:
         if self.domain_size < 0:
             raise ValueError("domain_size must be non-negative")
         if not self.hypotheses:
             raise SimvcError("a hypothesis space must contain at least one hypothesis")
-        prev = -1
+        top = 1 << self.domain_size
+        prev = None
         for h in self.hypotheses:
-            if h.length != self.domain_size:
+            if not 0 <= h < top:
                 raise SimvcError(
-                    f"hypothesis of length {h.length} in a space over {self.domain_size} elements"
+                    f"hypothesis {h} does not fit a space over {self.domain_size} elements"
                 )
-            if h.lex_key <= prev:
+            if prev is not None and not _lex_less(prev, h):
                 raise ValueError("hypotheses must be deduplicated and lexicographically sorted")
-            prev = h.lex_key
+            prev = h
 
     def __len__(self) -> int:
         return len(self.hypotheses)
 
     def bit_strings(self) -> "list[str]":
-        return [h.to_string() for h in self.hypotheses]
+        return [_bit_string(h, self.domain_size) for h in self.hypotheses]
 
 
 def _canonical_space(domain_size: int, bits_iter: Iterable[int]) -> HypothesisSpace:
-    hyps = {_cached_hypothesis(b, domain_size) for b in bits_iter}
-    return HypothesisSpace(domain_size, tuple(sorted(hyps, key=lambda h: h.lex_key)))
+    rows = sorted(set(bits_iter), key=lambda b: _bit_string(b, domain_size))
+    return HypothesisSpace(domain_size, tuple(rows))
 
 
 def make_space(
     domain_size: int,
-    raw_hypotheses: Iterable[Union[str, Hypothesis]],
+    raw_hypotheses: Iterable[Union[str, int]],
     *,
     max_domain_size: int = DOMAIN_SIZE_CAP,
 ) -> HypothesisSpace:
     """Build the canonical space from raw bit vectors.
 
     Input order and duplicates are irrelevant to the result.  Raw hypotheses
-    may be bit strings like ``"0101"`` or :class:`Hypothesis` instances.
+    may be bit strings like ``"0101"`` (character j labels element j) or
+    ints (bit j labels element j).
     """
     if domain_size < 1:
         raise ValueError("domain_size must be at least 1")
@@ -151,18 +114,21 @@ def make_space(
         )
     bits_list = []
     for raw in raw_hypotheses:
-        if isinstance(raw, Hypothesis):
-            if raw.length != domain_size:
+        if isinstance(raw, int):
+            if not 0 <= raw < 1 << domain_size:
                 raise SimvcError(
-                    f"hypothesis of length {raw.length}, expected {domain_size}"
+                    f"hypothesis {raw} does not fit a space over {domain_size} elements"
                 )
-            bits_list.append(raw.bits)
-        else:
-            if len(raw) != domain_size:
-                raise SimvcError(
-                    f"hypothesis {raw!r} has length {len(raw)}, expected {domain_size}"
-                )
-            bits_list.append(Hypothesis.from_string(raw).bits)
+            bits_list.append(raw)
+            continue
+        if len(raw) != domain_size:
+            raise SimvcError(
+                f"hypothesis {raw!r} has length {len(raw)}, expected {domain_size}"
+            )
+        bad = [ch for ch in raw if ch not in "01"]
+        if bad:
+            raise ValueError(f"invalid bit character {bad[0]!r} in {raw!r}")
+        bits_list.append(int(raw[::-1], 2))
     if not bits_list:
         raise SimvcError("no hypotheses supplied")
     return _canonical_space(domain_size, bits_list)
@@ -195,17 +161,13 @@ def restrict(space: HypothesisSpace, subset: Sequence[int]) -> HypothesisSpace:
     the empty hypothesis.
     """
     check_subset(space.domain_size, subset)
-    return _canonical_space(len(subset), (_project(h.bits, subset) for h in space.hypotheses))
+    return _canonical_space(len(subset), (_project(h, subset) for h in space.hypotheses))
 
 
 def pattern_count(space: HypothesisSpace, subset: Sequence[int]) -> int:
     """Number of distinct projections onto ``subset``; equals |H restricted to subset|."""
     check_subset(space.domain_size, subset)
-    return len({_project(h.bits, subset) for h in space.hypotheses})
-
-
-def _pattern_string(lex_value: int, width: int) -> str:
-    return format(lex_value, f"0{width}b") if width else ""
+    return len({_project(h, subset) for h in space.hypotheses})
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,19 +213,15 @@ def is_shattered(
         raise SimvcError(
             f"subset of size {m} exceeds the {PATTERN_BITS_CAP}-bit pattern budget"
         )
-    observed = {_project(h.bits, subset) for h in space.hypotheses}
-    if len(observed) == 1 << m:
-        patterns = tuple(
-            _pattern_string(v, m) for v in sorted(_revbits(p, m) for p in observed)
-        )
-        return ShatterWitness(tuple(subset), patterns)
-    # Scan the sorted lexicographic encodings for the first gap.
-    expected = 0
-    for v in sorted(_revbits(p, m) for p in observed):
-        if v != expected:
-            break
-        expected += 1
-    return MissingPattern(tuple(subset), _pattern_string(expected, m))
+    observed = {_project(h, subset) for h in space.hypotheses}
+    realized = sorted(_bit_string(p, m) for p in observed)
+    if len(realized) == 1 << m:
+        return ShatterWitness(tuple(subset), tuple(realized))
+    # pattern i in lexicographic order is i written with m binary digits
+    gap = next(
+        (i for i, text in enumerate(realized) if text != format(i, f"0{m}b")), len(realized)
+    )
+    return MissingPattern(tuple(subset), format(gap, f"0{m}b"))
 
 
 def space_to_dict(space: HypothesisSpace, *, pair_domain_of: "int | None" = None) -> dict:

@@ -3,11 +3,6 @@ from hypothesis import strategies as st
 from simvc import make_space
 
 
-def space_from_ints(n, bits_iter):
-    """Build a canonical space from integer labellings (MSB-first strings)."""
-    return make_space(n, [format(b, f"0{n}b") for b in bits_iter])
-
-
 @st.composite
 def spaces(draw, min_n=2, max_n=6, max_size=20):
     n = draw(st.integers(min_value=min_n, max_value=max_n))
@@ -15,7 +10,7 @@ def spaces(draw, min_n=2, max_n=6, max_size=20):
     bits = draw(
         st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=size, max_size=size)
     )
-    return space_from_ints(n, bits)
+    return make_space(n, bits)
 
 
 @st.composite

@@ -289,10 +289,10 @@ def test_criterion_6_chain_witness_soundness():
                 labels = tuple((g >> t) & 1 for t in range(length - 1))
                 for start in (0, 1):
                     witness = chain_witness(chain, labels, start, domain_size)
-                    lifted = lift_hypothesis(witness)
+                    lifted = lift_hypothesis(witness, domain_size)
                     checked += 1
                     for (a, b), want in zip(zip(chain, chain[1:]), labels):
-                        if lifted.value(domain.rank(a, b)) != want:
+                        if (lifted >> domain.rank(a, b)) & 1 != want:
                             failures += 1
     ok = failures == 0
     _line(

@@ -1,6 +1,7 @@
 """The `vc` command-line surface: flags, files, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from simvc import RatioSearchResult, full_cube, k_sparse, space_to_dict
+from simvc import RatioSearchResult, binary_entropy, full_cube, k_sparse, space_to_dict
 from simvc.cli import main
 
 
@@ -40,6 +41,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, timeout=None):
+    """``python -m simvc`` in a child process, importing simvc from this checkout."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "simvc", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
 
 
 class TestCompute:
@@ -162,6 +174,14 @@ class TestSearch:
         assert out == ""
         assert "jobs must be at least 1, got 0" in err
 
+    def test_random_samples_below_one_names_samples(self, capsys):
+        code, out, err = run_cli(
+            capsys, "search", "--mode", "random", "--n", "3", "--size", "2", "--samples", "0"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "vc: error: samples must be at least 1, got 0\n"
+
     @pytest.mark.parametrize("n", ["-1", "0", "5"])
     def test_exhaustive_domain_is_input_error(self, capsys, n):
         code, out, err = run_cli(capsys, "search", "--mode", "exhaustive", "--n", n)
@@ -227,6 +247,20 @@ class TestBounds:
         assert doc["epsilon"] == pytest.approx(0.110028, abs=1e-5)
         assert 4.54 < doc["delta"] < 4.55
 
+    def test_solve_delta_stops_at_adjacent_floats(self):
+        # far below the float spacing near eps*; the bisection must still end
+        proc = run_module("bounds", "--solve-delta", "--tol", "1e-300", timeout=60)
+        assert proc.returncode == 0
+        eps = json.loads(proc.stdout)["epsilon"]
+        assert binary_entropy(eps) < 0.5 <= binary_entropy(math.nextafter(eps, 1))
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_solve_delta_non_finite_tolerance_is_input_error(self, capsys, tol):
+        code, out, err = run_cli(capsys, "bounds", "--solve-delta", "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert f"tolerance must be positive and finite, got {tol}" in err
+
     def test_no_selector(self, capsys):
         code, _, err = run_cli(capsys, "bounds")
         assert code == 1
@@ -287,6 +321,21 @@ class TestReport:
         assert err.endswith(message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_out_of_range_entry_writes_no_file(self, tmp_path, capsys, jobs):
+        # every entry is checked before the output file is opened
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([{"family": "cube", "n": 2}, {"family": "cube", "n": 99}]))
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(
+            capsys, "report", "--spec", str(spec), "--format", "csv",
+            "--out", str(out), "--jobs", jobs,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err == "vc: error: n must be in 1..24, got 99\n"
+        assert not out.exists()
+
     def test_jobs_below_one_is_input_error(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps([{"family": "cube", "n": 2}]))
@@ -324,12 +373,6 @@ class TestUsageErrors:
 def test_module_entry_point(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(space_to_dict(full_cube(2))))
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "simvc", "compute", "--input", str(path)],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_module("compute", "--input", str(path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d"] == 2

@@ -94,6 +94,12 @@ class TestRandomSpace:
         assert a == b
         assert len({tuple(s.bit_strings()) for s in a}) > 1
 
+    def test_stream_arguments_are_checked_at_the_call(self):
+        with pytest.raises(SimvcError, match="^samples must be at least 1, got 0$"):
+            random_space_stream(3, 2, 0, 1)
+        with pytest.raises(SimvcError, match=r"^size must be in 1\.\.2\^3, got 9$"):
+            random_space_stream(3, 9, 5, 1)
+
 
 class TestSplitMix:
     def test_known_vector(self):
@@ -225,6 +231,20 @@ class TestFamilySpec:
             FamilySpec.from_dict({"family": ["cube"], "n": 2})
         with pytest.raises(SimvcError, match=r"^unknown family \{\}$"):
             FamilySpec.from_dict({"family": {}, "n": 2})
+
+    def test_ranges_are_checked_at_construction(self):
+        # the generators' own checks, so a bad entry fails before any space is built
+        cases = (
+            ("full_cube", {"n": 99}, r"^n must be in 1\.\.24, got 99$"),
+            ("random", {"n": 0, "size": 1, "seed": 0}, r"^n must be in 1\.\.24, got 0$"),
+            ("k_sparse", {"n": 3, "k": 4}, r"^k must be in 0\.\.3, got 4$"),
+            ("random", {"n": 2, "size": 5, "seed": 0}, r"^size must be in 1\.\.2\^2, got 5$"),
+            ("exhaustive", {"n": 5}, "^exhaustive enumeration caps at n = 4, got 5$"),
+            ("exhaustive", {"n": 0}, "^n must be at least 1, got 0$"),
+        )
+        for kind, params, message in cases:
+            with pytest.raises(SimvcError, match=message):
+                FamilySpec(kind, **params)
 
     def test_spaces_for(self):
         assert list(spaces_for(FamilySpec("k_sparse", 3, k=1))) == [k_sparse(3, 1)]

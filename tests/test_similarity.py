@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simvc import (
-    Hypothesis,
     PairDomain,
     SimvcError,
     balanced_labelling,
@@ -32,15 +31,20 @@ from simvc import (
 
 from simvc.similarity import _star_extensions
 
-from conftest import spaces, space_from_ints
+from conftest import spaces
 
 
-def reference_lift(h: Hypothesis) -> str:
+def bit_string(bits: int, n: int) -> str:
+    """Character j is bit j, as in the space file format."""
+    return "".join(str((bits >> j) & 1) for j in range(n))
+
+
+def reference_lift(bits: int, n: int) -> str:
     """Independent evaluation of the lift definition, pair by pair."""
     out = []
-    for i in range(h.length):
-        for j in range(i + 1, h.length):
-            out.append("1" if h.value(i) == h.value(j) else "0")
+    for i in range(n):
+        for j in range(i + 1, n):
+            out.append("1" if (bits >> i) & 1 == (bits >> j) & 1 else "0")
     return "".join(out)
 
 
@@ -68,28 +72,30 @@ class TestPairDomain:
 
 class TestLift:
     def test_constant_hypothesis_is_all_similar(self):
-        assert lift_hypothesis(Hypothesis.from_string("000")).to_string() == "111"
+        assert lift_hypothesis(0b000, 3) == 0b111
 
     def test_direct_evaluation(self):
         # pairs (0,1),(0,2),(1,2): h=010 gives 0, 1, 0
-        assert lift_hypothesis(Hypothesis.from_string("010")).to_string() == "010"
+        assert bit_string(lift_hypothesis(0b010, 3), 3) == "010"
 
     def test_complement_invariance_example(self):
-        a = lift_hypothesis(Hypothesis.from_string("101"))
-        b = lift_hypothesis(Hypothesis.from_string("010"))
-        assert a == b
+        assert lift_hypothesis(0b101, 3) == lift_hypothesis(0b010, 3)
 
     def test_matches_reference_exhaustively(self):
         for n in range(1, 7):
+            m = n * (n - 1) // 2
             for bits in range(1 << n):
-                h = Hypothesis(bits, n)
-                assert lift_hypothesis(h).to_string() == reference_lift(h)
+                assert bit_string(lift_hypothesis(bits, n), m) == reference_lift(bits, n)
 
     def test_complement_collapse_exhaustively(self):
         for n in range(1, 7):
+            top = (1 << n) - 1
             for bits in range(1 << n):
-                h = Hypothesis(bits, n)
-                assert lift_hypothesis(h) == lift_hypothesis(h.complement())
+                assert lift_hypothesis(bits, n) == lift_hypothesis(bits ^ top, n)
+
+    def test_lift_hypothesis_range(self):
+        with pytest.raises(SimvcError, match="hypothesis 8 does not fit a domain of 3 elements"):
+            lift_hypothesis(8, 3)
 
     def test_lift_space_full_cube_two(self):
         assert lift_space(full_cube(2)).bit_strings() == ["0", "1"]
@@ -115,9 +121,9 @@ class TestLift:
 
 class TestChains:
     def test_chain_witness_examples(self):
-        assert chain_witness([0, 1, 2], (1, 1), 0, 3).to_string() == "000"
-        assert chain_witness([0, 1, 2], (0, 1), 0, 3).to_string() == "011"
-        assert chain_witness([0, 1, 2], (0, 1), 1, 3).to_string() == "100"
+        assert bit_string(chain_witness([0, 1, 2], (1, 1), 0, 3), 3) == "000"
+        assert bit_string(chain_witness([0, 1, 2], (0, 1), 0, 3), 3) == "011"
+        assert bit_string(chain_witness([0, 1, 2], (0, 1), 1, 3), 3) == "100"
 
     def test_both_start_bits_are_complements_on_the_chain(self):
         elems = [1, 4, 2, 0]
@@ -125,12 +131,12 @@ class TestChains:
         h0 = chain_witness(elems, labels, 0, 5)
         h1 = chain_witness(elems, labels, 1, 5)
         for e in elems:
-            assert h0.value(e) + h1.value(e) == 1
+            assert (h0 >> e) & 1 != (h1 >> e) & 1
 
     def test_chain_witness_is_zero_off_chain(self):
         h = chain_witness([2, 4], (1,), 1, 6)
-        assert [h.value(j) for j in range(6)] == [0, 0, 1, 0, 1, 0]
-        assert chain_witness([2, 4], (0,), 1, 6).to_string() == "001000"
+        assert [(h >> j) & 1 for j in range(6)] == [0, 0, 1, 0, 1, 0]
+        assert bit_string(chain_witness([2, 4], (0,), 1, 6), 6) == "001000"
 
     def test_chain_witness_errors(self):
         with pytest.raises(SimvcError, match="2 labels for a chain of 2 elements"):
@@ -149,9 +155,9 @@ class TestChains:
                 labels = tuple((g >> t) & 1 for t in range(length - 1))
                 for start in (0, 1):
                     h = chain_witness(elems, labels, start, 8)
-                    lifted = lift_hypothesis(h)
+                    lifted = lift_hypothesis(h, 8)
                     for (a, b), want in zip(zip(elems, elems[1:]), labels):
-                        assert lifted.value(domain.rank(a, b)) == want
+                        assert (lifted >> domain.rank(a, b)) & 1 == want
 
 
 class TestForest:
@@ -181,13 +187,13 @@ class TestForest:
 
 class TestBalancedLabelling:
     def test_path_gets_single_one(self):
-        assert balanced_labelling([(0, 1), (1, 2)], 3).to_string() == "100"
+        assert bit_string(balanced_labelling([(0, 1), (1, 2)], 3), 3) == "100"
 
     def test_two_components(self):
-        assert balanced_labelling([(0, 1), (2, 3)], 4).to_string() == "1010"
+        assert bit_string(balanced_labelling([(0, 1), (2, 3)], 4), 4) == "1010"
 
     def test_empty_graph(self):
-        assert balanced_labelling([], 2).to_string() == "00"
+        assert balanced_labelling([], 2) == 0
 
     def test_rejects_cycles(self):
         with pytest.raises(SimvcError, match="pair set contains a cycle"):
@@ -208,7 +214,7 @@ class TestBalancedLabelling:
                 edges.append((a, b))
         labelling = balanced_labelling(edges, n)
         parts = components(edges)
-        weight = sum(labelling.value(j) for j in range(n))
+        weight = sum((labelling >> j) & 1 for j in range(n))
         assert weight == sum(len(c) // 2 for c in parts.components)
         assert 2 * weight >= parts.vertex_count - parts.tree_count
 
@@ -301,10 +307,8 @@ def test_star_forests_are_one_per_vertex_partition():
 def _permuted(space, perm):
     """Element j of ``space`` becomes element perm[j]."""
     n = space.domain_size
-    # space_from_ints reads bit n-1-j as the label of element j
-    return space_from_ints(
-        n,
-        (sum(((h.bits >> j) & 1) << (n - 1 - perm[j]) for j in range(n)) for h in space.hypotheses),
+    return make_space(
+        n, [sum(((h >> j) & 1) << perm[j] for j in range(n)) for h in space.hypotheses]
     )
 
 
@@ -326,7 +330,7 @@ class TestLiftedVcInvariance:
         # which keeps every shattered pair set, so the witness stays too
         n = space.domain_size
         mask = data.draw(st.integers(0, (1 << n) - 1))
-        flipped = make_space(n, [Hypothesis(h.bits ^ mask, n) for h in space.hypotheses])
+        flipped = make_space(n, [h ^ mask for h in space.hypotheses])
         assert lifted_vc(flipped) == lifted_vc(space)
         assert vc_exact(flipped).dimension == vc_exact(space).dimension
 
@@ -334,9 +338,9 @@ class TestLiftedVcInvariance:
     @settings(max_examples=60, deadline=None)
     def test_adding_complements(self, space):
         # h and its complement lift to the same labelling
-        closed = make_space(
-            space.domain_size, list(space.hypotheses) + [h.complement() for h in space.hypotheses]
-        )
+        n = space.domain_size
+        top = (1 << n) - 1
+        closed = make_space(n, list(space.hypotheses) + [h ^ top for h in space.hypotheses])
         assert lifted_vc(closed) == lifted_vc(space)
 
 
@@ -346,7 +350,9 @@ def ordered_lift(space):
     return make_space(
         n * n,
         [
-            "".join("1" if h.value(w) == h.value(x) else "0" for w in range(n) for x in range(n))
+            "".join(
+                "1" if (h >> w) & 1 == (h >> x) & 1 else "0" for w in range(n) for x in range(n)
+            )
             for h in space.hypotheses
         ],
     )
@@ -382,6 +388,6 @@ def test_restrict_of_lift_equals_chain_labelling():
     domain = pair_domain(4)
     ranks = tuple(sorted(domain.rank(a, b) for a, b in zip(elems, elems[1:])))
     projected = restrict(lift_space(make_space(4, [h])), ranks)
-    lifted = lift_hypothesis(h)
-    expected = "".join(str(lifted.value(r)) for r in ranks)
+    lifted = lift_hypothesis(h, 4)
+    expected = "".join(str((lifted >> r) & 1) for r in ranks)
     assert projected.bit_strings() == [expected]

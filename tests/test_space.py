@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simvc import (
-    Hypothesis,
+    HypothesisSpace,
     MissingPattern,
     ShatterWitness,
     SimvcError,
@@ -18,7 +18,7 @@ from simvc import (
     space_to_dict,
 )
 
-from conftest import space_from_ints, spaces, subsets_of
+from conftest import spaces, subsets_of
 
 
 class TestMakeSpace:
@@ -47,22 +47,28 @@ class TestMakeSpace:
         with pytest.raises(ValueError):
             make_space(2, ["0x"])
 
-    def test_accepts_hypothesis_objects(self):
-        space = make_space(2, [Hypothesis.from_string("10")])
-        assert space.bit_strings() == ["10"]
+    def test_accepts_ints(self):
+        # bit j of an int is the label of element j, as character j of a string
+        space = make_space(3, [0b001, "100", 0b110])
+        assert space.bit_strings() == ["011", "100"]
+        assert space.hypotheses == (0b110, 0b001)
+
+    def test_int_out_of_range(self):
+        with pytest.raises(SimvcError, match="hypothesis 4 does not fit a space over 2 elements"):
+            make_space(2, [4])
+        with pytest.raises(SimvcError, match="hypothesis -1 does not fit"):
+            make_space(2, [-1])
 
 
-class TestHypothesis:
-    def test_string_round_trip(self):
-        for s in ("0101", "", "1", "111000"):
-            assert Hypothesis.from_string(s).to_string() == s
-
-    def test_value_and_complement(self):
-        h = Hypothesis.from_string("011")
-        assert [h.value(j) for j in range(3)] == [0, 1, 1]
-        assert h.complement().to_string() == "100"
-        with pytest.raises(SimvcError, match="index 3 out of range for hypothesis of length 3"):
-            h.value(3)
+class TestHypothesisSpace:
+    def test_rows_must_be_canonical(self):
+        # bit strings "00" < "01" < "10"
+        assert HypothesisSpace(2, (0b00, 0b10, 0b01)).bit_strings() == ["00", "01", "10"]
+        for rows in ((0b01, 0b10), (0b10, 0b10), (0b11, 0b00)):
+            with pytest.raises(ValueError, match="deduplicated and lexicographically sorted"):
+                HypothesisSpace(2, rows)
+        with pytest.raises(SimvcError, match="hypothesis 4 does not fit a space over 2 elements"):
+            HypothesisSpace(2, (0b00, 0b100))
 
 
 class TestRestrict:
@@ -207,7 +213,3 @@ def test_canonical_form_is_stable(space):
     assert rebuilt == space
     strings = space.bit_strings()
     assert strings == sorted(strings) and len(set(strings)) == len(strings)
-
-
-def test_space_from_ints_helper():
-    assert space_from_ints(2, [0b01, 0b10]).bit_strings() == ["01", "10"]
