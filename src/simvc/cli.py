@@ -17,7 +17,7 @@ from .engine import vc_exact, vc_naive
 from .experiments import exhaustive_search, ratio_search, run_report, verify_theorem
 from .families import FamilySpec, random_space_stream, spaces_for
 from .similarity import lift_space
-from .space import space_from_dict, space_to_dict
+from .space import restrict, space_from_dict, space_to_dict
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,16 +43,9 @@ def _cmd_compute(args) -> int:
     if args.naive:
         _emit({"d": vc_naive(space), "witness": None})
         return 0
-    result = vc_exact(space)
-    _emit(
-        {
-            "d": result.dimension,
-            "witness": {
-                "subset": list(result.witness.subset),
-                "patterns": list(result.witness.patterns),
-            },
-        }
-    )
+    d, subset = vc_exact(space)
+    patterns = restrict(space, subset).bit_strings()
+    _emit({"d": d, "witness": {"subset": list(subset), "patterns": patterns}})
     return 0
 
 
@@ -119,18 +112,16 @@ def _cmd_bounds(args) -> int:
             }
         )
         return 0
-    if args.solve_delta:
-        constants = solve_optimal_delta(args.tol)
-        _emit(
-            {
-                "epsilon": constants.epsilon,
-                "delta": constants.delta,
-                "entropy_at_epsilon": binary_entropy(constants.epsilon),
-                "tolerance": args.tol,
-            }
-        )
-        return 0
-    raise ValueError("choose one of --entropy, --sauer, --solve-delta")
+    constants = solve_optimal_delta(args.tol)
+    _emit(
+        {
+            "epsilon": constants.epsilon,
+            "delta": constants.delta,
+            "entropy_at_epsilon": binary_entropy(constants.epsilon),
+            "tolerance": args.tol,
+        }
+    )
+    return 0
 
 
 def _cmd_report(args) -> int:
@@ -177,9 +168,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("bounds", help="closed-form bound values")
-    p.add_argument("--entropy", type=float)
-    p.add_argument("--sauer", type=int, nargs=2, metavar=("SIZE", "N"))
-    p.add_argument("--solve-delta", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--entropy", type=float)
+    mode.add_argument("--sauer", type=int, nargs=2, metavar=("SIZE", "N"))
+    mode.add_argument("--solve-delta", action="store_true")
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_bounds)
 

@@ -7,7 +7,8 @@ way frequent-itemset miners generate candidates (extend by a larger element,
 require every (m-1)-subset to be on the frontier).  Each candidate is
 checked by splitting the hypothesis set on one column at a time and bailing
 out on the first one-sided split.  Candidates come out in lexicographic
-order, so the first set of the top level is the witness.
+order, so the first set of the top level is the witness.  ``vc_exact``
+returns ``(d, subset)`` and re-checks the witness with ``is_shattered``.
 
 The lifted dimension does not run through this search; see
 ``similarity.lifted_vc``, which reuses the column and split helpers here.
@@ -19,22 +20,13 @@ the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import SimvcError
-from .space import HypothesisSpace, ShatterWitness, is_shattered
+from .space import HypothesisSpace, Subset, is_shattered
 
 #: vc_naive enumerates 2^n subsets; beyond this it is no longer an oracle.
 ORACLE_DOMAIN_CAP = 20
-
-
-@dataclass(frozen=True, slots=True)
-class VcResult:
-    """Exact VC dimension plus the lexicographically smallest maximum witness."""
-
-    dimension: int
-    witness: ShatterWitness
 
 
 def _columns(rows: Iterable[int], width: int) -> "list[int]":
@@ -111,8 +103,8 @@ def _top_level(
     return best
 
 
-def vc_exact(space: HypothesisSpace) -> VcResult:
-    """Exact VC dimension with a deterministic maximum shattered witness.
+def vc_exact(space: HypothesisSpace) -> "tuple[int, Subset]":
+    """d = vc(H) with its witness subset, the shape ``lifted_vc`` returns.
 
     Uses the a-priori bound dimension <= floor(log2 |H|) and hereditary
     level-wise pruning.  The witness is the lexicographically smallest
@@ -122,9 +114,8 @@ def vc_exact(space: HypothesisSpace) -> VcResult:
     count = len(space.hypotheses)
     limit = min(space.domain_size, count.bit_length() - 1)
     best = _top_level(cols, (1 << count) - 1, limit, _larger(space.domain_size))
-    witness = is_shattered(space, best)
-    assert isinstance(witness, ShatterWitness)
-    return VcResult(len(best), witness)
+    assert is_shattered(space, best)
+    return len(best), best
 
 
 def vc_naive(space: HypothesisSpace) -> int:

@@ -119,8 +119,7 @@ def verify_theorem(
 ) -> BoundReport:
     """Measure one space against the d - 1 <= d_sim <= floor(4.55 d) bracket."""
     start = time.perf_counter()
-    base = vc_exact(space)
-    d = base.dimension
+    d, witness_base = vc_exact(space)
     d_sim, witness_sim = lifted_vc(space)
     ratio = Fraction(d_sim, d) if d > 0 else None
     lower, upper = theorem_bounds(d)
@@ -133,7 +132,7 @@ def verify_theorem(
         ratio=ratio,
         lower_ok=lower <= d_sim,
         upper_ok=d_sim <= upper,
-        witness_base=base.witness.subset,
+        witness_base=witness_base,
         witness_sim=witness_sim,
         urner_value=urner_bound(d) if d >= 1 else None,
         wall_time_ms=int((time.perf_counter() - start) * 1000),
@@ -162,9 +161,7 @@ class RatioSearchResult:
 
 
 def _dims_job(space: HypothesisSpace) -> "tuple[int, int]":
-    d = vc_exact(space).dimension
-    d_sim, _ = lifted_vc(space)
-    return d, d_sim
+    return vc_exact(space)[0], lifted_vc(space)[0]
 
 
 def _chunks(stream: Iterator, size: int) -> Iterator[list]:

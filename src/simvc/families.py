@@ -39,7 +39,13 @@ def splitmix64_stream(seed: int) -> Iterator[int]:
         yield z ^ (z >> 31)
 
 
-FAMILY_KINDS = ("k_sparse", "full_cube", "random", "exhaustive")
+#: Each family kind and the parameters it takes besides n.
+FAMILY_PARAMS = {
+    "k_sparse": ("k",),
+    "full_cube": (),
+    "random": ("size", "seed"),
+    "exhaustive": (),
+}
 
 _KIND_ALIASES = {
     "k_sparse": "k_sparse",
@@ -63,8 +69,11 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         # the generators' own range checks, so a bad spec fails before any space is built
-        if self.kind not in FAMILY_KINDS:
+        if self.kind not in FAMILY_PARAMS:
             raise SimvcError(f"unknown family kind {self.kind!r}")
+        for key in ("k", "size", "seed"):
+            if getattr(self, key) is not None and key not in FAMILY_PARAMS[self.kind]:
+                raise SimvcError(f"{self.kind} does not take {key}")
         if self.kind == "exhaustive":
             _check_enumeration_n(self.n)
         else:

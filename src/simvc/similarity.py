@@ -4,7 +4,9 @@ A hypothesis h induces a labelling of pairs: a pair (w, x) is labelled 1
 exactly when h(w) = h(x).  The canonical pair domain is the set of unordered
 pairs {i < j} without the diagonal -- the two orders of a pair always carry
 identical labels and a diagonal pair is always labelled 1, so neither can
-ever contribute to a shattered set.
+ever contribute to a shattered set.  ``pair_domain(n)`` is that domain as a
+tuple in lexicographic order, and the one place the order is decided: a
+pair's index in it is its rank, the bit it occupies in ``lift_hypothesis``.
 
 Pair sets double as graphs (edges over the endpoint vertices).  A pair set
 shattered by any lifted space must be acyclic: around a cycle, a labelling
@@ -13,7 +15,8 @@ and a one-flip path.  The edge labellings of a forest are the vertex
 labellings of its endpoints up to flipping each tree, so whether a forest is
 shattered depends only on how its vertices split into trees.  ``lifted_vc``
 therefore searches one forest per vertex partition: the min-centred star
-forest, which joins every block to its smallest vertex.  ``balanced_labelling``
+forest, which joins every block to its smallest vertex, and re-checks its
+witness with ``is_shattered`` on the lifted space.  ``balanced_labelling``
 constructs the per-component half-and-half labelling used to bound sparse
 families.
 """
@@ -27,57 +30,23 @@ from typing import Iterable, Optional, Sequence
 
 from .engine import Extensions, _columns, _top_level
 from .errors import SimvcError
-from .space import HypothesisSpace, _canonical_space, pattern_count
+from .space import HypothesisSpace, _canonical_space, is_shattered
 
 #: A canonical pair (i, j) with i < j, and a sorted, deduplicated set of them.
 Pair = tuple[int, int]
 PairSet = tuple[Pair, ...]
 
 
-class PairDomain:
-    """All C(n, 2) canonical pairs of a base domain, in lexicographic order.
-
-    rank and unrank are inverse; rank r is the bit position pair r occupies
-    in a lifted hypothesis.
-    """
-
-    __slots__ = ("base_size", "pairs", "_rank")
-
-    def __init__(self, base_size: int):
-        if base_size < 1:
-            raise ValueError("base_size must be at least 1")
-        self.base_size = base_size
-        self.pairs: "tuple[tuple[int, int], ...]" = tuple(
-            (i, j) for i in range(base_size) for j in range(i + 1, base_size)
-        )
-        self._rank = {p: r for r, p in enumerate(self.pairs)}
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def rank(self, first: int, second: int) -> int:
-        if first == second:
-            raise ValueError("diagonal pairs are not part of the canonical domain")
-        key = (first, second) if first < second else (second, first)
-        try:
-            return self._rank[key]
-        except KeyError:
-            raise SimvcError(
-                f"pair {key} out of range for base domain of size {self.base_size}"
-            ) from None
-
-    def unrank(self, rank: int) -> "tuple[int, int]":
-        if not 0 <= rank < len(self.pairs):
-            raise SimvcError(
-                f"pair rank {rank} out of range for base domain of size {self.base_size}"
-            )
-        return self.pairs[rank]
-
-
 @lru_cache(maxsize=64)
-def pair_domain(base_size: int) -> PairDomain:
-    """Shared immutable PairDomain instance for ``base_size``."""
-    return PairDomain(base_size)
+def pair_domain(n: int) -> PairSet:
+    """The C(n, 2) pairs (i, j), i < j, of [n] in lexicographic order.
+
+    A pair's index in this tuple is its rank: the bit it occupies in a
+    lifted hypothesis and its column in a lifted space.
+    """
+    if n < 0:
+        raise ValueError(f"the base domain cannot have {n} elements")
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
 @lru_cache(maxsize=1 << 15)
@@ -90,13 +59,9 @@ def lift_hypothesis(bits: int, n: int) -> int:
     if not 0 <= bits < 1 << n:
         raise SimvcError(f"hypothesis {bits} does not fit a domain of {n} elements")
     out = 0
-    r = 0
-    for i in range(n):
-        bi = (bits >> i) & 1
-        for j in range(i + 1, n):
-            if bi == ((bits >> j) & 1):
-                out |= 1 << r
-            r += 1
+    for r, (i, j) in enumerate(pair_domain(n)):
+        if not ((bits >> i) ^ (bits >> j)) & 1:
+            out |= 1 << r
     return out
 
 
@@ -320,11 +285,11 @@ def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
     top = (1 << n) - 1
     rows = {h ^ top if h & 1 else h for h in space.hypotheses}
     cols = _columns(rows, n)
-    pairs = pair_domain(n).pairs
+    pairs = pair_domain(n)
     # the column of pair (a, b) flipped: 1 where a and b differ
     pair_cols = [cols[a] ^ cols[b] for a, b in pairs]
     # a forest over n vertices has at most n - 1 edges
     limit = min(n - 1, len(rows).bit_length() - 1)
     best = _top_level(pair_cols, (1 << len(rows)) - 1, limit, _star_extensions(pairs))
-    assert pattern_count(lift_space(space), best) == 1 << len(best)
+    assert is_shattered(lift_space(space), best)
     return len(best), tuple(pairs[r] for r in best)

@@ -6,6 +6,10 @@ are always kept in canonical form -- deduplicated and sorted by the
 lexicographic order of their bit strings -- so that space equality,
 serialization and witness tie-breaking are deterministic.
 
+A subset is shattered when the restriction to it realizes all 2^|subset|
+patterns.  ``is_shattered`` answers yes or no; the realized patterns
+themselves, in lexicographic order, are ``restrict(space, subset).bit_strings()``.
+
 The JSON file format for a space is::
 
     {"domain_size": n, "hypotheses": ["0101", ...]}
@@ -24,16 +28,12 @@ from typing import Iterable, Sequence, Union
 from .errors import SimvcError
 
 #: Maximum domain size for original spaces.  Exact VC computation is
-#: exponential; this keeps supported inputs desk-scale and pattern values
-#: within a machine word.
+#: exponential; this keeps supported inputs desk-scale.
 DOMAIN_SIZE_CAP = 24
 
 #: Maximum domain size accepted when loading a space from a file.  Equals
 #: C(24, 2) so that lifted spaces written by the CLI round-trip.
 LOAD_DOMAIN_SIZE_CAP = 276
-
-#: Largest subset size for which a full pattern table may be asked for.
-PATTERN_BITS_CAP = 24
 
 #: Canonical subset form: strictly increasing domain indices.
 Subset = tuple[int, ...]
@@ -170,58 +170,9 @@ def pattern_count(space: HypothesisSpace, subset: Sequence[int]) -> int:
     return len({_project(h, subset) for h in space.hypotheses})
 
 
-@dataclass(frozen=True, slots=True)
-class ShatterWitness:
-    """A subset certified shattered, with the full table of realized patterns."""
-
-    subset: "tuple[int, ...]"
-    patterns: "tuple[str, ...]"
-
-    def __post_init__(self) -> None:
-        if len(self.patterns) != 1 << len(self.subset):
-            raise ValueError("witness pattern table must have exactly 2^|subset| entries")
-
-    @property
-    def shattered(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True, slots=True)
-class MissingPattern:
-    """Evidence of non-shattering: the lexicographically smallest unrealized pattern."""
-
-    subset: "tuple[int, ...]"
-    missing: str
-
-    @property
-    def shattered(self) -> bool:
-        return False
-
-
-def is_shattered(
-    space: HypothesisSpace, subset: Sequence[int]
-) -> Union[ShatterWitness, MissingPattern]:
-    """Shattering test: does the restriction realize all 2^|subset| patterns?
-
-    Returns a :class:`ShatterWitness` when it does, otherwise a
-    :class:`MissingPattern` naming the lexicographically smallest pattern
-    not realized.
-    """
-    check_subset(space.domain_size, subset)
-    m = len(subset)
-    if m > PATTERN_BITS_CAP:
-        raise SimvcError(
-            f"subset of size {m} exceeds the {PATTERN_BITS_CAP}-bit pattern budget"
-        )
-    observed = {_project(h, subset) for h in space.hypotheses}
-    realized = sorted(_bit_string(p, m) for p in observed)
-    if len(realized) == 1 << m:
-        return ShatterWitness(tuple(subset), tuple(realized))
-    # pattern i in lexicographic order is i written with m binary digits
-    gap = next(
-        (i for i, text in enumerate(realized) if text != format(i, f"0{m}b")), len(realized)
-    )
-    return MissingPattern(tuple(subset), format(gap, f"0{m}b"))
+def is_shattered(space: HypothesisSpace, subset: Sequence[int]) -> bool:
+    """Does the restriction to ``subset`` realize all 2^|subset| patterns?"""
+    return pattern_count(space, subset) == 1 << len(subset)
 
 
 def space_to_dict(space: HypothesisSpace, *, pair_domain_of: "int | None" = None) -> dict:

@@ -37,6 +37,39 @@ EXHAUSTIVE_N4_OUTPUT = """\
 """
 
 
+LIFTED_K_SPARSE_5_2_COMPUTE = """\
+{
+  "d": 4,
+  "witness": {
+    "subset": [
+      0,
+      1,
+      2,
+      3
+    ],
+    "patterns": [
+      "0000",
+      "0001",
+      "0010",
+      "0011",
+      "0100",
+      "0101",
+      "0110",
+      "0111",
+      "1000",
+      "1001",
+      "1010",
+      "1011",
+      "1100",
+      "1101",
+      "1110",
+      "1111"
+    ]
+  }
+}
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -63,6 +96,15 @@ class TestCompute:
         assert doc["d"] == 1
         assert doc["witness"]["subset"] == [0]
         assert doc["witness"]["patterns"] == ["0", "1"]
+
+    def test_lifted_k_sparse_output(self, tmp_path, capsys):
+        # a four-column witness: every realized pattern, in lexicographic order
+        src = write_space(tmp_path / "s.json", k_sparse(5, 2))
+        dst = tmp_path / "lifted.json"
+        assert run_cli(capsys, "lift", "--input", str(src), "--output", str(dst))[0] == 0
+        code, out, err = run_cli(capsys, "compute", "--input", str(dst))
+        assert (code, err) == (0, "")
+        assert out == LIFTED_K_SPARSE_5_2_COMPUTE
 
     def test_naive(self, tmp_path, capsys):
         path = write_space(tmp_path / "s.json", full_cube(2))
@@ -262,8 +304,28 @@ class TestBounds:
         assert f"tolerance must be positive and finite, got {tol}" in err
 
     def test_no_selector(self, capsys):
-        code, _, err = run_cli(capsys, "bounds")
-        assert code == 1
+        with pytest.raises(SystemExit) as info:
+            main(["bounds"])
+        assert info.value.code == 1
+        assert "one of the arguments --entropy --sauer --solve-delta is required" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--entropy", "0.11", "--sauer", "3", "2"],
+            ["--sauer", "3", "2", "--solve-delta"],
+        ],
+        ids=["entropy-sauer", "sauer-solve-delta"],
+    )
+    def test_two_selectors(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(["bounds", *argv])
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
 
     def test_entropy_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--entropy", "1.5")
@@ -306,8 +368,10 @@ class TestReport:
         [
             ({"family": ["cube"], "n": 2}, "vc: error: unknown family ['cube']\n"),
             ({"family": "cube", "n": 2.9}, "n must be an integer, got 2.9\n"),
+            ({"family": "cube", "n": 3, "k": 2, "seed": 5}, "full_cube does not take k\n"),
+            ({"family": "ksparse", "n": 3, "k": 1, "size": 4}, "k_sparse does not take size\n"),
         ],
-        ids=["unhashable-family", "float-n"],
+        ids=["unhashable-family", "float-n", "cube-with-k", "ksparse-with-size"],
     )
     def test_bad_spec_entry_is_input_error(self, tmp_path, capsys, entry, message):
         spec = tmp_path / "spec.json"

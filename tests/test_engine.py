@@ -7,6 +7,7 @@ from simvc import (
     SimvcError,
     enumerate_spaces,
     full_cube,
+    is_shattered,
     k_sparse,
     make_space,
     random_space,
@@ -22,26 +23,22 @@ from conftest import spaces, subsets_of
 
 class TestVcExact:
     def test_single_hypothesis(self):
-        result = vc_exact(make_space(4, ["0110"]))
-        assert result.dimension == 0
-        assert result.witness.subset == ()
+        assert vc_exact(make_space(4, ["0110"])) == (0, ())
 
     def test_full_cube(self):
-        assert vc_exact(full_cube(3)).dimension == 3
+        assert vc_exact(full_cube(3))[0] == 3
 
     def test_k_sparse(self):
-        assert vc_exact(k_sparse(5, 2)).dimension == 2
+        assert vc_exact(k_sparse(5, 2))[0] == 2
 
     def test_witness_is_lex_smallest_maximum(self):
         # (0,) and (1,) shatter but the columns 2,3 only reach 3 patterns
         space = make_space(4, ["0000", "0100", "1000", "1101"])
-        result = vc_exact(space)
-        assert result.dimension == 2
-        assert result.witness.subset == (0, 1)
+        assert vc_exact(space) == (2, (0, 1))
 
     def test_empty_domain_space(self):
         space = restrict(make_space(2, ["00", "11"]), ())
-        assert vc_exact(space).dimension == 0
+        assert vc_exact(space)[0] == 0
 
 
 class TestVcNaive:
@@ -64,7 +61,7 @@ class TestOracleEquivalence:
     def test_exhaustive_small_domains(self):
         for n in (1, 2, 3):
             for space in enumerate_spaces(n):
-                assert vc_exact(space).dimension == vc_naive(space)
+                assert vc_exact(space)[0] == vc_naive(space)
 
     def test_seeded_random_spaces(self):
         rng = splitmix64_stream(2024)
@@ -72,20 +69,20 @@ class TestOracleEquivalence:
             n = 2 + next(rng) % 9  # 2..10
             size = 1 + next(rng) % min(1 << n, 24)
             space = random_space(n, size, next(rng))
-            assert vc_exact(space).dimension == vc_naive(space)
+            assert vc_exact(space)[0] == vc_naive(space)
 
     def test_large_random_sample_n4(self):
         rng = splitmix64_stream(41)
         for _ in range(400):
             space = random_space(4, 1 + next(rng) % 16, next(rng))
-            assert vc_exact(space).dimension == vc_naive(space)
+            assert vc_exact(space)[0] == vc_naive(space)
 
 
 class TestEngineInvariants:
     @given(spaces())
     @settings(max_examples=60, deadline=None)
     def test_log2_bound_and_sauer_floor(self, space):
-        d = vc_exact(space).dimension
+        d = vc_exact(space)[0]
         assert d <= len(space).bit_length() - 1
         assert d >= sauer_guaranteed_vc(len(space), space.domain_size)
 
@@ -93,11 +90,12 @@ class TestEngineInvariants:
     @settings(max_examples=60, deadline=None)
     def test_restriction_monotone(self, space, data):
         subset = data.draw(subsets_of(space.domain_size))
-        assert vc_exact(restrict(space, subset)).dimension <= vc_exact(space).dimension
+        assert vc_exact(restrict(space, subset))[0] <= vc_exact(space)[0]
 
     @given(spaces(max_n=5, max_size=12))
     @settings(max_examples=40, deadline=None)
     def test_witness_subset_is_shattered_at_dimension(self, space):
-        result = vc_exact(space)
-        assert len(result.witness.subset) == result.dimension
-        assert len(result.witness.patterns) == 1 << result.dimension
+        d, subset = vc_exact(space)
+        assert len(subset) == d
+        assert is_shattered(space, subset)
+        assert len(restrict(space, subset)) == 1 << d

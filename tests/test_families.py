@@ -45,7 +45,7 @@ class TestKSparse:
     def test_vc_values_small_grid(self):
         for k in (1, 2):
             for n in range(2 * k + 1, 7):
-                assert vc_exact(k_sparse(n, k)).dimension == k
+                assert vc_exact(k_sparse(n, k))[0] == k
 
 
 class TestFullCube:
@@ -55,7 +55,7 @@ class TestFullCube:
     def test_cube_shatters_everything(self):
         space = full_cube(3)
         assert len(space) == 8
-        assert vc_exact(space).dimension == 3
+        assert vc_exact(space)[0] == 3
 
     def test_lifted_cube_dimension(self):
         assert lifted_vc(full_cube(4))[0] == 3
@@ -74,7 +74,7 @@ class TestRandomSpace:
     def test_singleton(self):
         space = random_space(5, 1, 7)
         assert len(space) == 1
-        assert vc_exact(space).dimension == 0
+        assert vc_exact(space)[0] == 0
 
     def test_deterministic(self):
         assert random_space(6, 12, 42) == random_space(6, 12, 42)
@@ -241,6 +241,11 @@ class TestFamilySpec:
             ("random", {"n": 2, "size": 5, "seed": 0}, r"^size must be in 1\.\.2\^2, got 5$"),
             ("exhaustive", {"n": 5}, "^exhaustive enumeration caps at n = 4, got 5$"),
             ("exhaustive", {"n": 0}, "^n must be at least 1, got 0$"),
+            # and each kind takes only its own parameters
+            ("full_cube", {"n": 3, "k": 2, "seed": 5}, "^full_cube does not take k$"),
+            ("k_sparse", {"n": 3, "k": 1, "size": 4}, "^k_sparse does not take size$"),
+            ("random", {"n": 3, "k": 1, "size": 2, "seed": 0}, "^random does not take k$"),
+            ("exhaustive", {"n": 2, "seed": 0}, "^exhaustive does not take seed$"),
         )
         for kind, params, message in cases:
             with pytest.raises(SimvcError, match=message):

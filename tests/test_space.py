@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from simvc import (
     HypothesisSpace,
-    MissingPattern,
-    ShatterWitness,
     SimvcError,
     full_cube,
     is_shattered,
@@ -134,38 +132,30 @@ class TestPatternCount:
 
 class TestIsShattered:
     def test_full_cube_shatters(self):
-        result = is_shattered(full_cube(2), (0, 1))
-        assert isinstance(result, ShatterWitness)
-        assert result.shattered
-        assert result.patterns == ("00", "01", "10", "11")
+        assert is_shattered(full_cube(2), (0, 1)) is True
+        assert restrict(full_cube(2), (0, 1)).bit_strings() == ["00", "01", "10", "11"]
 
     def test_missing_pattern_is_lex_smallest(self):
         # realized patterns of k_sparse(3,1) on the full domain are the four
         # hypotheses themselves; of the missing ones 011 sorts first
-        result = is_shattered(k_sparse(3, 1), (0, 1, 2))
-        assert isinstance(result, MissingPattern)
-        assert not result.shattered
-        assert result.missing == "011"
+        space = k_sparse(3, 1)
+        assert is_shattered(space, (0, 1, 2)) is False
+        realized = set(restrict(space, (0, 1, 2)).bit_strings())
+        assert min({format(i, "03b") for i in range(8)} - realized) == "011"
 
     def test_empty_subset_always_shattered(self):
-        result = is_shattered(make_space(2, ["00"]), ())
-        assert result.shattered
-        assert result.patterns == ("",)
-
-    def test_subset_too_large(self):
-        doc = {"domain_size": 30, "hypotheses": ["0" * 30, "1" * 30]}
-        space = space_from_dict(doc)
-        with pytest.raises(SimvcError, match="subset of size 25 exceeds the 24-bit pattern budget"):
-            is_shattered(space, tuple(range(25)))
+        space = make_space(2, ["00"])
+        assert is_shattered(space, ()) is True
+        assert restrict(space, ()).bit_strings() == [""]
 
     @given(spaces(max_n=4), st.data())
     @settings(max_examples=60, deadline=None)
     def test_hereditary(self, space, data):
         subset = data.draw(subsets_of(space.domain_size))
-        if is_shattered(space, subset).shattered:
+        if is_shattered(space, subset):
             drop = data.draw(st.integers(0, max(len(subset) - 1, 0)))
             smaller = subset[:drop] + subset[drop + 1 :]
-            assert is_shattered(space, smaller).shattered
+            assert is_shattered(space, smaller)
 
     def test_hereditary_exhaustive_small(self):
         from itertools import combinations
@@ -178,7 +168,7 @@ class TestIsShattered:
                     s
                     for m in range(n + 1)
                     for s in combinations(range(n), m)
-                    if is_shattered(space, s).shattered
+                    if is_shattered(space, s)
                 }
                 for s in shattered:
                     for t in range(len(s)):
