@@ -1,14 +1,18 @@
 """Command-line surface (the ``vc`` tool).
 
-Exit codes: 0 success; 1 usage or input error; 2 internal invariant breach
-(a bound violated or a ratio above 2 -- output is preserved before the
-nonzero exit so a counterexample is never lost).
+Exit codes: 0 success; 1 usage or input error (a flag the chosen mode
+does not use included); 2 internal invariant breach (a bound violated or a
+ratio above 2 -- output is preserved before the nonzero exit so a
+counterexample is never lost); 141 stdout closed before the output was
+written (the status a shell gives a command killed by SIGPIPE), with
+nothing written to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -18,6 +22,12 @@ from .experiments import exhaustive_search, ratio_search, run_report, verify_the
 from .families import FamilySpec, random_space_stream, spaces_for
 from .similarity import lift_space
 from .space import restrict, space_from_dict, space_to_dict
+
+
+#: Defaults of the flags only one mode uses; None on the parser means "not given".
+_SAMPLES = 10_000
+_SEED = 0
+_TOL = 1e-9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,21 +69,25 @@ def _cmd_lift(args) -> int:
     return 0
 
 
+def _reject_unused(mode: str, **flags) -> None:
+    """Input error naming the first flag given that ``mode`` does not use."""
+    for name, value in flags.items():
+        if value is not None:
+            raise ValueError(f"{mode} does not take --{name}")
+
+
 def _build_verify_target(args):
     if args.input is not None:
         if args.family is not None:
             raise ValueError("--input and --family are mutually exclusive")
+        _reject_unused("--input", n=args.n, k=args.k)
         return "file", _load_space(args.input)
-    if args.family == "ksparse":
-        if args.n is None or args.k is None:
-            raise ValueError("--family ksparse requires --n and --k")
-        spec = FamilySpec("k_sparse", args.n, k=args.k)
-    elif args.family == "cube":
-        if args.n is None:
-            raise ValueError("--family cube requires --n")
-        spec = FamilySpec("full_cube", args.n)
-    else:
+    if args.family is None:
         raise ValueError("choose --family ksparse|cube or --input FILE")
+    if args.n is None:
+        raise ValueError(f"--family {args.family} requires --n")
+    # FamilySpec knows which parameters each family takes
+    spec = FamilySpec.from_dict({"family": args.family, "n": args.n, "k": args.k})
     return spec, next(spaces_for(spec))
 
 
@@ -88,17 +102,24 @@ def _cmd_search(args) -> int:
     if args.mode == "exhaustive":
         if args.n is None:
             raise ValueError("--mode exhaustive requires --n")
+        _reject_unused(
+            "--mode exhaustive", size=args.size, samples=args.samples, seed=args.seed
+        )
         result = exhaustive_search(args.n, jobs=args.jobs)
     else:
         if args.n is None or args.size is None:
             raise ValueError("--mode random requires --n and --size")
-        stream = random_space_stream(args.n, args.size, args.samples, args.seed)
-        result = ratio_search(stream, args.samples, jobs=args.jobs)
+        samples = _SAMPLES if args.samples is None else args.samples
+        seed = _SEED if args.seed is None else args.seed
+        stream = random_space_stream(args.n, args.size, samples, seed)
+        result = ratio_search(stream, samples, jobs=args.jobs)
     _emit(result.to_dict())
     return 2 if result.conjecture_violated else 0
 
 
 def _cmd_bounds(args) -> int:
+    if not args.solve_delta:
+        _reject_unused("--entropy" if args.entropy is not None else "--sauer", tol=args.tol)
     if args.entropy is not None:
         _emit({"epsilon": args.entropy, "binary_entropy": binary_entropy(args.entropy)})
         return 0
@@ -112,13 +133,14 @@ def _cmd_bounds(args) -> int:
             }
         )
         return 0
-    constants = solve_optimal_delta(args.tol)
+    tol = _TOL if args.tol is None else args.tol
+    constants = solve_optimal_delta(tol)
     _emit(
         {
             "epsilon": constants.epsilon,
             "delta": constants.delta,
             "entropy_at_epsilon": binary_entropy(constants.epsilon),
-            "tolerance": args.tol,
+            "tolerance": tol,
         }
     )
     return 0
@@ -162,8 +184,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["exhaustive", "random"], required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--size", type=int)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, help=f"random mode only (default {_SAMPLES})")
+    p.add_argument("--seed", type=int, help=f"random mode only (default {_SEED})")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_search)
 
@@ -172,7 +194,7 @@ def _build_parser() -> _Parser:
     mode.add_argument("--entropy", type=float)
     mode.add_argument("--sauer", type=int, nargs=2, metavar=("SIZE", "N"))
     mode.add_argument("--solve-delta", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, help=f"--solve-delta only (default {_TOL:g})")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("report", help="bound reports for a spec file of families")
@@ -190,7 +212,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, so a closed stdout fails inside this try and not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # nothing more can reach the reader; point stdout at /dev/null so the
+        # interpreter's flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, KeyError, TypeError, OSError) as exc:
         sys.stderr.write(f"vc: error: {exc}\n")
         return 1

@@ -16,15 +16,14 @@ labellings of its endpoints up to flipping each tree, so whether a forest is
 shattered depends only on how its vertices split into trees.  ``lifted_vc``
 therefore searches one forest per vertex partition: the min-centred star
 forest, which joins every block to its smallest vertex, and re-checks its
-witness with ``is_shattered`` on the lifted space.  ``balanced_labelling``
-constructs the per-component half-and-half labelling used to bound sparse
-families.
+witness with ``is_shattered`` on the lifted space.  ``forest_components``
+splits a pair graph into its trees in one union-find pass (None when it has
+a cycle), and ``balanced_labelling`` labels half of each tree 1, the
+labelling used to bound sparse families.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -81,19 +80,6 @@ def lift_space(space: HypothesisSpace) -> HypothesisSpace:
     return _canonical_space(m, (lift_hypothesis(h, n) for h in space.hypotheses))
 
 
-def canonical_pairs(pairs: Iterable[Sequence[int]]) -> "tuple[tuple[int, int], ...]":
-    """Normalize to the canonical pair-set form: (i, j) with i < j, deduplicated, sorted."""
-    out = set()
-    for p in pairs:
-        a, b = p
-        if a == b:
-            raise ValueError(f"diagonal pair ({a}, {b}) is not a valid pair")
-        if a < 0 or b < 0:
-            raise ValueError("pair endpoints must be non-negative")
-        out.add((a, b) if a < b else (b, a))
-    return tuple(sorted(out))
-
-
 def chain_witness(
     elements: Sequence[int],
     labels: Sequence[int],
@@ -136,115 +122,59 @@ def chain_witness(
     return bits
 
 
-@dataclass(frozen=True, slots=True)
-class ForestCheck:
-    """Acyclicity verdict for a pair graph, with a certifying cycle when cyclic."""
-
-    acyclic: bool
-    cycle: "Optional[tuple[tuple[int, int], ...]]"
-
-    def __bool__(self) -> bool:
-        return self.acyclic
-
-
 def _root(parent: dict, x: int) -> int:
     while x in parent:
         x = parent[x]
     return x
 
 
-def _tree_path(adj: dict, start: int, goal: int) -> "list[tuple[int, int]]":
-    """Edge path between two vertices of the same tree (BFS, deterministic)."""
-    prev = {start: None}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        if v == goal:
-            break
-        for w in adj[v]:
-            if w not in prev:
-                prev[w] = v
-                queue.append(w)
-    path = []
-    v = goal
-    while prev[v] is not None:
-        u = prev[v]
-        path.append((u, v) if u < v else (v, u))
-        v = u
-    path.reverse()
-    return path
+def forest_components(
+    pairs: Iterable[Sequence[int]],
+) -> "Optional[tuple[tuple[int, ...], ...]]":
+    """Vertex sets of the pair graph's trees, or None when it has a cycle.
 
-
-def is_forest(pairs: Iterable[Sequence[int]]) -> ForestCheck:
-    """True iff the pair graph is acyclic; otherwise one cycle's edge list."""
-    ps = canonical_pairs(pairs)
+    (a, b) and (b, a) are one edge.  Each tree is sorted and the trees are
+    ordered by smallest vertex; only endpoint vertices appear.
+    """
+    edges = set()
+    for a, b in pairs:
+        if a == b:
+            raise ValueError(f"diagonal pair ({a}, {b}) is not a valid pair")
+        if a < 0 or b < 0:
+            raise ValueError("pair endpoints must be non-negative")
+        edges.add((a, b) if a < b else (b, a))
     parent: dict = {}
-    adj: dict = {}
-    for a, b in ps:
+    for a, b in edges:
         ra, rb = _root(parent, a), _root(parent, b)
         if ra == rb:
-            cycle = tuple(_tree_path(adj, a, b)) + ((a, b),)
-            return ForestCheck(False, cycle)
+            return None
         parent[ra] = rb
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    return ForestCheck(True, None)
-
-
-@dataclass(frozen=True, slots=True)
-class ComponentPartition:
-    """Connected components of a pair graph over its endpoint vertex set."""
-
-    components: "tuple[tuple[int, ...], ...]"
-
-    @property
-    def tree_count(self) -> int:
-        return len(self.components)
-
-    @property
-    def vertex_count(self) -> int:
-        return sum(len(c) for c in self.components)
-
-
-def components(pairs: Iterable[Sequence[int]]) -> ComponentPartition:
-    """Connected components, each sorted, ordered by smallest vertex."""
-    ps = canonical_pairs(pairs)
-    parent: dict = {}
-    acyclic = True
-    for a, b in ps:
-        ra, rb = _root(parent, a), _root(parent, b)
-        if ra == rb:
-            acyclic = False
-        else:
-            parent[ra] = rb
-    groups: dict = {}
-    for v in {v for p in ps for v in p}:
-        groups.setdefault(_root(parent, v), []).append(v)
-    comps = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
-    if acyclic:
-        # counting identity for forests: |V| = |E| + number of trees
-        assert sum(len(c) for c in comps) == len(ps) + len(comps)
-    return ComponentPartition(comps)
+    trees: dict = {}
+    for v in {v for e in edges for v in e}:
+        trees.setdefault(_root(parent, v), []).append(v)
+    out = tuple(sorted(tuple(sorted(t)) for t in trees.values()))
+    # counting identity for forests: |V| = |E| + number of trees
+    assert sum(map(len, out)) == len(edges) + len(out)
+    return out
 
 
 def balanced_labelling(pairs: Iterable[Sequence[int]], domain_size: int) -> int:
-    """Label floor(|C|/2) vertices of each component 1, the rest 0.
+    """Label floor(|T|/2) vertices of each tree T 1, the rest 0.
 
-    The smallest-indexed vertices of each component receive the 1s; vertices
-    outside every component are 0.  Requires the pair set to be a forest.
+    The smallest-indexed vertices of each tree receive the 1s; vertices
+    outside every tree are 0.  Requires the pair set to be a forest.
     """
-    ps = canonical_pairs(pairs)
-    fc = is_forest(ps)
-    if not fc:
-        raise SimvcError(f"pair set contains a cycle: {fc.cycle}")
+    trees = forest_components(pairs)
+    if trees is None:
+        raise SimvcError("pair set contains a cycle")
     bits = 0
-    for comp in components(ps).components:
-        for v in comp:
+    for tree in trees:
+        for v in tree:
             if v >= domain_size:
                 raise SimvcError(
                     f"vertex {v} out of range for domain of size {domain_size}"
                 )
-        for v in comp[: len(comp) // 2]:
+        for v in tree[: len(tree) // 2]:
             bits |= 1 << v
     return bits
 

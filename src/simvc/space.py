@@ -115,10 +115,7 @@ def make_space(
     bits_list = []
     for raw in raw_hypotheses:
         if isinstance(raw, int):
-            if not 0 <= raw < 1 << domain_size:
-                raise SimvcError(
-                    f"hypothesis {raw} does not fit a space over {domain_size} elements"
-                )
+            # HypothesisSpace range-checks ints once they are canonical
             bits_list.append(raw)
             continue
         if len(raw) != domain_size:

@@ -18,8 +18,8 @@ from simvc import (
     entropy_sum_holds,
     enumerate_spaces,
     exhaustive_search,
+    forest_components,
     full_cube,
-    is_forest,
     is_shattered,
     k_sparse,
     lift_hypothesis,
@@ -73,7 +73,7 @@ def _nonforest_rank_sets(n: int, max_size: int = 4):
     out = []
     for m in range(3, max_size + 1):
         for ranks in combinations(range(len(domain)), m):
-            if not is_forest([domain[r] for r in ranks]):
+            if forest_components([domain[r] for r in ranks]) is None:
                 out.append(ranks)
     return out
 
@@ -111,7 +111,7 @@ def exhaustive_sweeps():
             if report.ratio is not None and (max_ratio is None or report.ratio > max_ratio):
                 max_ratio = report.ratio
                 argmax = space
-            if report.witness_sim and not is_forest(report.witness_sim):
+            if report.witness_sim and forest_components(report.witness_sim) is None:
                 bad_witnesses += 1
             lifted = lift_space(space)
             for ranks in nonforest:
@@ -311,7 +311,7 @@ def test_criterion_7_forest_necessity(exhaustive_sweeps, ksparse_grid, cube_rows
     started = time.perf_counter()
     bad_witnesses = sum(exhaustive_sweeps[n].nonforest_witnesses for n in (3, 4))
     for row in list(ksparse_grid.values()) + list(cube_rows.values()):
-        if row.witness_sim and not is_forest(row.witness_sim):
+        if row.witness_sim and forest_components(row.witness_sim) is None:
             bad_witnesses += 1
     cyclic_shattered = sum(exhaustive_sweeps[n].nonforest_shattered for n in (3, 4))
     ok = bad_witnesses == 0 and cyclic_shattered == 0

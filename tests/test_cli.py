@@ -76,14 +76,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv, timeout=None):
-    """``python -m simvc`` in a child process, importing simvc from this checkout."""
+def module_env():
+    """Environment for a ``python -m simvc`` child that imports simvc from this checkout."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def run_module(*argv, timeout=None):
+    """``python -m simvc`` in a child process, with its output captured."""
     return subprocess.run(
         [sys.executable, "-m", "simvc", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        capture_output=True, text=True, env=module_env(), timeout=timeout,
     )
 
 
@@ -187,6 +192,21 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--family", "ksparse", "--n", "5")
         assert code == 1
 
+    def test_cube_rejects_k(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--family", "cube", "--n", "3", "--k", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "vc: error: full_cube does not take k\n"
+
+    def test_input_rejects_n_and_k(self, tmp_path, capsys):
+        path = write_space(tmp_path / "s.json", full_cube(2))
+        code, out, err = run_cli(
+            capsys, "verify", "--input", str(path), "--n", "9", "--k", "4"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "vc: error: --input does not take --n\n"
+
 
 class TestSearch:
     def test_exhaustive_n2(self, capsys):
@@ -223,6 +243,16 @@ class TestSearch:
         assert code == 1
         assert out == ""
         assert err == "vc: error: samples must be at least 1, got 0\n"
+
+    def test_exhaustive_rejects_random_flags(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "search", "--mode", "exhaustive", "--n", "2",
+            "--size", "5", "--seed", "9", "--samples", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "vc: error: --mode exhaustive does not take --size\n"
 
     @pytest.mark.parametrize("n", ["-1", "0", "5"])
     def test_exhaustive_domain_is_input_error(self, capsys, n):
@@ -326,6 +356,12 @@ class TestBounds:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not allowed with argument" in captured.err
+
+    def test_entropy_rejects_tol(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--entropy", "0.11", "--tol", "5")
+        assert code == 1
+        assert out == ""
+        assert err == "vc: error: --entropy does not take --tol\n"
 
     def test_entropy_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--entropy", "1.5")
@@ -432,6 +468,19 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["compute"])
         assert info.value.code == 1
+
+
+def test_closed_stdout_exits_141_silently():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "simvc", "verify", "--family", "cube", "--n", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=module_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_module_entry_point(tmp_path):

@@ -11,8 +11,8 @@ from simvc import (
     SimvcError,
     enumerate_spaces,
     exhaustive_search,
+    forest_components,
     full_cube,
-    is_forest,
     k_sparse,
     lift_space,
     make_space,
@@ -54,7 +54,7 @@ class TestVerifyTheorem:
         report = verify_theorem(k_sparse(5, 2))
         assert len(report.witness_base) == report.d
         assert len(report.witness_sim) == report.d_sim
-        assert is_forest(report.witness_sim)
+        assert forest_components(report.witness_sim) is not None
 
     def test_to_dict_round_trips_through_json(self):
         report = verify_theorem(full_cube(2), family_spec=FamilySpec("full_cube", 2))
@@ -229,5 +229,5 @@ class TestIterReports:
         for n in (2, 3):
             for space in enumerate_spaces(n):
                 report = verify_theorem(space)
-                assert is_forest(report.witness_sim)
+                assert forest_components(report.witness_sim) is not None
                 assert report.lower_ok and report.upper_ok

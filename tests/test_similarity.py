@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 from simvc import (
     SimvcError,
     balanced_labelling,
-    canonical_pairs,
     chain_witness,
-    components,
     enumerate_spaces,
+    forest_components,
     full_cube,
-    is_forest,
     is_shattered,
     k_sparse,
     lift_hypothesis,
@@ -146,27 +144,33 @@ class TestChains:
 
 class TestForest:
     def test_triangle_has_certifying_cycle(self):
-        check = is_forest([(0, 1), (1, 2), (0, 2)])
-        assert not check
-        assert check.cycle == ((0, 1), (0, 2), (1, 2))
-        assert len(check.cycle) == 3
+        assert forest_components([(0, 1), (1, 2), (0, 2)]) is None
 
     def test_path_and_forest(self):
-        assert is_forest([(0, 1), (1, 2)])
-        assert is_forest([(0, 1), (2, 3), (3, 4)])
+        assert forest_components([(0, 1), (1, 2)]) is not None
+        assert forest_components([(0, 1), (2, 3), (3, 4)]) is not None
 
     def test_cycle_edges_are_input_edges(self):
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4)]
-        check = is_forest(edges)
-        assert not check
-        assert set(check.cycle) <= set(canonical_pairs(edges))
+        assert forest_components(edges) is None
 
     def test_components_examples(self):
-        assert components([(0, 1), (1, 2)]).components == ((0, 1, 2),)
-        parts = components([(0, 1), (2, 3)])
-        assert parts.components == ((0, 1), (2, 3))
-        assert parts.tree_count == 2
-        assert components([]).components == ()
+        assert forest_components([(0, 1), (1, 2)]) == ((0, 1, 2),)
+        trees = forest_components([(0, 1), (2, 3)])
+        assert trees == ((0, 1), (2, 3))
+        assert len(trees) == 2
+        assert forest_components([]) == ()
+
+    def test_diagonal_pair_is_rejected(self):
+        with pytest.raises(ValueError, match=r"diagonal pair \(2, 2\) is not a valid pair"):
+            forest_components([(0, 1), (2, 2)])
+
+    def test_negative_endpoint_is_rejected(self):
+        with pytest.raises(ValueError, match="pair endpoints must be non-negative"):
+            forest_components([(0, 1), (-1, 3)])
+
+    def test_reversed_pair_is_the_same_edge(self):
+        assert forest_components([(0, 1), (1, 0)]) == ((0, 1),)
 
 
 class TestBalancedLabelling:
@@ -194,13 +198,13 @@ class TestBalancedLabelling:
         )
         edges = []
         for a, b in raw:
-            if a != b and is_forest(edges + [(a, b)]):
+            if a != b and forest_components(edges + [(a, b)]) is not None:
                 edges.append((a, b))
         labelling = balanced_labelling(edges, n)
-        parts = components(edges)
+        trees = forest_components(edges)
         weight = sum((labelling >> j) & 1 for j in range(n))
-        assert weight == sum(len(c) // 2 for c in parts.components)
-        assert 2 * weight >= parts.vertex_count - parts.tree_count
+        assert weight == sum(len(c) // 2 for c in trees)
+        assert 2 * weight >= sum(map(len, trees)) - len(trees)
 
 
 class TestForestNecessity:
@@ -213,7 +217,8 @@ class TestForestNecessity:
                 for m in range(1, len(domain) + 1):
                     for ranks in combinations(range(len(domain)), m):
                         if is_shattered(lifted, ranks):
-                            assert is_forest([domain[r] for r in ranks])
+                            pairs = [domain[r] for r in ranks]
+                            assert forest_components(pairs) is not None
 
     def test_nonforest_sets_never_shattered_in_full_cube_lift(self):
         # the full cube dominates every space, so this covers all of them
@@ -222,7 +227,7 @@ class TestForestNecessity:
             lifted = lift_space(full_cube(n))
             for m in (3, 4):
                 for ranks in combinations(range(len(domain)), m):
-                    if not is_forest([domain[r] for r in ranks]):
+                    if forest_components([domain[r] for r in ranks]) is None:
                         assert not is_shattered(lifted, ranks)
 
 
@@ -281,10 +286,10 @@ def test_star_forests_are_one_per_vertex_partition():
             ranks = todo.pop()
             forests.append([pairs[r] for r in ranks])
             todo.extend(ranks + (e,) for e in extensions(ranks))
-        blocks = {components(f).components for f in forests}
+        blocks = {forest_components(f) for f in forests}
         assert len(forests) == len(blocks) == count
         for f in forests:
-            starts = {c[0] for c in components(f).components}
+            starts = {c[0] for c in forest_components(f)}
             assert all(a in starts for a, _ in f)
 
 
