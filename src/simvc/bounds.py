@@ -1,9 +1,11 @@
 """Closed-form combinatorial bounds.
 
 Everything here is exact where it can be: binomial sums use arbitrary
-precision integers, the factor in the upper bound is handled as the rational
-91/20 so floor comparisons are unambiguous, and floor(eps * n) recovers the
-intended rational from a float before flooring.
+precision integers, ``theorem_bounds`` floors 4.55 d as 91 d // 20 so floor
+comparisons are unambiguous, and floor(eps * n) recovers the intended
+rational from a float before flooring.  ``solve_optimal_delta`` returns the
+float pair (epsilon, delta) behind that factor: the bisected root of
+H(epsilon) = 1/2 and delta = 1/(2 epsilon).
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SimvcError
-
-#: Upper-bound factor of the similarity-VC bound, as an exact rational.
-DELTA = Fraction(91, 20)
 
 
 def binom_partial_sum(n: int, m: int) -> int:
@@ -35,7 +34,8 @@ def sauer_guaranteed_vc(space_size: int, domain_size: int) -> int:
         raise ValueError("space_size must be at least 1")
     if domain_size < 0:
         raise ValueError("domain_size must be non-negative")
-    if space_size > (1 << domain_size):
+    # space_size > 2^domain_size, without building 2^domain_size
+    if (space_size - 1) >> domain_size:
         raise SimvcError(
             f"space_size {space_size} exceeds 2^{domain_size} possible hypotheses"
         )
@@ -92,39 +92,17 @@ def theorem_bounds(d: int) -> "tuple[int, int]":
     """
     if d < 0:
         raise SimvcError("d must be non-negative")
-    return max(d - 1, 0), (d * DELTA.numerator) // DELTA.denominator
+    # 4.55 as the exact rational 91/20
+    return max(d - 1, 0), 91 * d // 20
 
 
-@dataclass(frozen=True, slots=True)
-class BoundConstants:
-    """A valid (epsilon, delta) pair for the upper-bound argument.
-
-    Requires H(epsilon) < 1/2; delta = 1/(2*epsilon) is then the factor the
-    argument yields.
-    """
-
-    epsilon: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 0.5:
-            raise SimvcError(f"epsilon {self.epsilon} outside (0, 1/2)")
-        if binary_entropy(self.epsilon) >= 0.5:
-            raise ValueError(f"H({self.epsilon}) >= 1/2: epsilon does not satisfy the condition")
-        if self.delta <= 1.0:
-            raise ValueError("delta must exceed 1")
-
-    @classmethod
-    def from_epsilon(cls, epsilon: float) -> "BoundConstants":
-        return cls(epsilon, 1.0 / (2.0 * epsilon))
-
-
-def solve_optimal_delta(tolerance: float = 1e-9) -> BoundConstants:
+def solve_optimal_delta(tolerance: float) -> "tuple[float, float]":
     """Best constants this argument allows: bisect H(eps) = 1/2 on (0, 1/2).
 
     Bisection stops once the bracket is no wider than ``tolerance`` or no
-    float lies strictly inside it.  Returns the left end of the final
-    bracket, so H(epsilon) < 1/2 holds exactly and delta = 1/(2*epsilon) is
+    float lies strictly inside it.  Returns ``(epsilon, delta)`` with
+    epsilon the left end of the final bracket, which bisection keeps where
+    H < 1/2, so H(epsilon) < 1/2 holds exactly and delta = 1/(2*epsilon) is
     a hair above the optimum.
     """
     if not 0 < tolerance < math.inf:
@@ -138,7 +116,7 @@ def solve_optimal_delta(tolerance: float = 1e-9) -> BoundConstants:
             lo = mid
         else:
             hi = mid
-    return BoundConstants.from_epsilon(lo)
+    return lo, 1.0 / (2.0 * lo)
 
 
 def urner_bound(d: int) -> float:

@@ -112,7 +112,7 @@ def _cmd_search(args) -> int:
         samples = _SAMPLES if args.samples is None else args.samples
         seed = _SEED if args.seed is None else args.seed
         stream = random_space_stream(args.n, args.size, samples, seed)
-        result = ratio_search(stream, samples, jobs=args.jobs)
+        result = ratio_search(stream, jobs=args.jobs)
     _emit(result.to_dict())
     return 2 if result.conjecture_violated else 0
 
@@ -134,12 +134,12 @@ def _cmd_bounds(args) -> int:
         )
         return 0
     tol = _TOL if args.tol is None else args.tol
-    constants = solve_optimal_delta(tol)
+    epsilon, delta = solve_optimal_delta(tol)
     _emit(
         {
-            "epsilon": constants.epsilon,
-            "delta": constants.delta,
-            "entropy_at_epsilon": binary_entropy(constants.epsilon),
+            "epsilon": epsilon,
+            "delta": delta,
+            "entropy_at_epsilon": binary_entropy(epsilon),
             "tolerance": tol,
         }
     )

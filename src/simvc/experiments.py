@@ -7,13 +7,16 @@ partitions), the ratio between them, and whether both sides of the
 rather than asserts, so a hypothetical counterexample is captured instead of
 crashed on.
 
-``ratio_search`` drives verify over a space stream and tracks the maximum
-d_sim / d, probing the conjecture that the true upper factor is 2.  Streams
-are processed in chunks by a worker pool; results are folded in stream
-order, so the outcome is independent of the worker count.  ``run_report``
-shares that ordered map.  ``exhaustive_search`` gives the result
-``ratio_search`` would give over ``enumerate_spaces(n)``, measuring one
+``verify_theorem`` is the only per-space job.  ``ratio_search`` maps it over
+a space stream and keeps the first maximum of the reports' d_sim / d,
+probing the conjecture that the true upper factor is 2; the stream's own
+length is the length of the search.  ``exhaustive_search`` gives the result
+``ratio_search`` would give over ``enumerate_spaces(n)``, verifying one
 space per symmetry orbit (``exhaustive_orbits``) and counting every space.
+``run_report`` writes the reports themselves.  All three share one ordered
+map: in-process at one job, otherwise a fork pool of at most one worker per
+CPU fed in chunks, with results in stream order, so the outcome does not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from __future__ import annotations
 import csv
 import json
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, tee
+from itertools import islice, starmap, tee
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .bounds import theorem_bounds, urner_bound
@@ -160,10 +164,6 @@ class RatioSearchResult:
         }
 
 
-def _dims_job(space: HypothesisSpace) -> "tuple[int, int]":
-    return vc_exact(space)[0], lifted_vc(space)[0]
-
-
 def _chunks(stream: Iterator, size: int) -> Iterator[list]:
     while True:
         batch = list(islice(stream, size))
@@ -172,43 +172,44 @@ def _chunks(stream: Iterator, size: int) -> Iterator[list]:
         yield batch
 
 
-def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
-    """``fn`` over ``items`` in input order: in-process for one job, else a fork pool.
+def _ordered_map(fn: Callable, arg_tuples: Iterable[tuple], jobs: int) -> Iterator:
+    """``fn(*args)`` for each tuple in ``arg_tuples``, in input order.
 
-    ``jobs`` is checked before any worker starts.  The pool takes the
-    stream in chunks of ``_CHUNK``, so it never holds all of it at once.
+    One job runs in-process; more run in a fork pool of at most one worker
+    per CPU.  ``jobs`` is checked before any worker starts.  The pool takes
+    the stream in chunks of ``_CHUNK``, so it never holds all of it at once.
     """
     if jobs < 1:
         raise SimvcError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1:
-        return map(fn, items)
+        return starmap(fn, arg_tuples)
 
     def pooled() -> Iterator:
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            for batch in _chunks(iter(items), _CHUNK):
-                yield from pool.map(fn, batch)
+        workers = min(jobs, os.cpu_count() or 1)
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            for batch in _chunks(iter(arg_tuples), _CHUNK):
+                yield from pool.starmap(fn, batch)
 
     return pooled()
 
 
-def _fold_max_ratio(
-    dims: Iterable["tuple[int, int]"], weighted: Iterable["tuple[HypothesisSpace, int]"]
+def _max_ratio(
+    weighted: Iterable["tuple[HypothesisSpace, int]"], jobs: int
 ) -> RatioSearchResult:
-    """First maximum of d_sim / d over ``(d, d_sim)`` paired with ``(space, count)``.
+    """First maximum of the reports' d_sim / d over ``(space, count)`` pairs.
 
-    ``count`` is how many spaces the measured one stands for.  ``dims``
-    comes first in zip so that it runs to its end and closes any pool.
+    Each space is verified once; ``count`` is how many spaces it stands for.  The reports
+    come first in zip so that their map runs to its end and closes any pool.
     """
+    weighted, to_workers = tee(weighted)
+    reports = _ordered_map(verify_theorem, ((space,) for space, _ in to_workers), jobs)
     best: Optional[Fraction] = None
     argmax: Optional[HypothesisSpace] = None
     examined = 0
-    for (d, d_sim), (space, count) in zip(dims, weighted):
+    for report, (space, count) in zip(reports, weighted):
         examined += count
-        if d < 1:
-            continue
-        ratio = Fraction(d_sim, d)
-        if best is None or ratio > best:
-            best = ratio
+        if report.ratio is not None and (best is None or report.ratio > best):
+            best = report.ratio
             argmax = space
     return RatioSearchResult(
         max_ratio=best,
@@ -218,20 +219,13 @@ def _fold_max_ratio(
     )
 
 
-def ratio_search(
-    spaces: Iterable[HypothesisSpace], budget: int, jobs: int = 1
-) -> RatioSearchResult:
-    """Maximum d_sim / d over up to ``budget`` spaces with d >= 1.
+def ratio_search(spaces: Iterable[HypothesisSpace], jobs: int = 1) -> RatioSearchResult:
+    """Maximum d_sim / d over the spaces of the stream with d >= 1.
 
     The argmax is the first space in stream order attaining the maximum;
     spaces with d = 0 force d_sim = 0 and are excluded from the ratio.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    stream, to_workers = tee(islice(iter(spaces), budget))
-    return _fold_max_ratio(
-        _ordered_map(_dims_job, to_workers, jobs), ((space, 1) for space in stream)
-    )
+    return _max_ratio(((space, 1) for space in spaces), jobs)
 
 
 def exhaustive_search(n: int, jobs: int = 1) -> RatioSearchResult:
@@ -241,16 +235,9 @@ def exhaustive_search(n: int, jobs: int = 1) -> RatioSearchResult:
     ``enumerate_spaces`` order, so the argmax is the same first space the
     full stream would give; ``spaces_examined`` counts every space.
     """
-    orbits, to_workers = tee(exhaustive_orbits(n))
-    spaces = (space for space, _ in to_workers)
-    result = _fold_max_ratio(_ordered_map(_dims_job, spaces, jobs), orbits)
+    result = _max_ratio(exhaustive_orbits(n), jobs)
     assert result.spaces_examined == (1 << (1 << n)) - 1
     return result
-
-
-def _verify_job(item: "tuple[Union[FamilySpec, str], HypothesisSpace]") -> BoundReport:
-    spec, space = item
-    return verify_theorem(space, family_spec=spec)
 
 
 def _write_csv(out: TextIO, reports: Iterable[BoundReport], include_timing: bool) -> int:
@@ -288,8 +275,8 @@ def run_report(
     """
     if output_format not in ("csv", "jsonl"):
         raise SimvcError(f"unknown report format {output_format!r}")
-    pairs = ((spec, space) for spec in specs for space in spaces_for(spec))
-    reports = _ordered_map(_verify_job, pairs, jobs)
+    pairs = ((space, spec) for spec in specs for space in spaces_for(spec))
+    reports = _ordered_map(verify_theorem, pairs, jobs)
     with open(output_path, "w", encoding="utf-8", newline="") as out:
         if output_format == "csv":
             return _write_csv(out, reports, include_timing)

@@ -5,7 +5,8 @@ so that seeds mean the same thing in any reimplementation.  A random space
 of a given size draws 64-bit values, keeps the low n bits (exactly uniform,
 since 2^n divides 2^64) and collects distinct labellings until the requested
 size is reached.  Streams derive the i-th space's seed from the i-th output
-of SplitMix64 run on the base seed.
+of SplitMix64 run on the base seed.  Seeds are the 64-bit values
+0..2^64-1; any other seed is an input error rather than an alias.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ class FamilySpec:
             if self.size is None or self.seed is None:
                 raise SimvcError("random requires size and seed")
             _check_size(self.n, self.size)
+            _check_seed(self.seed)
 
     def to_dict(self) -> dict:
         doc = {"family": self.kind, "n": self.n}
@@ -134,6 +136,12 @@ def _check_size(n: int, size: int) -> None:
         raise SimvcError(f"size must be in 1..2^{n}, got {size}")
 
 
+def _check_seed(seed: int) -> None:
+    # SplitMix64 reduces its seed mod 2^64, so a seed outside this range would alias
+    if not 0 <= seed <= _MASK64:
+        raise SimvcError(f"seed must be in 0..2^64-1, got {seed}")
+
+
 def k_sparse(n: int, k: int) -> HypothesisSpace:
     """All labellings of [n] with at most k ones; |H| = sum_{w<=k} C(n, w)."""
     _check_n(n)
@@ -159,6 +167,7 @@ def random_space(n: int, size: int, seed: int) -> HypothesisSpace:
     """Uniformly sampled space of ``size`` distinct hypotheses, reproducible from seed."""
     _check_n(n)
     _check_size(n, size)
+    _check_seed(seed)
     mask = (1 << n) - 1
     stream = splitmix64_stream(seed)
     chosen: set = set()
@@ -174,6 +183,7 @@ def random_space_stream(n: int, size: int, samples: int, seed: int) -> Iterator[
     """
     _check_n(n)
     _check_size(n, size)
+    _check_seed(seed)
     if samples < 1:
         raise SimvcError(f"samples must be at least 1, got {samples}")
     return _random_spaces(n, size, samples, seed)

@@ -210,7 +210,7 @@ def test_criterion_3_bound_bracket_universal(exhaustive_sweeps):
 def test_criterion_4_max_ratio_is_two(exhaustive_sweeps):
     started = time.perf_counter()
     sweep_ratios = {n: exhaustive_sweeps[n].max_ratio for n in (3, 4)}
-    search = ratio_search(enumerate_spaces(3), budget=255)
+    search = ratio_search(enumerate_spaces(3))
     # the orbit search must reproduce the per-space n=4 sweep
     orbit_search = exhaustive_search(4)
     counterexamples = []
@@ -335,16 +335,16 @@ def test_criterion_8_bounds_math():
         if not entropy_sum_holds(n, i / 100).holds
     ]
     entropy_ok = binary_entropy(0.11) < 0.5
-    constants = solve_optimal_delta(1e-9)
-    eps_ok = abs(constants.epsilon - 0.1100) <= 1e-4
-    delta_ok = 4.54 < constants.delta < 4.55
+    epsilon, delta = solve_optimal_delta(1e-9)
+    eps_ok = abs(epsilon - 0.1100) <= 1e-4
+    delta_ok = 4.54 < delta < 4.55
     ok = not grid_failures and entropy_ok and eps_ok and delta_ok
     _line(
         8,
         ok,
         f"binomial-tail inequality exact on 20x49 grid ({len(grid_failures)} failures); "
-        f"H(0.11)={binary_entropy(0.11):.6f} < 1/2; eps*={constants.epsilon:.6f} "
-        f"(0.1100 +/- 1e-4), delta*={constants.delta:.6f} in (4.54, 4.55)",
+        f"H(0.11)={binary_entropy(0.11):.6f} < 1/2; eps*={epsilon:.6f} "
+        f"(0.1100 +/- 1e-4), delta*={delta:.6f} in (4.54, 4.55)",
         started,
     )
     assert ok

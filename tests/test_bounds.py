@@ -1,13 +1,13 @@
 """Closed-form bound arithmetic."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from simvc import (
-    BoundConstants,
     SimvcError,
     binary_entropy,
     binom_partial_sum,
@@ -50,6 +50,16 @@ class TestSauer:
     def test_invalid_query(self):
         with pytest.raises(SimvcError, match=r"space_size 17 exceeds 2\^4 possible hypotheses"):
             sauer_guaranteed_vc(17, 4)
+
+    def test_wide_domain_builds_no_power_of_two(self):
+        # 2^(10^8) alone would take 12.5 MB
+        tracemalloc.start()
+        try:
+            assert sauer_guaranteed_vc(3, 10**8) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @given(st.integers(0, 12), st.data())
     @settings(max_examples=80, deadline=None)
@@ -132,26 +142,21 @@ class TestTheoremBounds:
 
 class TestOptimalDelta:
     def test_solution(self):
-        constants = solve_optimal_delta(1e-9)
-        assert constants.epsilon == pytest.approx(0.110028, abs=1e-5)
-        assert abs(binary_entropy(constants.epsilon) - 0.5) <= 1e-8
-        assert 4.54 < constants.delta < 4.55
-        assert constants.delta == 1.0 / (2.0 * constants.epsilon)
+        epsilon, delta = solve_optimal_delta(1e-9)
+        assert epsilon == pytest.approx(0.110028, abs=1e-5)
+        assert binary_entropy(epsilon) < 0.5
+        assert abs(binary_entropy(epsilon) - 0.5) <= 1e-8
+        assert 4.54 < delta < 4.55
+        assert delta == 1.0 / (2.0 * epsilon)
 
     def test_rounded_constant_is_valid_and_near_optimal(self):
         # 1/(2 * 0.11) = 4.5454... rounds up to 4.55, and the optimum is below it
         assert 1.0 / (2.0 * 0.11) == pytest.approx(4.5454, abs=1e-3)
-        assert solve_optimal_delta(1e-9).delta < 4.55
+        assert solve_optimal_delta(1e-9)[1] < 4.55
 
     def test_tolerance_must_be_positive(self):
         with pytest.raises(SimvcError, match="tolerance must be positive"):
             solve_optimal_delta(0.0)
-
-    def test_constants_validation(self):
-        with pytest.raises(SimvcError, match=r"epsilon 0.6 outside \(0, 1/2\)"):
-            BoundConstants.from_epsilon(0.6)
-        with pytest.raises(ValueError):
-            BoundConstants.from_epsilon(0.4)  # H(0.4) > 1/2
 
 
 class TestUrnerBound:

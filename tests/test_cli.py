@@ -37,6 +37,26 @@ EXHAUSTIVE_N4_OUTPUT = """\
 """
 
 
+RANDOM_N4_SIZE6_OUTPUT = """\
+{
+  "max_ratio": "1",
+  "argmax_space": {
+    "domain_size": 4,
+    "hypotheses": [
+      "0010",
+      "0111",
+      "1001",
+      "1010",
+      "1011",
+      "1101"
+    ]
+  },
+  "spaces_examined": 25,
+  "conjecture_violated": false
+}
+"""
+
+
 LIFTED_K_SPARSE_5_2_COMPUTE = """\
 {
   "d": 4,
@@ -218,15 +238,14 @@ class TestSearch:
         assert doc["conjecture_violated"] is False
 
     def test_random_mode(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "search", "--mode", "random", "--n", "4", "--size", "6",
-            "--samples", "25", "--seed", "11", "--jobs", "2",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["spaces_examined"] == 25
-        assert doc["argmax_space"] is not None
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(
+                capsys,
+                "search", "--mode", "random", "--n", "4", "--size", "6",
+                "--samples", "25", "--seed", "11", "--jobs", jobs,
+            )
+            assert code == 0
+            assert out == RANDOM_N4_SIZE6_OUTPUT
 
     def test_jobs_below_one_is_input_error(self, capsys):
         code, out, err = run_cli(
@@ -243,6 +262,17 @@ class TestSearch:
         assert code == 1
         assert out == ""
         assert err == "vc: error: samples must be at least 1, got 0\n"
+
+    def test_seed_outside_64_bits_is_input_error(self, capsys):
+        # SplitMix64 would reduce -1 to 2^64-1 and print that seed's result
+        code, out, err = run_cli(
+            capsys,
+            "search", "--mode", "random", "--n", "4", "--size", "5",
+            "--samples", "3", "--seed", "-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "vc: error: seed must be in 0..2^64-1, got -1\n"
 
     def test_exhaustive_rejects_random_flags(self, capsys):
         code, out, err = run_cli(
@@ -434,6 +464,18 @@ class TestReport:
         assert code == 1
         assert stdout == ""
         assert err == "vc: error: n must be in 1..24, got 99\n"
+        assert not out.exists()
+
+    def test_seed_outside_64_bits_writes_no_file(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([{"family": "random", "n": 4, "size": 6, "seed": 2**64}]))
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(
+            capsys, "report", "--spec", str(spec), "--format", "csv", "--out", str(out)
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err == f"vc: error: seed must be in 0..2^64-1, got {2**64}\n"
         assert not out.exists()
 
     def test_jobs_below_one_is_input_error(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import starmap
 
 import pytest
 
@@ -69,46 +70,66 @@ class TestRatioSearch:
     def test_exhaustive_n2(self):
         # by hand: no pair of pair-columns exists over n=2, so d_sim <= 1;
         # {00, 01} attains d = 1, d_sim = 1
-        result = ratio_search(enumerate_spaces(2), budget=15)
+        result = ratio_search(enumerate_spaces(2))
         assert result.max_ratio == Fraction(1)
         assert result.spaces_examined == 15
         assert not result.conjecture_violated
 
     def test_exhaustive_n3(self):
-        result = ratio_search(enumerate_spaces(3), budget=255)
+        result = ratio_search(enumerate_spaces(3))
         assert result.max_ratio == Fraction(2)
         assert result.spaces_examined == 255
         assert not result.conjecture_violated
 
     def test_full_cube_stream(self):
-        result = ratio_search((full_cube(n) for n in range(2, 6)), budget=4)
+        result = ratio_search(full_cube(n) for n in range(2, 6))
         assert result.max_ratio == Fraction(4, 5)
         assert result.argmax_space == full_cube(5)
 
     def test_k_sparse_stream_reaches_two(self):
         stream = [full_cube(2), k_sparse(5, 2), full_cube(3)]
-        result = ratio_search(iter(stream), budget=3)
+        result = ratio_search(iter(stream))
         assert result.max_ratio == Fraction(2)
         assert result.argmax_space == k_sparse(5, 2)
 
-    def test_budget_truncates(self):
-        result = ratio_search(enumerate_spaces(3), budget=10)
-        assert result.spaces_examined == 10
-
-    def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ratio_search(enumerate_spaces(2), budget=0)
-
     def test_jobs_do_not_change_result(self):
         stream = lambda: random_space_stream(5, 8, 40, 31337)
-        serial = ratio_search(stream(), budget=40)
-        parallel = ratio_search(stream(), budget=40, jobs=4)
+        serial = ratio_search(stream())
+        parallel = ratio_search(stream(), jobs=4)
         assert serial == parallel
         # 255 spaces span two pool chunks; the argmax must still be the first
-        serial = ratio_search(enumerate_spaces(3), budget=255)
-        parallel = ratio_search(enumerate_spaces(3), budget=255, jobs=2)
+        serial = ratio_search(enumerate_spaces(3))
+        parallel = ratio_search(enumerate_spaces(3), jobs=2)
         assert serial == parallel
         assert serial.argmax_space is not None
+
+    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch):
+        # no process starts: the fake pool records its size and maps in process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, workers):
+                sizes.append(workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, batch):
+                return list(starmap(fn, batch))
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr("simvc.experiments.multiprocessing.get_context", lambda _: FakeContext)
+        expected = ratio_search(enumerate_spaces(2))
+        monkeypatch.setattr("simvc.experiments.os.cpu_count", lambda: 2)
+        assert ratio_search(enumerate_spaces(2), jobs=10**6) == expected
+        monkeypatch.setattr("simvc.experiments.os.cpu_count", lambda: None)
+        assert ratio_search(enumerate_spaces(2), jobs=3) == expected
+        assert sizes == [2, 1]
 
     def test_oracle_recomputation_n3(self):
         # same maximum through the naive oracle on base and lifted spaces
@@ -121,10 +142,10 @@ class TestRatioSearch:
             ratio = Fraction(d_sim, d)
             if best is None or ratio > best:
                 best = ratio
-        assert best == ratio_search(enumerate_spaces(3), budget=255).max_ratio
+        assert best == ratio_search(enumerate_spaces(3)).max_ratio
 
     def test_result_dict_shape(self):
-        doc = ratio_search(enumerate_spaces(2), budget=15).to_dict()
+        doc = ratio_search(enumerate_spaces(2)).to_dict()
         assert set(doc) == {
             "max_ratio",
             "argmax_space",
@@ -138,7 +159,7 @@ class TestExhaustiveSearch:
         # one measurement per orbit, same result as measuring every space
         for n in (1, 2, 3):
             total = (1 << (1 << n)) - 1
-            expected = ratio_search(enumerate_spaces(n), total)
+            expected = ratio_search(enumerate_spaces(n))
             assert expected.spaces_examined == total
             for jobs in (1, 2):
                 assert exhaustive_search(n, jobs=jobs) == expected

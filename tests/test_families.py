@@ -88,6 +88,17 @@ class TestRandomSpace:
         with pytest.raises(SimvcError, match=r"size must be in 1\.\.2\^3, got 0"):
             random_space(3, 0, 0)
 
+    def test_seed_outside_64_bits_is_rejected(self):
+        # SplitMix64 reduces its seed mod 2^64, so these would alias seeds 2^64-1 and 0
+        for seed in (-1, 1 << 64):
+            message = rf"^seed must be in 0\.\.2\^64-1, got {seed}$"
+            with pytest.raises(SimvcError, match=message):
+                random_space(3, 2, seed)
+            with pytest.raises(SimvcError, match=message):
+                random_space_stream(3, 2, 1, seed)
+            with pytest.raises(SimvcError, match=message):
+                FamilySpec("random", 3, size=2, seed=seed)
+
     def test_stream_is_reproducible(self):
         a = list(random_space_stream(5, 6, 10, 99))
         b = list(random_space_stream(5, 6, 10, 99))
