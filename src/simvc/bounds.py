@@ -39,12 +39,14 @@ def sauer_guaranteed_vc(space_size: int, domain_size: int) -> int:
         raise SimvcError(
             f"space_size {space_size} exceeds 2^{domain_size} possible hypotheses"
         )
-    best = 0
-    m = 1
-    while m <= domain_size + 1 and space_size > binom_partial_sum(domain_size, m - 1):
-        best = m
+    # below = sum_{k<=m} C(domain_size, k), one running sum; it reaches
+    # 2^domain_size >= space_size at m = domain_size, which ends the loop
+    m, term, below = 0, 1, 1
+    while space_size > below:
         m += 1
-    return best
+        term = term * (domain_size - m + 1) // m
+        below += term
+    return m
 
 
 def binary_entropy(eps: float) -> float:

@@ -1,17 +1,18 @@
 """Exact VC-dimension computation.
 
-The search is bottom-up and level-wise.  Shattered sets are closed under
-taking subsets, so every shattered set of size m extends a shattered set of
-size m-1: level m candidates are generated from the level m-1 frontier the
-way frequent-itemset miners generate candidates (extend by a larger element,
-require every (m-1)-subset to be on the frontier).  Each candidate is
-checked by splitting the hypothesis set on one column at a time and bailing
-out on the first one-sided split.  Candidates come out in lexicographic
-order, so the first set of the top level is the witness.  ``vc_exact``
-returns ``(d, subset)`` and re-checks the witness with ``is_shattered``.
+The search is depth-first.  Shattered sets are closed under taking subsets,
+so every shattered set extends a shattered set one smaller, and the search
+grows sets one element at a time, trying elements in increasing order.  A
+shattered set's columns cut the hypothesis set into 2^m nonempty groups;
+adding an element splits each group by its column, and the extension is
+abandoned at the first one-sided split.  Sets are visited in lexicographic
+preorder and the best set is replaced only by a strictly longer one, so the
+witness is the lexicographically smallest maximum shattered set.
+``vc_exact`` returns ``(d, subset)`` and re-checks the witness with
+``is_shattered``.
 
-The lifted dimension does not run through this search; see
-``similarity.lifted_vc``, which reuses the column and split helpers here.
+``similarity.lifted_vc`` runs the same search over pair columns, extending
+only by pairs that keep a min-centred star forest.
 
 ``vc_naive`` is an independent brute-force oracle: it tests every one of the
 2^n subsets with a plain projection count and exists solely to cross-check
@@ -40,22 +41,6 @@ def _columns(rows: Iterable[int], width: int) -> "list[int]":
     return cols
 
 
-def _shatters(cols: Sequence[int], full: int, subset: Sequence[int]) -> bool:
-    """Split the hypothesis set column by column; shattered iff no split is one-sided."""
-    groups = [full]
-    for e in subset:
-        col = cols[e]
-        nxt = []
-        for g in groups:
-            a = g & col
-            if a == 0 or a == g:
-                return False
-            nxt.append(a)
-            nxt.append(g ^ a)
-        groups = nxt
-    return True
-
-
 Extensions = Callable[["tuple[int, ...]"], Iterable[int]]
 
 
@@ -64,56 +49,52 @@ def _larger(domain_size: int) -> Extensions:
     return lambda s: range(s[-1] + 1 if s else 0, domain_size)
 
 
-def _candidates(
-    frontier: "list[tuple[int, ...]]", m: int, extensions: Extensions
-) -> "list[tuple[int, ...]]":
-    """Extend frontier sets by each element ``extensions`` yields (all larger
-    than the set's last); prune candidates with a non-shattered (m-1)-subset.
-    Output inherits the frontier's sorted order."""
-    prev = set(frontier)
-    out = []
-    for s in frontier:
-        for e in extensions(s):
-            c = s + (e,)
-            # dropping the last element gives s itself, already known shattered
-            for t in range(m - 1):
-                if c[:t] + c[t + 1 :] not in prev:
-                    break
-            else:
-                out.append(c)
-    return out
-
-
-def _top_level(
-    cols: Sequence[int], full: int, limit: int, extensions: Extensions
+def _largest(
+    cols: Sequence[int],
+    groups: "list[int]",
+    chosen: "tuple[int, ...]",
+    limit: int,
+    extensions: Extensions,
 ) -> "tuple[int, ...]":
-    """Level-wise search up to size ``limit``; the first set of the top level.
+    """The first longest shattered set, in preorder, that extends ``chosen``.
 
-    The family the extensions generate must be downward closed, so that
-    every shattered member extends a shattered member one smaller.
+    ``chosen`` is shattered and ``groups`` are the hypothesis groups its
+    columns cut the hypothesis set into.  Each extension splits every group
+    by one new column and is abandoned at the first one-sided split.  The
+    search stops as soon as it holds a set of size ``limit``.
     """
-    best: "tuple[int, ...]" = ()
-    frontier = [()]
-    for m in range(1, limit + 1):
-        level = [c for c in _candidates(frontier, m, extensions) if _shatters(cols, full, c)]
-        if not level:
-            break
-        frontier = level
-        best = frontier[0]
+    best = chosen
+    if len(chosen) == limit:
+        return best
+    for e in extensions(chosen):
+        col = cols[e]
+        split = []
+        for g in groups:
+            a = g & col
+            if a == 0 or a == g:
+                break
+            split.append(a)
+            split.append(g ^ a)
+        else:
+            found = _largest(cols, split, chosen + (e,), limit, extensions)
+            if len(found) > len(best):
+                best = found
+                if len(best) == limit:
+                    break
     return best
 
 
 def vc_exact(space: HypothesisSpace) -> "tuple[int, Subset]":
     """d = vc(H) with its witness subset, the shape ``lifted_vc`` returns.
 
-    Uses the a-priori bound dimension <= floor(log2 |H|) and hereditary
-    level-wise pruning.  The witness is the lexicographically smallest
-    maximum shattered subset.
+    The depth-first search stops at the a-priori bound
+    dimension <= floor(log2 |H|).  The witness is the lexicographically
+    smallest maximum shattered subset.
     """
     cols = _columns(space.hypotheses, space.domain_size)
     count = len(space.hypotheses)
     limit = min(space.domain_size, count.bit_length() - 1)
-    best = _top_level(cols, (1 << count) - 1, limit, _larger(space.domain_size))
+    best = _largest(cols, [(1 << count) - 1], (), limit, _larger(space.domain_size))
     assert is_shattered(space, best)
     return len(best), best
 

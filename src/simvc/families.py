@@ -208,14 +208,15 @@ def enumerate_spaces(n: int) -> Iterator[HypothesisSpace]:
     """Every nonempty space over [n] exactly once, in a deterministic order.
 
     Spaces are subsets of the lexicographically sorted cube, counted in
-    binary: mask bit i selects cube hypothesis i.
+    binary: mask bit i selects cube hypothesis i.  ``n`` is checked at the
+    call.
     """
     _check_enumeration_n(n)
     cube = full_cube(n).hypotheses
-    count = len(cube)
-    for mask in range(1, 1 << count):
-        picked = tuple(cube[i] for i in range(count) if (mask >> i) & 1)
-        yield HypothesisSpace(n, picked)
+    return (
+        HypothesisSpace(n, tuple(h for i, h in enumerate(cube) if (mask >> i) & 1))
+        for mask in range(1, 1 << len(cube))
+    )
 
 
 def exhaustive_orbits(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:

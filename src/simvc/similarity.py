@@ -14,12 +14,12 @@ with exactly one 0-edge would connect two vertices by both an all-equal path
 and a one-flip path.  The edge labellings of a forest are the vertex
 labellings of its endpoints up to flipping each tree, so whether a forest is
 shattered depends only on how its vertices split into trees.  ``lifted_vc``
-therefore searches one forest per vertex partition: the min-centred star
-forest, which joins every block to its smallest vertex, and re-checks its
-witness with ``is_shattered`` on the lifted space.  ``forest_components``
-splits a pair graph into its trees in one union-find pass (None when it has
-a cycle), and ``balanced_labelling`` labels half of each tree 1, the
-labelling used to bound sparse families.
+therefore runs the engine's depth-first search over one forest per vertex
+partition: the min-centred star forest, which joins every block to its
+smallest vertex.  It re-checks its witness with ``is_shattered`` on the
+lifted space.  ``forest_components`` splits a pair graph into its trees in
+one union-find pass (None when it has a cycle), and ``balanced_labelling``
+labels half of each tree 1, the labelling used to bound sparse families.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .engine import Extensions, _columns, _top_level
+from .engine import Extensions, _columns, _largest
 from .errors import SimvcError
 from .space import HypothesisSpace, _canonical_space, is_shattered
 
@@ -200,13 +200,14 @@ def _star_extensions(pairs: "Sequence[Pair]") -> Extensions:
 def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
     """d_sim = vc(lift(H)) with its witness pairs; (0, ()) when n < 2.
 
-    A level-wise search over min-centred star forests: unions of
+    A depth-first search over min-centred star forests: unions of
     vertex-disjoint stars, each centred at its block's smallest vertex.
-    There is one per vertex partition and the family is downward closed, so
-    the usual hereditary pruning applies.  Within a partition the star union
-    is the lexicographically smallest spanning forest, so the witness -- the
-    smallest rank set on the top level -- is the lexicographically smallest
-    maximum shattered pair set of the whole lifted space.
+    There is one per vertex partition, and dropping a star forest's last
+    rank leaves one, so the search reaches each of them.  Within a partition
+    the star union is the lexicographically smallest spanning forest, so the
+    witness -- the smallest rank set of maximum size -- is the
+    lexicographically smallest maximum shattered pair set of the whole
+    lifted space.
     """
     n = space.domain_size
     if n < 2:
@@ -220,6 +221,6 @@ def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
     pair_cols = [cols[a] ^ cols[b] for a, b in pairs]
     # a forest over n vertices has at most n - 1 edges
     limit = min(n - 1, len(rows).bit_length() - 1)
-    best = _top_level(pair_cols, (1 << len(rows)) - 1, limit, _star_extensions(pairs))
+    best = _largest(pair_cols, [(1 << len(rows)) - 1], (), limit, _star_extensions(pairs))
     assert is_shattered(lift_space(space), best)
     return len(best), tuple(pairs[r] for r in best)

@@ -1,6 +1,27 @@
+import os
+import subprocess
+import sys
+
 from hypothesis import strategies as st
 
 from simvc import make_space
+
+
+def module_env():
+    """Environment for a child Python that imports simvc from this checkout."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def run_python(code, timeout):
+    """Stdout of ``code`` run in a child Python; a slow or failing child fails the test."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=module_env(), timeout=timeout, check=True,
+    )
+    return proc.stdout
 
 
 @st.composite

@@ -18,6 +18,8 @@ from simvc import (
     urner_bound,
 )
 
+from conftest import run_python
+
 
 class TestBinomPartialSum:
     def test_examples(self):
@@ -60,6 +62,12 @@ class TestSauer:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_answer_in_one_pass(self):
+        # C(4000, k) summed to k = 1999 is just below 2^3999; recomputing the
+        # partial sum at every step takes minutes here, so run it in a child
+        code = "from simvc import sauer_guaranteed_vc; print(sauer_guaranteed_vc(2**3999, 4000))"
+        assert run_python(code, timeout=60) == "2000\n"
 
     @given(st.integers(0, 12), st.data())
     @settings(max_examples=80, deadline=None)

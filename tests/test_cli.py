@@ -12,6 +12,8 @@ import pytest
 from simvc import RatioSearchResult, binary_entropy, full_cube, k_sparse, space_to_dict
 from simvc.cli import main
 
+from conftest import module_env
+
 
 def write_space(path, space, **extra):
     doc = space_to_dict(space, **extra)
@@ -94,14 +96,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def module_env():
-    """Environment for a ``python -m simvc`` child that imports simvc from this checkout."""
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return env
 
 
 def run_module(*argv, timeout=None):

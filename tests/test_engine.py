@@ -1,5 +1,7 @@
 """Exact engine vs the brute-force oracle."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +11,10 @@ from simvc import (
     full_cube,
     is_shattered,
     k_sparse,
+    lift_space,
+    lifted_vc,
     make_space,
+    pair_domain,
     random_space,
     restrict,
     sauer_guaranteed_vc,
@@ -18,7 +23,7 @@ from simvc import (
     vc_naive,
 )
 
-from conftest import spaces, subsets_of
+from conftest import run_python, spaces, subsets_of
 
 
 class TestVcExact:
@@ -99,3 +104,55 @@ class TestEngineInvariants:
         assert len(subset) == d
         assert is_shattered(space, subset)
         assert len(restrict(space, subset)) == 1 << d
+
+
+def first_maximum(space):
+    """The first largest shattered subset in lexicographic order, by brute force."""
+    for m in range(space.domain_size, -1, -1):
+        for subset in combinations(range(space.domain_size), m):
+            if is_shattered(space, subset):
+                return m, subset
+
+
+def _oracle_spaces(max_n, count, seed):
+    """Every space with n <= 3, then ``count`` seeded random spaces with 2 <= n <= max_n."""
+    for n in (1, 2, 3):
+        yield from enumerate_spaces(n)
+    rng = splitmix64_stream(seed)
+    for _ in range(count):
+        n = 2 + next(rng) % (max_n - 1)
+        yield random_space(n, 1 + next(rng) % min(1 << n, 40), next(rng))
+
+
+class TestWitnessOracle:
+    """Both witnesses against ``first_maximum``, which never calls the engine."""
+
+    def test_vc_exact(self):
+        for space in _oracle_spaces(8, 200, 77):
+            assert vc_exact(space) == first_maximum(space)
+
+    def test_lifted_vc(self):
+        # the pair ranks of n <= 5 give at most 10 columns
+        for space in _oracle_spaces(5, 200, 78):
+            if space.domain_size < 2:
+                continue
+            d, ranks = first_maximum(lift_space(space))
+            pairs = pair_domain(space.domain_size)
+            assert lifted_vc(space) == (d, tuple(pairs[r] for r in ranks))
+
+
+class TestSearchBound:
+    def test_full_cube_stops_at_the_log2_bound(self):
+        # every set of the 12-cube is shattered; a search that looks past the
+        # first set of size limit takes minutes, so run it in a child
+        code = (
+            "from simvc import full_cube, lifted_vc, vc_exact\n"
+            "cube = full_cube(12)\n"
+            "print(vc_exact(cube))\n"
+            "print(lifted_vc(cube))\n"
+        )
+        lines = run_python(code, timeout=60).splitlines()
+        assert lines == [
+            repr((12, tuple(range(12)))),
+            repr((11, tuple((0, j) for j in range(1, 12)))),
+        ]

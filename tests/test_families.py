@@ -149,6 +149,12 @@ class TestEnumerateSpaces:
         with pytest.raises(SimvcError, match="exhaustive enumeration caps at n = 4, got 5"):
             next(enumerate_spaces(5))
 
+    def test_domain_is_checked_at_the_call(self):
+        with pytest.raises(SimvcError, match="^n must be at least 1, got 0$"):
+            enumerate_spaces(0)
+        with pytest.raises(SimvcError, match="^exhaustive enumeration caps at n = 4, got 5$"):
+            enumerate_spaces(5)
+
 
 def _symmetry_images(space):
     """Images of ``space`` under every permutation of the domain and XOR mask, as string sets."""
