@@ -18,10 +18,17 @@ from typing import Optional, Sequence
 
 from .bounds import binary_entropy, sauer_guaranteed_vc, solve_optimal_delta
 from .engine import vc_exact, vc_naive
+from .errors import SimvcError
 from .experiments import exhaustive_search, ratio_search, run_report, verify_theorem
 from .families import FamilySpec, random_space_stream, spaces_for
 from .similarity import lift_space
-from .space import restrict, space_from_dict, space_to_dict
+from .space import (
+    DOMAIN_SIZE_CAP,
+    LOAD_DOMAIN_SIZE_CAP,
+    restrict,
+    space_from_dict,
+    space_to_dict,
+)
 
 
 #: Defaults of the flags only one mode uses; None on the parser means "not given".
@@ -39,9 +46,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_space(path: str):
+def _load_space(path: str, cap: int):
+    """Read a space file; a domain above ``cap`` is an input error.
+
+    ``compute`` reads lifted files, up to ``LOAD_DOMAIN_SIZE_CAP`` columns;
+    ``lift`` and ``verify`` lift what they read, so they take original
+    domains only, up to ``DOMAIN_SIZE_CAP``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return space_from_dict(json.load(fh))
+        space = space_from_dict(json.load(fh))
+    if space.domain_size > cap:
+        raise SimvcError(f"domain_size {space.domain_size} exceeds the supported maximum {cap}")
+    return space
 
 
 def _emit(payload: dict) -> None:
@@ -49,7 +65,7 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_compute(args) -> int:
-    space = _load_space(args.input)
+    space = _load_space(args.input, LOAD_DOMAIN_SIZE_CAP)
     if args.naive:
         _emit({"d": vc_naive(space), "witness": None})
         return 0
@@ -60,7 +76,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    space = _load_space(args.input)
+    space = _load_space(args.input, DOMAIN_SIZE_CAP)
     lifted = lift_space(space)
     doc = space_to_dict(lifted, pair_domain_of=space.domain_size)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -81,7 +97,7 @@ def _build_verify_target(args):
         if args.family is not None:
             raise ValueError("--input and --family are mutually exclusive")
         _reject_unused("--input", n=args.n, k=args.k)
-        return "file", _load_space(args.input)
+        return "file", _load_space(args.input, DOMAIN_SIZE_CAP)
     if args.family is None:
         raise ValueError("choose --family ksparse|cube or --input FILE")
     if args.n is None:

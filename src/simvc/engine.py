@@ -11,8 +11,9 @@ witness is the lexicographically smallest maximum shattered set.
 ``vc_exact`` returns ``(d, subset)`` and re-checks the witness with
 ``is_shattered``.
 
-``similarity.lifted_vc`` runs the same search over pair columns, extending
-only by pairs that keep a min-centred star forest.
+Candidates are one bitmask, taken lowest bit first; choosing element e drops
+``blocks[e]`` from it.  ``vc_exact`` blocks nothing; ``similarity.lifted_vc``
+searches pair columns and blocks pairs that would break a star forest.
 
 ``vc_naive`` is an independent brute-force oracle: it tests every one of the
 2^n subsets with a plain projection count and exists solely to cross-check
@@ -21,7 +22,7 @@ the engine.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import SimvcError
 from .space import HypothesisSpace, Subset, is_shattered
@@ -41,32 +42,29 @@ def _columns(rows: Iterable[int], width: int) -> "list[int]":
     return cols
 
 
-Extensions = Callable[["tuple[int, ...]"], Iterable[int]]
-
-
-def _larger(domain_size: int) -> Extensions:
-    """Every element above a set's largest: the extensions of plain subsets."""
-    return lambda s: range(s[-1] + 1 if s else 0, domain_size)
-
-
 def _largest(
     cols: Sequence[int],
+    blocks: Sequence[int],
     groups: "list[int]",
     chosen: "tuple[int, ...]",
+    allowed: int,
     limit: int,
-    extensions: Extensions,
 ) -> "tuple[int, ...]":
     """The first longest shattered set, in preorder, that extends ``chosen``.
 
-    ``chosen`` is shattered and ``groups`` are the hypothesis groups its
-    columns cut the hypothesis set into.  Each extension splits every group
-    by one new column and is abandoned at the first one-sided split.  The
-    search stops as soon as it holds a set of size ``limit``.
+    ``chosen`` is shattered, ``groups`` are the hypothesis groups its
+    columns cut the hypothesis set into, and ``allowed`` holds the elements
+    above its last that may extend it.  Each element e splits every group by
+    its column, is abandoned at the first one-sided split, and otherwise
+    drops ``blocks[e]`` from the candidates.  The search stops as soon as it
+    holds a set of size ``limit``.
     """
     best = chosen
     if len(chosen) == limit:
         return best
-    for e in extensions(chosen):
+    while allowed:
+        e = (allowed & -allowed).bit_length() - 1
+        allowed ^= 1 << e
         col = cols[e]
         split = []
         for g in groups:
@@ -76,7 +74,7 @@ def _largest(
             split.append(a)
             split.append(g ^ a)
         else:
-            found = _largest(cols, split, chosen + (e,), limit, extensions)
+            found = _largest(cols, blocks, split, chosen + (e,), allowed & ~blocks[e], limit)
             if len(found) > len(best):
                 best = found
                 if len(best) == limit:
@@ -94,7 +92,8 @@ def vc_exact(space: HypothesisSpace) -> "tuple[int, Subset]":
     cols = _columns(space.hypotheses, space.domain_size)
     count = len(space.hypotheses)
     limit = min(space.domain_size, count.bit_length() - 1)
-    best = _largest(cols, [(1 << count) - 1], (), limit, _larger(space.domain_size))
+    n = space.domain_size
+    best = _largest(cols, [0] * n, [(1 << count) - 1], (), (1 << n) - 1, limit)
     assert is_shattered(space, best)
     return len(best), best
 

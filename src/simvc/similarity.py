@@ -16,8 +16,9 @@ labellings of its endpoints up to flipping each tree, so whether a forest is
 shattered depends only on how its vertices split into trees.  ``lifted_vc``
 therefore runs the engine's depth-first search over one forest per vertex
 partition: the min-centred star forest, which joins every block to its
-smallest vertex.  It re-checks its witness with ``is_shattered`` on the
-lifted space.  ``forest_components`` splits a pair graph into its trees in
+smallest vertex; a chosen pair blocks the pairs touching its larger end, now
+a leaf.  It re-checks its witness with ``is_shattered`` on the lifted
+space.  ``forest_components`` splits a pair graph into its trees in
 one union-find pass (None when it has a cycle), and ``balanced_labelling``
 labels half of each tree 1, the labelling used to bound sparse families.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .engine import Extensions, _columns, _largest
+from .engine import _columns, _largest
 from .errors import SimvcError
 from .space import HypothesisSpace, _canonical_space, is_shattered
 
@@ -179,22 +180,16 @@ def balanced_labelling(pairs: Iterable[Sequence[int]], domain_size: int) -> int:
     return bits
 
 
-def _star_extensions(pairs: "Sequence[Pair]") -> Extensions:
-    """Pair ranks that keep a min-centred star forest one when added last."""
-
-    def extensions(ranks: "tuple[int, ...]") -> "list[int]":
-        leaves = 0
-        for r in ranks:
-            leaves |= 1 << pairs[r][1]
-        # Every centre so far is at most a < b, as ranks are lexicographic, so
-        # pair (a, b) keeps a star forest iff neither end is already a leaf.
-        return [
-            e
-            for e in range(ranks[-1] + 1 if ranks else 0, len(pairs))
-            if not ((leaves >> pairs[e][0]) | (leaves >> pairs[e][1])) & 1
-        ]
-
-    return extensions
+def _star_blocks(n: int) -> "list[int]":
+    """Per pair rank, the ranks choosing it rules out of a min-centred star forest."""
+    # Every centre so far is at most a < b, as ranks are lexicographic, so
+    # choosing (a, b) makes b a leaf, and no later pair may touch b.
+    pairs = pair_domain(n)
+    touching = [0] * n
+    for r, (a, b) in enumerate(pairs):
+        touching[a] |= 1 << r
+        touching[b] |= 1 << r
+    return [touching[b] for _, b in pairs]
 
 
 def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
@@ -203,7 +198,8 @@ def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
     A depth-first search over min-centred star forests: unions of
     vertex-disjoint stars, each centred at its block's smallest vertex.
     There is one per vertex partition, and dropping a star forest's last
-    rank leaves one, so the search reaches each of them.  Within a partition
+    rank leaves one, so the search, blocking by ``_star_blocks``, reaches
+    each of them.  Within a partition
     the star union is the lexicographically smallest spanning forest, so the
     witness -- the smallest rank set of maximum size -- is the
     lexicographically smallest maximum shattered pair set of the whole
@@ -221,6 +217,7 @@ def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
     pair_cols = [cols[a] ^ cols[b] for a, b in pairs]
     # a forest over n vertices has at most n - 1 edges
     limit = min(n - 1, len(rows).bit_length() - 1)
-    best = _largest(pair_cols, [(1 << len(rows)) - 1], (), limit, _star_extensions(pairs))
+    blocks = _star_blocks(n)
+    best = _largest(pair_cols, blocks, [(1 << len(rows)) - 1], (), (1 << len(pairs)) - 1, limit)
     assert is_shattered(lift_space(space), best)
     return len(best), tuple(pairs[r] for r in best)

@@ -27,8 +27,8 @@ from typing import Iterable, Sequence, Union
 
 from .errors import SimvcError
 
-#: Maximum domain size for original spaces.  Exact VC computation is
-#: exponential; this keeps supported inputs desk-scale.
+#: Maximum domain size for original spaces, the ones that get lifted.  It
+#: bounds sizes, not search time: exact VC computation is exponential.
 DOMAIN_SIZE_CAP = 24
 
 #: Maximum domain size accepted when loading a space from a file.  Equals

@@ -9,7 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from simvc import RatioSearchResult, binary_entropy, full_cube, k_sparse, space_to_dict
+from simvc import (
+    DOMAIN_SIZE_CAP,
+    LOAD_DOMAIN_SIZE_CAP,
+    RatioSearchResult,
+    binary_entropy,
+    full_cube,
+    k_sparse,
+    random_space,
+    space_to_dict,
+    splitmix64_stream,
+)
 from simvc.cli import main
 
 from conftest import module_env
@@ -18,6 +28,14 @@ from conftest import module_env
 def write_space(path, space, **extra):
     doc = space_to_dict(space, **extra)
     path.write_text(json.dumps(doc))
+    return path
+
+
+def write_wide_space(path, n, size):
+    """A seeded random space file over ``n`` <= 64 columns, beyond the families' cap."""
+    rng = splitmix64_stream(7)
+    rows = [format(next(rng) >> (64 - n), f"0{n}b") for _ in range(size)]
+    path.write_text(json.dumps({"domain_size": n, "hypotheses": rows}))
     return path
 
 
@@ -174,6 +192,24 @@ class TestLift:
         code, _, err = run_cli(capsys, "lift", "--input", str(src), "--output", str(tmp_path / "o"))
         assert code == 1
 
+    def test_widest_original_domain_feeds_compute(self, tmp_path, capsys):
+        # compute reads files up to C(24, 2) columns so that this round-trips
+        src = write_space(tmp_path / "s.json", random_space(DOMAIN_SIZE_CAP, 4, 7))
+        dst = tmp_path / "lifted.json"
+        assert run_cli(capsys, "lift", "--input", str(src), "--output", str(dst))[0] == 0
+        assert json.loads(dst.read_text())["domain_size"] == LOAD_DOMAIN_SIZE_CAP
+        code, out, err = run_cli(capsys, "compute", "--input", str(dst))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["d"] == 2
+
+    def test_domain_above_original_cap_writes_no_file(self, tmp_path, capsys):
+        src = write_wide_space(tmp_path / "s.json", DOMAIN_SIZE_CAP + 1, 4)
+        dst = tmp_path / "lifted.json"
+        code, out, err = run_cli(capsys, "lift", "--input", str(src), "--output", str(dst))
+        assert (code, out) == (1, "")
+        assert err == "vc: error: domain_size 25 exceeds the supported maximum 24\n"
+        assert not dst.exists()
+
 
 class TestVerify:
     def test_family_ksparse(self, capsys):
@@ -211,6 +247,13 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err == "vc: error: full_cube does not take k\n"
+
+    def test_input_above_original_cap_is_input_error(self, tmp_path):
+        # a 60-column space is a 1770-column lift; a hang fails on the timeout
+        path = write_wide_space(tmp_path / "s.json", 60, 16)
+        proc = run_module("verify", "--input", str(path), timeout=30)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "vc: error: domain_size 60 exceeds the supported maximum 24\n"
 
     def test_input_rejects_n_and_k(self, tmp_path, capsys):
         path = write_space(tmp_path / "s.json", full_cube(2))

@@ -26,7 +26,7 @@ from simvc import (
     vc_exact,
 )
 
-from simvc.similarity import _star_extensions
+from simvc.similarity import _star_blocks
 
 from conftest import spaces
 
@@ -280,14 +280,18 @@ def test_star_forests_are_one_per_vertex_partition():
     bell = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
     for n, count in bell.items():
         pairs = pair_domain(n)
-        extensions = _star_extensions(pairs)
-        forests, todo = [], [()]
+        blocks = _star_blocks(n)
+        # a set of ranks with the candidates that may extend it, as lifted_vc searches
+        forests, todo = [], [((), (1 << len(pairs)) - 1)]
         while todo:
-            ranks = todo.pop()
+            ranks, allowed = todo.pop()
             forests.append([pairs[r] for r in ranks])
-            todo.extend(ranks + (e,) for e in extensions(ranks))
-        blocks = {forest_components(f) for f in forests}
-        assert len(forests) == len(blocks) == count
+            for e in range(len(pairs)):
+                if allowed >> e & 1:
+                    above = allowed & -(2 << e)
+                    todo.append((ranks + (e,), above & ~blocks[e]))
+        partitions = {forest_components(f) for f in forests}
+        assert len(forests) == len(partitions) == count
         for f in forests:
             starts = {c[0] for c in forest_components(f)}
             assert all(a in starts for a, _ in f)
