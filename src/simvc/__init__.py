@@ -1,10 +1,7 @@
 """Exact-computation toolkit for VC dimensions of similarity hypothesis spaces."""
 
 from .bounds import (
-    EntropySumCheck,
     binary_entropy,
-    binom_partial_sum,
-    entropy_sum_holds,
     sauer_guaranteed_vc,
     solve_optimal_delta,
     theorem_bounds,
@@ -34,9 +31,6 @@ from .families import (
     splitmix64_stream,
 )
 from .similarity import (
-    balanced_labelling,
-    chain_witness,
-    forest_components,
     lift_hypothesis,
     lift_space,
     lifted_vc,
@@ -61,22 +55,16 @@ __all__ = [
     "CSV_COLUMNS",
     "DOMAIN_SIZE_CAP",
     "ENUMERATION_CAP",
-    "EntropySumCheck",
     "FamilySpec",
     "HypothesisSpace",
     "LOAD_DOMAIN_SIZE_CAP",
     "ORACLE_DOMAIN_CAP",
     "RatioSearchResult",
     "SimvcError",
-    "balanced_labelling",
     "binary_entropy",
-    "binom_partial_sum",
-    "chain_witness",
-    "entropy_sum_holds",
     "enumerate_spaces",
     "exhaustive_orbits",
     "exhaustive_search",
-    "forest_components",
     "full_cube",
     "is_shattered",
     "k_sparse",

@@ -1,27 +1,16 @@
 """Closed-form combinatorial bounds.
 
-Everything here is exact where it can be: binomial sums use arbitrary
-precision integers, ``theorem_bounds`` floors 4.55 d as 91 d // 20 so floor
-comparisons are unambiguous, and floor(eps * n) recovers the intended
-rational from a float before flooring.  ``solve_optimal_delta`` returns the
-float pair (epsilon, delta) behind that factor: the bisected root of
-H(epsilon) = 1/2 and delta = 1/(2 epsilon).
+``theorem_bounds`` floors 4.55 d as 91 d // 20, so floor comparisons are
+exact.  ``solve_optimal_delta`` returns the float pair (epsilon, delta)
+behind that factor: the bisected root of H(epsilon) = 1/2 and
+delta = 1/(2 epsilon).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import SimvcError
-
-
-def binom_partial_sum(n: int, m: int) -> int:
-    """Exact sum of C(n, k) for k = 0..min(m, n)."""
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be non-negative")
-    return sum(math.comb(n, k) for k in range(min(m, n) + 1))
 
 
 def sauer_guaranteed_vc(space_size: int, domain_size: int) -> int:
@@ -56,34 +45,6 @@ def binary_entropy(eps: float) -> float:
     if eps == 0.0 or eps == 1.0:
         return 0.0
     return eps * math.log2(1.0 / eps) + (1.0 - eps) * math.log2(1.0 / (1.0 - eps))
-
-
-@dataclass(frozen=True, slots=True)
-class EntropySumCheck:
-    """Both sides of the binomial-tail inequality and its truth value."""
-
-    n: int
-    eps: float
-    lhs: int
-    rhs: float
-    holds: bool
-
-
-def entropy_sum_holds(n: int, eps: float) -> EntropySumCheck:
-    """Check sum_{i<=floor(eps*n)} C(n, i) <= 2^(H(eps)*n) for 0 < eps < 1/2.
-
-    The left side is exact; floor(eps * n) is computed on the rational that
-    the float ``eps`` denotes (grid values like 0.3 are decimal fractions),
-    so the cutoff never suffers a one-ulp slip.
-    """
-    if n < 1:
-        raise SimvcError("n must be at least 1")
-    if not 0.0 < eps < 0.5:
-        raise SimvcError(f"eps {eps} outside the open interval (0, 1/2)")
-    cutoff = int(Fraction(eps).limit_denominator(10**9) * n)
-    lhs = binom_partial_sum(n, cutoff)
-    rhs = 2.0 ** (binary_entropy(eps) * n)
-    return EntropySumCheck(n, eps, lhs, rhs, lhs <= rhs)
 
 
 def theorem_bounds(d: int) -> "tuple[int, int]":

@@ -1,11 +1,12 @@
 """Command-line surface (the ``vc`` tool).
 
 Exit codes: 0 success; 1 usage or input error (a flag the chosen mode
-does not use included); 2 internal invariant breach (a bound violated or a
-ratio above 2 -- output is preserved before the nonzero exit so a
-counterexample is never lost); 141 stdout closed before the output was
-written (the status a shell gives a command killed by SIGPIPE), with
-nothing written to stderr.
+does not use included); 2 a finding: ``vc verify`` saw a side of the
+paper's bracket fail, or ``vc search`` found a ratio above 2, which is a
+result, not a fault (one space on n = 8 reaches 5/2) -- output is preserved
+before the nonzero exit so the space is never lost; 141 stdout closed
+before the output was written (the status a shell gives a command killed by
+SIGPIPE), with nothing written to stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ _TOL = 1e-9
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract reserves 2
-    # for invariant breaches, so usage errors must exit 1.
+    # for findings, so usage errors must exit 1.
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")

@@ -9,10 +9,11 @@ crashed on.
 
 ``verify_theorem`` is the only per-space job.  ``ratio_search`` maps it over
 a space stream and keeps the first maximum of the reports' d_sim / d,
-probing the conjecture that the true upper factor is 2; the stream's own
-length is the length of the search.  ``exhaustive_search`` gives the result
-``ratio_search`` would give over ``enumerate_spaces(n)``, verifying one
-space per symmetry orbit (``exhaustive_orbits``) and counting every space.
+flagging a maximum above 2 (one exists: a space on n = 8 reaches 5/2); the
+stream's own length is the length of the search.  ``exhaustive_search``
+gives the result ``ratio_search`` would give over ``enumerate_spaces(n)``,
+verifying one space per symmetry orbit (``exhaustive_orbits``) and counting
+every space.
 ``run_report`` writes the reports themselves.  All three share one ordered
 map: in-process at one job, otherwise a fork pool of at most one worker per
 CPU fed in chunks, with results in stream order, so the outcome does not

@@ -1,32 +1,23 @@
-"""The similarity lift and its pair-domain machinery.
+"""The similarity lift and the lifted VC dimension.
 
-A hypothesis h induces a labelling of pairs: a pair (w, x) is labelled 1
-exactly when h(w) = h(x).  The canonical pair domain is the set of unordered
-pairs {i < j} without the diagonal -- the two orders of a pair always carry
-identical labels and a diagonal pair is always labelled 1, so neither can
-ever contribute to a shattered set.  ``pair_domain(n)`` is that domain as a
-tuple in lexicographic order, and the one place the order is decided: a
-pair's index in it is its rank, the bit it occupies in ``lift_hypothesis``.
+A hypothesis h labels a pair (w, x) 1 exactly when h(w) = h(x).  The two
+orders of a pair always agree and a diagonal pair is always 1, so the
+canonical pair domain is the unordered pairs {i < j}.  ``pair_domain(n)`` is
+that domain in lexicographic order, and the one place the order is decided:
+a pair's index in it is its rank, the bit it occupies in ``lift_hypothesis``.
 
-Pair sets double as graphs (edges over the endpoint vertices).  A pair set
-shattered by any lifted space must be acyclic: around a cycle, a labelling
-with exactly one 0-edge would connect two vertices by both an all-equal path
-and a one-flip path.  The edge labellings of a forest are the vertex
-labellings of its endpoints up to flipping each tree, so whether a forest is
-shattered depends only on how its vertices split into trees.  ``lifted_vc``
-therefore runs the engine's depth-first search over one forest per vertex
-partition: the min-centred star forest, which joins every block to its
-smallest vertex; a chosen pair blocks the pairs touching its larger end, now
-a leaf.  It re-checks its witness with ``is_shattered`` on the lifted
-space.  ``forest_components`` splits a pair graph into its trees in
-one union-find pass (None when it has a cycle), and ``balanced_labelling``
-labels half of each tree 1, the labelling used to bound sparse families.
+A pair set shattered by a lifted space is a forest: around a cycle, a
+labelling with exactly one 0-edge would connect two vertices by both an
+all-equal path and a one-flip path.  Whether a forest is shattered depends
+only on how its vertices split into trees, so ``lifted_vc`` runs the
+engine's depth-first search over one forest per vertex partition, the
+min-centred star forest, and re-checks its witness with ``is_shattered`` on
+the lifted space.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
 
 from .engine import _columns, _largest
 from .errors import SimvcError
@@ -79,105 +70,6 @@ def lift_space(space: HypothesisSpace) -> HypothesisSpace:
         )
     m = n * (n - 1) // 2
     return _canonical_space(m, (lift_hypothesis(h, n) for h in space.hypotheses))
-
-
-def chain_witness(
-    elements: Sequence[int],
-    labels: Sequence[int],
-    start_bit: int,
-    domain_size: int,
-) -> int:
-    """Hypothesis (as an int) realizing a prescribed similarity labelling along a chain.
-
-    The value at elements[0] is ``start_bit``; it propagates down the chain,
-    kept equal across a 1-labelled pair and flipped across a 0-labelled one,
-    and is 0 everywhere outside the chain.  Restricting the lift of the
-    result to the chain's pairs reproduces ``labels``.
-    """
-    elems = list(elements)
-    if not elems:
-        raise ValueError("chain must contain at least one element")
-    if len(set(elems)) != len(elems):
-        raise SimvcError(f"chain elements must be distinct: {elems}")
-    if len(labels) != len(elems) - 1:
-        raise SimvcError(
-            f"{len(labels)} labels for a chain of {len(elems)} elements; expected {len(elems) - 1}"
-        )
-    if start_bit not in (0, 1):
-        raise ValueError("start_bit must be 0 or 1")
-    for e in elems:
-        if not 0 <= e < domain_size:
-            raise SimvcError(
-                f"chain element {e} out of range for domain of size {domain_size}"
-            )
-    bits = 0
-    val = start_bit
-    if val:
-        bits |= 1 << elems[0]
-    for lab, e in zip(labels, elems[1:]):
-        if lab not in (0, 1):
-            raise ValueError("labels must be 0 or 1")
-        val = val if lab else 1 - val
-        if val:
-            bits |= 1 << e
-    return bits
-
-
-def _root(parent: dict, x: int) -> int:
-    while x in parent:
-        x = parent[x]
-    return x
-
-
-def forest_components(
-    pairs: Iterable[Sequence[int]],
-) -> "Optional[tuple[tuple[int, ...], ...]]":
-    """Vertex sets of the pair graph's trees, or None when it has a cycle.
-
-    (a, b) and (b, a) are one edge.  Each tree is sorted and the trees are
-    ordered by smallest vertex; only endpoint vertices appear.
-    """
-    edges = set()
-    for a, b in pairs:
-        if a == b:
-            raise ValueError(f"diagonal pair ({a}, {b}) is not a valid pair")
-        if a < 0 or b < 0:
-            raise ValueError("pair endpoints must be non-negative")
-        edges.add((a, b) if a < b else (b, a))
-    parent: dict = {}
-    for a, b in edges:
-        ra, rb = _root(parent, a), _root(parent, b)
-        if ra == rb:
-            return None
-        parent[ra] = rb
-    trees: dict = {}
-    for v in {v for e in edges for v in e}:
-        trees.setdefault(_root(parent, v), []).append(v)
-    out = tuple(sorted(tuple(sorted(t)) for t in trees.values()))
-    # counting identity for forests: |V| = |E| + number of trees
-    assert sum(map(len, out)) == len(edges) + len(out)
-    return out
-
-
-def balanced_labelling(pairs: Iterable[Sequence[int]], domain_size: int) -> int:
-    """Label floor(|T|/2) vertices of each tree T 1, the rest 0.
-
-    The smallest-indexed vertices of each tree receive the 1s; vertices
-    outside every tree are 0.  Requires the pair set to be a forest.
-    """
-    trees = forest_components(pairs)
-    if trees is None:
-        raise SimvcError("pair set contains a cycle")
-    bits = 0
-    for tree in trees:
-        for v in tree:
-            if v >= domain_size:
-                raise SimvcError(
-                    f"vertex {v} out of range for domain of size {domain_size}"
-                )
-        for v in tree[: len(tree) // 2]:
-            bits |= 1 << v
-    return bits
 
 
 def _star_blocks(n: int) -> "list[int]":

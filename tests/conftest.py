@@ -1,10 +1,13 @@
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
-from simvc import make_space
+from simvc import binary_entropy, make_space
 
 
 def module_env():
@@ -22,6 +25,68 @@ def run_python(code, timeout):
         capture_output=True, text=True, env=module_env(), timeout=timeout, check=True,
     )
     return proc.stdout
+
+
+@pytest.fixture
+def five_halves_space():
+    """A space on n = 8 with d = 2 and d_sim = 5, so d_sim / d = 5/2; bit j labels element j."""
+    return make_space(8, [
+        0, 2, 34, 64, 65, 66, 67, 70, 81, 82, 86, 89, 90, 93, 94, 95, 98, 114,
+        122, 125, 126, 127, 131, 147, 159, 193, 195, 211, 219, 222, 223, 254,
+    ])
+
+
+def chain_witness(elements, labels, start_bit):
+    """Labelling (an int) that is ``start_bit`` at elements[0] and 0 off the chain.
+
+    Along the chain the value is kept across a 1-label and flipped across a
+    0-label, so the lift of the result labels the chain's pairs ``labels``.
+    """
+    val = start_bit
+    bits = val << elements[0]
+    for label, e in zip(labels, elements[1:]):
+        val ^= 1 - label
+        bits |= val << e
+    return bits
+
+
+def forest_components(pairs):
+    """Vertex sets of the pair graph's trees, or None when it has a cycle.
+
+    (a, b) and (b, a) are one edge.  Each tree is sorted and the trees are
+    ordered by smallest vertex; only endpoint vertices appear.
+    """
+    edges = {(a, b) if a < b else (b, a) for a, b in pairs}
+    parent = {}
+
+    def root(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = root(a), root(b)
+        if ra == rb:
+            return None
+        parent[ra] = rb
+    trees = {}
+    for v in {v for e in edges for v in e}:
+        trees.setdefault(root(v), []).append(v)
+    out = tuple(sorted(tuple(sorted(t)) for t in trees.values()))
+    # counting identity for forests: |V| = |E| + number of trees
+    assert sum(map(len, out)) == len(edges) + len(out)
+    return out
+
+
+def entropy_sum(n, eps):
+    """Both sides of sum_{i<=floor(eps*n)} C(n, i) <= 2^(H(eps)*n), as (lhs, rhs).
+
+    The left side is exact; floor(eps * n) is taken on the rational that the
+    float ``eps`` denotes (grid values like 0.3 are decimal fractions), so
+    the cutoff never slips by one ulp.
+    """
+    cutoff = int(Fraction(eps).limit_denominator(10**9) * n)
+    return sum(math.comb(n, k) for k in range(cutoff + 1)), 2.0 ** (binary_entropy(eps) * n)
 
 
 @st.composite

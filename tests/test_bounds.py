@@ -10,36 +10,13 @@ from hypothesis import given, settings, strategies as st
 from simvc import (
     SimvcError,
     binary_entropy,
-    binom_partial_sum,
-    entropy_sum_holds,
     sauer_guaranteed_vc,
     solve_optimal_delta,
     theorem_bounds,
     urner_bound,
 )
 
-from conftest import run_python
-
-
-class TestBinomPartialSum:
-    def test_examples(self):
-        assert binom_partial_sum(4, 1) == 5
-        assert binom_partial_sum(4, 4) == 16
-        assert binom_partial_sum(10, 3) == 176  # 1 + 10 + 45 + 120
-
-    def test_m_beyond_n_saturates(self):
-        assert binom_partial_sum(4, 9) == 16
-
-    def test_exact_for_wide_rows(self):
-        # C(64, 32) alone overflows 64 bits; the sum must stay exact
-        assert binom_partial_sum(64, 64) == 1 << 64
-
-    @given(st.integers(0, 40), st.integers(0, 40))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_direct_sum(self, n, m):
-        assert binom_partial_sum(n, m) == sum(
-            math.comb(n, k) for k in range(min(n, m) + 1)
-        )
+from conftest import entropy_sum, run_python
 
 
 class TestSauer:
@@ -75,8 +52,8 @@ class TestSauer:
         size = data.draw(st.integers(1, 1 << n))
         m = sauer_guaranteed_vc(size, n)
         if m > 0:
-            assert size > binom_partial_sum(n, m - 1)
-        assert size <= binom_partial_sum(n, m)
+            assert size > sum(math.comb(n, k) for k in range(m))
+        assert size <= sum(math.comb(n, k) for k in range(m + 1))
 
 
 class TestBinaryEntropy:
@@ -105,29 +82,25 @@ class TestBinaryEntropy:
 
 class TestEntropySum:
     def test_example_10_03(self):
-        check = entropy_sum_holds(10, 0.3)
-        assert check.lhs == 176
-        assert check.rhs == pytest.approx(449.73, abs=0.01)
-        assert check.holds
+        lhs, rhs = entropy_sum(10, 0.3)
+        assert lhs == 176
+        assert rhs == pytest.approx(449.73, abs=0.01)
+        assert lhs <= rhs
 
     def test_tiny_n(self):
-        check = entropy_sum_holds(1, 0.49)
-        assert check.lhs == 1
-        assert check.holds
+        lhs, rhs = entropy_sum(1, 0.49)
+        assert lhs == 1
+        assert lhs <= rhs
 
     def test_epsilon_011_at_n20(self):
-        assert entropy_sum_holds(20, 0.11).holds
-
-    def test_out_of_range(self):
-        with pytest.raises(SimvcError, match="eps 0.5 outside the open interval"):
-            entropy_sum_holds(10, 0.5)
-        with pytest.raises(SimvcError, match="n must be at least 1"):
-            entropy_sum_holds(0, 0.3)
+        lhs, rhs = entropy_sum(20, 0.11)
+        assert lhs <= rhs
 
     def test_grid(self):
         for n in range(1, 21):
             for i in range(1, 50):
-                assert entropy_sum_holds(n, i / 100).holds
+                lhs, rhs = entropy_sum(n, i / 100)
+                assert lhs <= rhs
 
 
 class TestTheoremBounds:

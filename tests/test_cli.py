@@ -225,11 +225,14 @@ class TestVerify:
         doc = json.loads(out)
         assert (doc["d"], doc["d_sim"], doc["ratio"]) == (3, 2, "2/3")
 
-    def test_input_file(self, tmp_path, capsys):
-        path = write_space(tmp_path / "s.json", full_cube(2))
-        code, out, _ = run_cli(capsys, "verify", "--input", str(path))
-        assert code == 0
-        assert json.loads(out)["family"] == "file"
+    def test_input_file(self, tmp_path, capsys, five_halves_space):
+        for space, ratio in ((full_cube(2), "1/2"), (five_halves_space, "5/2")):
+            path = write_space(tmp_path / "s.json", space)
+            code, out, _ = run_cli(capsys, "verify", "--input", str(path))
+            # a ratio above 2 inside the paper's bracket is a finding, not a failure
+            assert code == 0
+            doc = json.loads(out)
+            assert (doc["family"], doc["ratio"]) == ("file", ratio)
 
     def test_family_and_input_conflict(self, tmp_path, capsys):
         path = write_space(tmp_path / "s.json", full_cube(2))

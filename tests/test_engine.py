@@ -127,9 +127,10 @@ def _oracle_spaces(max_n, count, seed):
 class TestWitnessOracle:
     """Both witnesses against ``first_maximum``, which never calls the engine."""
 
-    def test_vc_exact(self):
+    def test_vc_exact(self, five_halves_space):
         for space in _oracle_spaces(8, 200, 77):
             assert vc_exact(space) == first_maximum(space)
+        assert vc_exact(five_halves_space) == first_maximum(five_halves_space)
 
     def test_lifted_vc(self):
         # the pair ranks of n <= 5 give at most 10 columns

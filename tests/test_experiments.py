@@ -12,7 +12,6 @@ from simvc import (
     SimvcError,
     enumerate_spaces,
     exhaustive_search,
-    forest_components,
     full_cube,
     k_sparse,
     lift_space,
@@ -23,6 +22,8 @@ from simvc import (
     vc_naive,
     verify_theorem,
 )
+
+from conftest import forest_components
 
 
 class TestVerifyTheorem:
@@ -56,6 +57,20 @@ class TestVerifyTheorem:
         assert len(report.witness_base) == report.d
         assert len(report.witness_sim) == report.d_sim
         assert forest_components(report.witness_sim) is not None
+
+    def test_ratio_five_halves(self, five_halves_space):
+        report = verify_theorem(five_halves_space)
+        assert (report.d, report.d_sim, report.ratio) == (2, 5, Fraction(5, 2))
+        assert report.lower_ok and report.upper_ok
+        assert report.witness_base == (0, 1)
+        assert report.witness_sim == ((0, 2), (0, 6), (1, 3), (4, 5), (4, 7))
+        assert vc_naive(five_halves_space) == 2
+        # the lift's definition, h^(s)(w, x) = [h(w) = h(x)], without the engine
+        patterns = {
+            tuple((h >> w) & 1 == (h >> x) & 1 for w, x in report.witness_sim)
+            for h in five_halves_space.hypotheses
+        }
+        assert len(patterns) == 32
 
     def test_to_dict_round_trips_through_json(self):
         report = verify_theorem(full_cube(2), family_spec=FamilySpec("full_cube", 2))
@@ -91,6 +106,12 @@ class TestRatioSearch:
         result = ratio_search(iter(stream))
         assert result.max_ratio == Fraction(2)
         assert result.argmax_space == k_sparse(5, 2)
+
+    def test_ratio_above_two_is_flagged(self, five_halves_space):
+        result = ratio_search([five_halves_space])
+        assert result.max_ratio == Fraction(5, 2)
+        assert result.argmax_space == five_halves_space
+        assert result.conjecture_violated is True
 
     def test_jobs_do_not_change_result(self):
         stream = lambda: random_space_stream(5, 8, 40, 31337)

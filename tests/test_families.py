@@ -1,5 +1,6 @@
 """Family generators and seeded streams."""
 
+import math
 from itertools import permutations
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from simvc import (
     FamilySpec,
     SimvcError,
-    binom_partial_sum,
     enumerate_spaces,
     exhaustive_orbits,
     full_cube,
@@ -29,7 +29,7 @@ class TestKSparse:
         assert len(k_sparse(5, 2)) == 16
         for n in range(1, 9):
             for k in range(n + 1):
-                assert len(k_sparse(n, k)) == binom_partial_sum(n, k)
+                assert len(k_sparse(n, k)) == sum(math.comb(n, i) for i in range(k + 1))
 
     def test_k_equals_n_is_full_cube(self):
         assert k_sparse(4, 4) == full_cube(4)

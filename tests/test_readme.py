@@ -1,9 +1,11 @@
-"""The README's library quick start runs and prints what its comment says."""
+"""The public surface: the README's library quick start and the export list."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+import simvc
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +17,16 @@ def test_library_quick_start():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue() == "2 4 2\n"
+
+
+def test_star_import_resolves_every_export():
+    namespace = {}
+    exec("from simvc import *", namespace)
+    assert set(simvc.__all__) <= namespace.keys()
+    assert len(set(simvc.__all__)) == len(simvc.__all__)
+    # proof devices of the paper, kept as test helpers in conftest.py or deleted
+    removed = {
+        "EntropySumCheck", "balanced_labelling", "binom_partial_sum",
+        "chain_witness", "entropy_sum_holds", "forest_components",
+    }
+    assert not removed & set(simvc.__all__)
