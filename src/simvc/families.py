@@ -12,8 +12,7 @@ of SplitMix64 run on the base seed.  Seeds are the 64-bit values
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from typing import Iterator, Optional
 
 from .errors import SimvcError
@@ -48,14 +47,8 @@ FAMILY_PARAMS = {
     "exhaustive": (),
 }
 
-_KIND_ALIASES = {
-    "k_sparse": "k_sparse",
-    "ksparse": "k_sparse",
-    "full_cube": "full_cube",
-    "cube": "full_cube",
-    "random": "random",
-    "exhaustive": "exhaustive",
-}
+#: Spec-file spellings of a kind besides its name in ``FAMILY_PARAMS``.
+_KIND_ALIASES = {"ksparse": "k_sparse", "cube": "full_cube"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,8 +95,8 @@ class FamilySpec:
         if not isinstance(doc, dict):
             raise SimvcError(f"family spec must be an object, got {doc!r}")
         raw_kind = doc.get("family", doc.get("kind"))
-        kind = _KIND_ALIASES.get(raw_kind) if isinstance(raw_kind, str) else None
-        if kind is None:
+        kind = _KIND_ALIASES.get(raw_kind, raw_kind) if isinstance(raw_kind, str) else None
+        if kind not in FAMILY_PARAMS:
             raise SimvcError(f"unknown family {raw_kind!r}")
         if "n" not in doc:
             raise SimvcError("family spec requires n")
@@ -156,7 +149,6 @@ def k_sparse(n: int, k: int) -> HypothesisSpace:
     return _canonical_space(n, bits)
 
 
-@lru_cache(maxsize=8)
 def full_cube(n: int) -> HypothesisSpace:
     """All 2^n labellings of [n]."""
     _check_n(n)
@@ -186,13 +178,7 @@ def random_space_stream(n: int, size: int, samples: int, seed: int) -> Iterator[
     _check_seed(seed)
     if samples < 1:
         raise SimvcError(f"samples must be at least 1, got {samples}")
-    return _random_spaces(n, size, samples, seed)
-
-
-def _random_spaces(n: int, size: int, samples: int, seed: int) -> Iterator[HypothesisSpace]:
-    seeds = splitmix64_stream(seed)
-    for _ in range(samples):
-        yield random_space(n, size, next(seeds))
+    return (random_space(n, size, s) for s in islice(splitmix64_stream(seed), samples))
 
 
 def _check_enumeration_n(n: int) -> None:

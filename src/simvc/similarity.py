@@ -3,56 +3,59 @@
 A hypothesis h labels a pair (w, x) 1 exactly when h(w) = h(x).  The two
 orders of a pair always agree and a diagonal pair is always 1, so the
 canonical pair domain is the unordered pairs {i < j}.  ``pair_domain(n)`` is
-that domain in lexicographic order, and the one place the order is decided:
-a pair's index in it is its rank, the bit it occupies in ``lift_hypothesis``.
+that domain in lexicographic order: a pair's index in it is its rank, the bit
+it occupies in ``lift_hypothesis``.
 
 A pair set shattered by a lifted space is a forest: around a cycle, a
 labelling with exactly one 0-edge would connect two vertices by both an
 all-equal path and a one-flip path.  Whether a forest is shattered depends
 only on how its vertices split into trees, so ``lifted_vc`` runs the
 engine's depth-first search over one forest per vertex partition, the
-min-centred star forest, and re-checks its witness with ``is_shattered`` on
-the lifted space.
+min-centred star forest.  It re-checks its witness from the definition on
+the base rows: the witness pairs' agreement patterns must number 2^d.  No
+lifted space is built for that, and nothing here is cached between calls.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .engine import _columns, _largest
 from .errors import SimvcError
-from .space import HypothesisSpace, _canonical_space, is_shattered
+from .space import HypothesisSpace, _canonical_space
 
 #: A canonical pair (i, j) with i < j, and a sorted, deduplicated set of them.
 Pair = tuple[int, int]
 PairSet = tuple[Pair, ...]
 
 
-@lru_cache(maxsize=64)
 def pair_domain(n: int) -> PairSet:
     """The C(n, 2) pairs (i, j), i < j, of [n] in lexicographic order.
 
     A pair's index in this tuple is its rank: the bit it occupies in a
-    lifted hypothesis and its column in a lifted space.
+    lifted hypothesis and its column in a lifted space.  The pairs (i, j)
+    with j > i hold the n - 1 - i consecutive ranks after those of every
+    smaller i; ``lift_hypothesis`` relies on that.
     """
     if n < 0:
         raise ValueError(f"the base domain cannot have {n} elements")
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-@lru_cache(maxsize=1 << 15)
 def lift_hypothesis(bits: int, n: int) -> int:
     """Pair labelling induced by the labelling ``bits`` of [n], as an int.
 
     The bit at the rank of pair (i, j) is 1 iff elements i and j carry the
-    same label.
+    same label.  Each left endpoint i writes its run of ranks (see
+    ``pair_domain``) as one shifted mask.
     """
     if not 0 <= bits < 1 << n:
         raise SimvcError(f"hypothesis {bits} does not fit a domain of {n} elements")
-    out = 0
-    for r, (i, j) in enumerate(pair_domain(n)):
-        if not ((bits >> i) ^ (bits >> j)) & 1:
-            out |= 1 << r
+    top = (1 << n) - 1
+    out = rank = 0
+    for i in range(n - 1):
+        # bit j of same is 1 iff element j carries element i's label
+        same = bits if (bits >> i) & 1 else bits ^ top
+        out |= (same >> (i + 1)) << rank
+        rank += n - 1 - i
     return out
 
 
@@ -72,11 +75,10 @@ def lift_space(space: HypothesisSpace) -> HypothesisSpace:
     return _canonical_space(m, (lift_hypothesis(h, n) for h in space.hypotheses))
 
 
-def _star_blocks(n: int) -> "list[int]":
+def _star_blocks(pairs: PairSet, n: int) -> "list[int]":
     """Per pair rank, the ranks choosing it rules out of a min-centred star forest."""
     # Every centre so far is at most a < b, as ranks are lexicographic, so
     # choosing (a, b) makes b a leaf, and no later pair may touch b.
-    pairs = pair_domain(n)
     touching = [0] * n
     for r, (a, b) in enumerate(pairs):
         touching[a] |= 1 << r
@@ -91,11 +93,12 @@ def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
     vertex-disjoint stars, each centred at its block's smallest vertex.
     There is one per vertex partition, and dropping a star forest's last
     rank leaves one, so the search, blocking by ``_star_blocks``, reaches
-    each of them.  Within a partition
-    the star union is the lexicographically smallest spanning forest, so the
-    witness -- the smallest rank set of maximum size -- is the
-    lexicographically smallest maximum shattered pair set of the whole
-    lifted space.
+    each of them.  Within a partition the star union is the
+    lexicographically smallest spanning forest, so the witness -- the
+    smallest rank set of maximum size -- is the lexicographically smallest
+    maximum shattered pair set of the whole lifted space.  Every call
+    re-checks the witness from the definition on the base rows, without
+    building the lifted space.
     """
     n = space.domain_size
     if n < 2:
@@ -109,7 +112,13 @@ def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
     pair_cols = [cols[a] ^ cols[b] for a, b in pairs]
     # a forest over n vertices has at most n - 1 edges
     limit = min(n - 1, len(rows).bit_length() - 1)
-    blocks = _star_blocks(n)
+    blocks = _star_blocks(pairs, n)
     best = _largest(pair_cols, blocks, [(1 << len(rows)) - 1], (), (1 << len(pairs)) - 1, limit)
-    assert is_shattered(lift_space(space), best)
-    return len(best), tuple(pairs[r] for r in best)
+    witness = tuple(pairs[r] for r in best)
+    # the definition on the base rows: h(a) = h(b) over the witness takes all 2^d patterns
+    patterns = {
+        sum(((h >> a) & 1 == (h >> b) & 1) << t for t, (a, b) in enumerate(witness))
+        for h in space.hypotheses
+    }
+    assert len(patterns) == 1 << len(witness)
+    return len(witness), witness

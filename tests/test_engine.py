@@ -142,6 +142,22 @@ class TestWitnessOracle:
             assert lifted_vc(space) == (d, tuple(pairs[r] for r in ranks))
 
 
+class TestWitnessRecheck:
+    """Each search re-checks its witness, so a wrong search result cannot escape."""
+
+    def test_vc_exact_rejects_an_unshattered_witness(self, monkeypatch):
+        # k_sparse(3, 1) never labels 11 on (0, 1)
+        monkeypatch.setattr("simvc.engine._largest", lambda *args: (0, 1))
+        with pytest.raises(AssertionError):
+            vc_exact(k_sparse(3, 1))
+
+    def test_lifted_vc_rejects_a_triangle(self, monkeypatch):
+        # ranks 0, 1, 2 of n = 3 are the triangle (0,1), (0,2), (1,2); no lift shatters a cycle
+        monkeypatch.setattr("simvc.similarity._largest", lambda *args: (0, 1, 2))
+        with pytest.raises(AssertionError):
+            lifted_vc(full_cube(3))
+
+
 class TestSearchBound:
     def test_full_cube_stops_at_the_log2_bound(self):
         # every set of the 12-cube is shattered; a search that looks past the

@@ -60,13 +60,13 @@ class TestLift:
         assert lift_hypothesis(0b101, 3) == lift_hypothesis(0b010, 3)
 
     def test_matches_reference_exhaustively(self):
-        for n in range(1, 7):
+        for n in range(1, 9):
             m = n * (n - 1) // 2
             for bits in range(1 << n):
                 assert bit_string(lift_hypothesis(bits, n), m) == reference_lift(bits, n)
 
     def test_complement_collapse_exhaustively(self):
-        for n in range(1, 7):
+        for n in range(1, 9):
             top = (1 << n) - 1
             for bits in range(1 << n):
                 assert lift_hypothesis(bits, n) == lift_hypothesis(bits ^ top, n)
@@ -227,7 +227,7 @@ def test_star_forests_are_one_per_vertex_partition():
     bell = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
     for n, count in bell.items():
         pairs = pair_domain(n)
-        blocks = _star_blocks(n)
+        blocks = _star_blocks(pairs, n)
         # a set of ranks with the candidates that may extend it, as lifted_vc searches
         forests, todo = [], [((), (1 << len(pairs)) - 1)]
         while todo:
