@@ -42,7 +42,6 @@ from .space import (
     HypothesisSpace,
     is_shattered,
     make_space,
-    pattern_count,
     restrict,
     space_from_dict,
     space_to_dict,
@@ -73,7 +72,6 @@ __all__ = [
     "lifted_vc",
     "make_space",
     "pair_domain",
-    "pattern_count",
     "random_space",
     "random_space_stream",
     "ratio_search",

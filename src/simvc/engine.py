@@ -9,7 +9,8 @@ abandoned at the first one-sided split.  Sets are visited in lexicographic
 preorder and the best set is replaced only by a strictly longer one, so the
 witness is the lexicographically smallest maximum shattered set.
 ``vc_exact`` returns ``(d, subset)`` and re-checks the witness with
-``is_shattered``.
+``is_shattered``; a failed re-check raises ``AssertionError``, also under
+``python -O``.
 
 Candidates are one bitmask, taken lowest bit first; choosing element e drops
 ``blocks[e]`` from it.  ``vc_exact`` blocks nothing; ``similarity.lifted_vc``
@@ -94,7 +95,8 @@ def vc_exact(space: HypothesisSpace) -> "tuple[int, Subset]":
     limit = min(space.domain_size, count.bit_length() - 1)
     n = space.domain_size
     best = _largest(cols, [0] * n, [(1 << count) - 1], (), (1 << n) - 1, limit)
-    assert is_shattered(space, best)
+    if not is_shattered(space, best):
+        raise AssertionError(f"vc_exact witness {best} is not shattered")
     return len(best), best
 
 

@@ -16,7 +16,7 @@ from itertools import combinations, islice, permutations
 from typing import Iterator, Optional
 
 from .errors import SimvcError
-from .space import DOMAIN_SIZE_CAP, HypothesisSpace, _canonical_space
+from .space import DOMAIN_SIZE_CAP, HypothesisSpace, lex_cube
 
 #: Full enumeration of 2^(2^n) - 1 nonempty spaces is feasible only here.
 ENUMERATION_CAP = 4
@@ -146,13 +146,13 @@ def k_sparse(n: int, k: int) -> HypothesisSpace:
             for p in positions:
                 b |= 1 << p
             bits.append(b)
-    return _canonical_space(n, bits)
+    return HypothesisSpace(n, bits)
 
 
 def full_cube(n: int) -> HypothesisSpace:
     """All 2^n labellings of [n]."""
     _check_n(n)
-    return _canonical_space(n, range(1 << n))
+    return HypothesisSpace(n, range(1 << n))
 
 
 def random_space(n: int, size: int, seed: int) -> HypothesisSpace:
@@ -165,7 +165,7 @@ def random_space(n: int, size: int, seed: int) -> HypothesisSpace:
     chosen: set = set()
     while len(chosen) < size:
         chosen.add(next(stream) & mask)
-    return _canonical_space(n, chosen)
+    return HypothesisSpace(n, chosen)
 
 
 def random_space_stream(n: int, size: int, samples: int, seed: int) -> Iterator[HypothesisSpace]:
@@ -198,9 +198,9 @@ def enumerate_spaces(n: int) -> Iterator[HypothesisSpace]:
     call.
     """
     _check_enumeration_n(n)
-    cube = full_cube(n).hypotheses
+    cube = lex_cube(n)
     return (
-        HypothesisSpace(n, tuple(h for i, h in enumerate(cube) if (mask >> i) & 1))
+        HypothesisSpace(n, (h for i, h in enumerate(cube) if (mask >> i) & 1))
         for mask in range(1, 1 << len(cube))
     )
 
@@ -219,7 +219,7 @@ def exhaustive_orbits(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
 
 
 def _orbit_representatives(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
-    cube = full_cube(n).hypotheses
+    cube = lex_cube(n)
     count = len(cube)
     # each symmetry as a permutation of cube indices
     group = []
@@ -245,7 +245,7 @@ def _orbit_representatives(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
             if not seen[image]:
                 seen[image] = 1
                 orbit_size += 1
-        yield HypothesisSpace(n, tuple(cube[i] for i in members)), orbit_size
+        yield HypothesisSpace(n, (cube[i] for i in members)), orbit_size
 
 
 def spaces_for(spec: FamilySpec) -> Iterator[HypothesisSpace]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .engine import _columns, _largest
 from .errors import SimvcError
-from .space import HypothesisSpace, _canonical_space
+from .space import HypothesisSpace
 
 #: A canonical pair (i, j) with i < j, and a sorted, deduplicated set of them.
 Pair = tuple[int, int]
@@ -60,7 +60,7 @@ def lift_hypothesis(bits: int, n: int) -> int:
 
 
 def lift_space(space: HypothesisSpace) -> HypothesisSpace:
-    """Canonical space of the distinct lifted hypotheses over the pair domain.
+    """The space of the distinct lifted hypotheses over the pair domain.
 
     |lifted| <= |H|, strictly smaller whenever H contains a hypothesis and
     its complement (the lift cannot tell them apart).
@@ -72,7 +72,7 @@ def lift_space(space: HypothesisSpace) -> HypothesisSpace:
             "(treat the lifted VC dimension as 0)"
         )
     m = n * (n - 1) // 2
-    return _canonical_space(m, (lift_hypothesis(h, n) for h in space.hypotheses))
+    return HypothesisSpace(m, (lift_hypothesis(h, n) for h in space.hypotheses))
 
 
 def _star_blocks(pairs: PairSet, n: int) -> "list[int]":
@@ -120,5 +120,6 @@ def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
         sum(((h >> a) & 1 == (h >> b) & 1) << t for t, (a, b) in enumerate(witness))
         for h in space.hypotheses
     }
-    assert len(patterns) == 1 << len(witness)
+    if len(patterns) != 1 << len(witness):
+        raise AssertionError(f"lifted_vc witness {witness} is not shattered")
     return len(witness), witness

@@ -1,10 +1,12 @@
 """Finite binary hypothesis spaces and the restriction/shattering primitives.
 
 A hypothesis labels every element of the domain {0, ..., n-1} with 0 or 1
-and is stored as an integer whose bit j is the label of element j.  Spaces
-are always kept in canonical form -- deduplicated and sorted by the
-lexicographic order of their bit strings -- so that space equality,
-serialization and witness tie-breaking are deterministic.
+and is stored as an integer whose bit j is the label of element j.  A space
+is a set of hypotheses: its constructor keeps each distinct int once, in
+increasing order, so equal sets are equal spaces.  The lexicographic order
+of bit strings appears only at output: ``bit_strings()`` lists the rows in
+it, files are written in it, and ``lex_cube`` gives the enumerations their
+order.
 
 A subset is shattered when the restriction to it realizes all 2^|subset|
 patterns.  ``is_shattered`` answers yes or no; the realized patterns
@@ -40,27 +42,19 @@ Subset = tuple[int, ...]
 
 
 def _bit_string(bits: int, length: int) -> str:
-    """Character j is bit j; comparing these strings is the canonical order."""
+    """Character j is bit j."""
     # the sentinel bit keeps leading zeros, and the slice drops it again
     return format(bits | 1 << length, "b")[:0:-1]
 
 
-def _lex_less(a: int, b: int) -> bool:
-    """Does a's bit string sort before b's?
-
-    The strings first differ at the lowest set bit of a ^ b.
-    """
-    diff = a ^ b
-    return b & diff & -diff != 0
-
-
 @dataclass(frozen=True, slots=True)
 class HypothesisSpace:
-    """Canonical (deduplicated, lexicographically sorted) set of hypotheses.
+    """A nonempty set of hypotheses, stored as its sorted tuple of distinct ints.
 
-    Each hypothesis is an int whose bit j is the label of element j.
-    ``domain_size`` 0 is permitted only as the degenerate result of an empty
-    restriction; :func:`make_space` requires at least one element.
+    ``hypotheses`` may be passed as any iterable of ints, in any order and
+    with repeats.  Each hypothesis is an int whose bit j is the label of
+    element j.  ``domain_size`` 0 is permitted only as the degenerate result
+    of an empty restriction; :func:`make_space` requires at least one element.
     """
 
     domain_size: int
@@ -69,29 +63,28 @@ class HypothesisSpace:
     def __post_init__(self) -> None:
         if self.domain_size < 0:
             raise ValueError("domain_size must be non-negative")
-        if not self.hypotheses:
+        rows = tuple(sorted(set(self.hypotheses)))
+        if not rows:
             raise SimvcError("a hypothesis space must contain at least one hypothesis")
-        top = 1 << self.domain_size
-        prev = None
-        for h in self.hypotheses:
-            if not 0 <= h < top:
+        # sorted, so only the two ends can fall outside [0, 2^n)
+        for h in (rows[0], rows[-1]):
+            if not 0 <= h < 1 << self.domain_size:
                 raise SimvcError(
                     f"hypothesis {h} does not fit a space over {self.domain_size} elements"
                 )
-            if prev is not None and not _lex_less(prev, h):
-                raise ValueError("hypotheses must be deduplicated and lexicographically sorted")
-            prev = h
+        object.__setattr__(self, "hypotheses", rows)
 
     def __len__(self) -> int:
         return len(self.hypotheses)
 
     def bit_strings(self) -> "list[str]":
-        return [_bit_string(h, self.domain_size) for h in self.hypotheses]
+        """The rows as bit strings, in lexicographic order."""
+        return sorted(_bit_string(h, self.domain_size) for h in self.hypotheses)
 
 
-def _canonical_space(domain_size: int, bits_iter: Iterable[int]) -> HypothesisSpace:
-    rows = sorted(set(bits_iter), key=lambda b: _bit_string(b, domain_size))
-    return HypothesisSpace(domain_size, tuple(rows))
+def lex_cube(n: int) -> "tuple[int, ...]":
+    """All 2^n hypotheses over [n], in the lexicographic order of their bit strings."""
+    return tuple(sorted(range(1 << n), key=lambda h: _bit_string(h, n)))
 
 
 def make_space(
@@ -100,7 +93,7 @@ def make_space(
     *,
     max_domain_size: int = DOMAIN_SIZE_CAP,
 ) -> HypothesisSpace:
-    """Build the canonical space from raw bit vectors.
+    """Build a space from raw bit vectors.
 
     Input order and duplicates are irrelevant to the result.  Raw hypotheses
     may be bit strings like ``"0101"`` (character j labels element j) or
@@ -115,7 +108,7 @@ def make_space(
     bits_list = []
     for raw in raw_hypotheses:
         if isinstance(raw, int):
-            # HypothesisSpace range-checks ints once they are canonical
+            # HypothesisSpace range-checks the ints
             bits_list.append(raw)
             continue
         if len(raw) != domain_size:
@@ -128,7 +121,7 @@ def make_space(
         bits_list.append(int(raw[::-1], 2))
     if not bits_list:
         raise SimvcError("no hypotheses supplied")
-    return _canonical_space(domain_size, bits_list)
+    return HypothesisSpace(domain_size, bits_list)
 
 
 def check_subset(domain_size: int, subset: Sequence[int]) -> None:
@@ -158,22 +151,16 @@ def restrict(space: HypothesisSpace, subset: Sequence[int]) -> HypothesisSpace:
     the empty hypothesis.
     """
     check_subset(space.domain_size, subset)
-    return _canonical_space(len(subset), (_project(h, subset) for h in space.hypotheses))
-
-
-def pattern_count(space: HypothesisSpace, subset: Sequence[int]) -> int:
-    """Number of distinct projections onto ``subset``; equals |H restricted to subset|."""
-    check_subset(space.domain_size, subset)
-    return len({_project(h, subset) for h in space.hypotheses})
+    return HypothesisSpace(len(subset), (_project(h, subset) for h in space.hypotheses))
 
 
 def is_shattered(space: HypothesisSpace, subset: Sequence[int]) -> bool:
     """Does the restriction to ``subset`` realize all 2^|subset| patterns?"""
-    return pattern_count(space, subset) == 1 << len(subset)
+    return len(restrict(space, subset)) == 1 << len(subset)
 
 
 def space_to_dict(space: HypothesisSpace, *, pair_domain_of: "int | None" = None) -> dict:
-    """Serializable form of a space; always emits canonical order."""
+    """Serializable form of a space; the rows are bit strings in lexicographic order."""
     doc: dict = {"domain_size": space.domain_size}
     if pair_domain_of is not None:
         doc["pair_domain_of"] = pair_domain_of

@@ -176,7 +176,8 @@ class TestLift:
         doc = json.loads(dst.read_text())
         assert doc["domain_size"] == 3
         assert doc["pair_domain_of"] == 3
-        assert sorted(doc["hypotheses"]) == ["001", "010", "100", "111"]
+        # bit-string order as written; int order would be 100, 010, 001, 111
+        assert doc["hypotheses"] == ["001", "010", "100", "111"]
 
     def test_lifted_file_feeds_compute(self, tmp_path, capsys):
         src = write_space(tmp_path / "s.json", k_sparse(5, 2))

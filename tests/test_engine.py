@@ -1,5 +1,7 @@
 """Exact engine vs the brute-force oracle."""
 
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -23,7 +25,7 @@ from simvc import (
     vc_naive,
 )
 
-from conftest import run_python, spaces, subsets_of
+from conftest import module_env, run_python, spaces, subsets_of
 
 
 class TestVcExact:
@@ -156,6 +158,26 @@ class TestWitnessRecheck:
         monkeypatch.setattr("simvc.similarity._largest", lambda *args: (0, 1, 2))
         with pytest.raises(AssertionError):
             lifted_vc(full_cube(3))
+
+    def test_rechecks_survive_python_O(self):
+        # python -O strips assert statements; the re-checks must still fail
+        cases = [
+            ("simvc.engine", "(0, 1)", "vc_exact(k_sparse(3, 1))"),
+            ("simvc.similarity", "(0, 1, 2)", "lifted_vc(full_cube(3))"),
+        ]
+        for module, witness, call in cases:
+            code = (
+                f"import {module}\n"
+                f"{module}._largest = lambda *args: {witness}\n"
+                "from simvc import full_cube, k_sparse, lifted_vc, vc_exact\n"
+                f"print({call})\n"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-O", "-c", code],
+                capture_output=True, text=True, env=module_env(), timeout=60,
+            )
+            assert proc.returncode != 0, proc.stdout
+            assert "AssertionError" in proc.stderr
 
 
 class TestSearchBound:
