@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from .bounds import binary_entropy, sauer_guaranteed_vc, solve_optimal_delta
 from .engine import vc_exact, vc_naive
-from .errors import SimvcError
 from .experiments import exhaustive_search, ratio_search, run_report, verify_theorem
 from .families import FamilySpec, random_space_stream, spaces_for
 from .similarity import lift_space
@@ -55,10 +54,7 @@ def _load_space(path: str, cap: int):
     domains only, up to ``DOMAIN_SIZE_CAP``.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        space = space_from_dict(json.load(fh))
-    if space.domain_size > cap:
-        raise SimvcError(f"domain_size {space.domain_size} exceeds the supported maximum {cap}")
-    return space
+        return space_from_dict(json.load(fh), cap)
 
 
 def _emit(payload: dict) -> None:

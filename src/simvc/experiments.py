@@ -15,9 +15,10 @@ gives the result ``ratio_search`` would give over ``enumerate_spaces(n)``,
 verifying one space per symmetry orbit (``exhaustive_orbits``) and counting
 every space.
 ``run_report`` writes the reports themselves.  All three share one ordered
-map: in-process at one job, otherwise a fork pool of at most one worker per
-CPU fed in chunks, with results in stream order, so the outcome does not
-depend on the worker count.
+map: the built-in ``map`` at one job, otherwise ``Pool.imap`` on a fork pool
+of at most one worker per CPU, which reads a stream only as far ahead as its
+pipe to the workers holds.  Results come in stream order, so the outcome
+does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, starmap, tee
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .bounds import theorem_bounds, urner_bound
 from .engine import vc_exact
@@ -165,33 +165,32 @@ class RatioSearchResult:
         }
 
 
-def _chunks(stream: Iterator, size: int) -> Iterator[list]:
-    while True:
-        batch = list(islice(stream, size))
-        if not batch:
-            return
-        yield batch
-
-
-def _ordered_map(fn: Callable, arg_tuples: Iterable[tuple], jobs: int) -> Iterator:
-    """``fn(*args)`` for each tuple in ``arg_tuples``, in input order.
+def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
+    """``fn(item)`` for each item, in input order.
 
     One job runs in-process; more run in a fork pool of at most one worker
-    per CPU.  ``jobs`` is checked before any worker starts.  The pool takes
-    the stream in chunks of ``_CHUNK``, so it never holds all of it at once.
+    per CPU.  ``jobs`` is checked before any worker starts.  The pool's
+    feeder thread sends chunks of ``_CHUNK`` items and blocks while the pipe
+    to the workers is full, so it reads ahead by what that pipe holds.
     """
     if jobs < 1:
         raise SimvcError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1:
-        return starmap(fn, arg_tuples)
+        return map(fn, items)
 
     def pooled() -> Iterator:
         workers = min(jobs, os.cpu_count() or 1)
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            for batch in _chunks(iter(arg_tuples), _CHUNK):
-                yield from pool.starmap(fn, batch)
+            yield from pool.imap(fn, items, chunksize=_CHUNK)
 
     return pooled()
+
+
+def _ratio_job(
+    weighted: "tuple[HypothesisSpace, int]",
+) -> "tuple[Optional[Fraction], HypothesisSpace, int]":
+    space, count = weighted
+    return verify_theorem(space).ratio, space, count
 
 
 def _max_ratio(
@@ -199,18 +198,15 @@ def _max_ratio(
 ) -> RatioSearchResult:
     """First maximum of the reports' d_sim / d over ``(space, count)`` pairs.
 
-    Each space is verified once; ``count`` is how many spaces it stands for.  The reports
-    come first in zip so that their map runs to its end and closes any pool.
+    Each space is verified once; ``count`` is how many spaces it stands for.
     """
-    weighted, to_workers = tee(weighted)
-    reports = _ordered_map(verify_theorem, ((space,) for space, _ in to_workers), jobs)
     best: Optional[Fraction] = None
     argmax: Optional[HypothesisSpace] = None
     examined = 0
-    for report, (space, count) in zip(reports, weighted):
+    for ratio, space, count in _ordered_map(_ratio_job, weighted, jobs):
         examined += count
-        if report.ratio is not None and (best is None or report.ratio > best):
-            best = report.ratio
+        if ratio is not None and (best is None or ratio > best):
+            best = ratio
             argmax = space
     return RatioSearchResult(
         max_ratio=best,
@@ -237,28 +233,14 @@ def exhaustive_search(n: int, jobs: int = 1) -> RatioSearchResult:
     full stream would give; ``spaces_examined`` counts every space.
     """
     result = _max_ratio(exhaustive_orbits(n), jobs)
-    assert result.spaces_examined == (1 << (1 << n)) - 1
+    if result.spaces_examined != (1 << (1 << n)) - 1:
+        raise AssertionError(f"orbit sizes on n = {n} sum to {result.spaces_examined}")
     return result
 
 
-def _write_csv(out: TextIO, reports: Iterable[BoundReport], include_timing: bool) -> int:
-    columns = CSV_COLUMNS if include_timing else CSV_COLUMNS[:-1]
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    count = 0
-    for report in reports:
-        writer.writerow(report.csv_row(include_timing=include_timing))
-        count += 1
-    return count
-
-
-def _write_jsonl(out: TextIO, reports: Iterable[BoundReport], include_timing: bool) -> int:
-    count = 0
-    for report in reports:
-        out.write(json.dumps(report.to_dict(include_timing=include_timing), separators=(",", ":")))
-        out.write("\n")
-        count += 1
-    return count
+def _report_job(pair: "tuple[HypothesisSpace, FamilySpec]") -> BoundReport:
+    space, spec = pair
+    return verify_theorem(space, family_spec=spec)
 
 
 def run_report(
@@ -277,8 +259,19 @@ def run_report(
     if output_format not in ("csv", "jsonl"):
         raise SimvcError(f"unknown report format {output_format!r}")
     pairs = ((space, spec) for spec in specs for space in spaces_for(spec))
-    reports = _ordered_map(verify_theorem, pairs, jobs)
+    reports = _ordered_map(_report_job, pairs, jobs)
     with open(output_path, "w", encoding="utf-8", newline="") as out:
         if output_format == "csv":
-            return _write_csv(out, reports, include_timing)
-        return _write_jsonl(out, reports, include_timing)
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS if include_timing else CSV_COLUMNS[:-1])
+            def write_row(report: BoundReport) -> None:
+                writer.writerow(report.csv_row(include_timing=include_timing))
+        else:
+            def write_row(report: BoundReport) -> None:
+                doc = report.to_dict(include_timing=include_timing)
+                out.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        count = 0
+        for report in reports:
+            write_row(report)
+            count += 1
+        return count

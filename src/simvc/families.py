@@ -94,7 +94,10 @@ class FamilySpec:
     def from_dict(cls, doc: dict) -> "FamilySpec":
         if not isinstance(doc, dict):
             raise SimvcError(f"family spec must be an object, got {doc!r}")
-        raw_kind = doc.get("family", doc.get("kind"))
+        for key in doc:
+            if key not in ("family", "n", "k", "size", "seed"):
+                raise SimvcError(f"malformed family spec {doc!r}: unknown key {key!r}")
+        raw_kind = doc.get("family")
         kind = _KIND_ALIASES.get(raw_kind, raw_kind) if isinstance(raw_kind, str) else None
         if kind not in FAMILY_PARAMS:
             raise SimvcError(f"unknown family {raw_kind!r}")

@@ -168,8 +168,8 @@ def space_to_dict(space: HypothesisSpace, *, pair_domain_of: "int | None" = None
     return doc
 
 
-def space_from_dict(doc: dict) -> HypothesisSpace:
-    """Parse the file format; extra keys such as ``pair_domain_of`` are ignored."""
+def space_from_dict(doc: dict, max_domain_size: int = LOAD_DOMAIN_SIZE_CAP) -> HypothesisSpace:
+    """Parse the file format; ``domain_size`` is capped as in ``make_space``, extra keys ignored."""
     if not isinstance(doc, dict):
         raise ValueError("space document must be a JSON object")
     try:
@@ -181,4 +181,4 @@ def space_from_dict(doc: dict) -> HypothesisSpace:
         raise ValueError("domain_size must be an integer")
     if not isinstance(hypotheses, list) or not all(isinstance(s, str) for s in hypotheses):
         raise ValueError("hypotheses must be a list of bit strings")
-    return make_space(domain_size, hypotheses, max_domain_size=LOAD_DOMAIN_SIZE_CAP)
+    return make_space(domain_size, hypotheses, max_domain_size=max_domain_size)

@@ -212,6 +212,23 @@ class TestLift:
         assert not dst.exists()
 
 
+@pytest.mark.parametrize(
+    "command, cap",
+    [("lift", DOMAIN_SIZE_CAP), ("verify", DOMAIN_SIZE_CAP), ("compute", LOAD_DOMAIN_SIZE_CAP)],
+)
+def test_wide_file_names_the_command_cap(tmp_path, capsys, command, cap):
+    # the cap is checked once, before any row is parsed, so the bad row is never read
+    src = tmp_path / "wide.json"
+    src.write_text(json.dumps({"domain_size": 300, "hypotheses": ["not a row"]}))
+    argv = [command, "--input", str(src)]
+    if command == "lift":
+        argv += ["--output", str(tmp_path / "lifted.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"vc: error: domain_size 300 exceeds the supported maximum {cap}\n"
+    assert not (tmp_path / "lifted.json").exists()
+
+
 class TestVerify:
     def test_family_ksparse(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "ksparse", "--n", "5", "--k", "2")
@@ -477,8 +494,16 @@ class TestReport:
             ({"family": "cube", "n": 2.9}, "n must be an integer, got 2.9\n"),
             ({"family": "cube", "n": 3, "k": 2, "seed": 5}, "full_cube does not take k\n"),
             ({"family": "ksparse", "n": 3, "k": 1, "size": 4}, "k_sparse does not take size\n"),
+            ({"family": "cube", "n": 4, "kk": 2}, "unknown key 'kk'\n"),
+            (
+                {"family": "random", "n": 4, "size": 3, "seed": 1, "sed": 5},
+                "unknown key 'sed'\n",
+            ),
         ],
-        ids=["unhashable-family", "float-n", "cube-with-k", "ksparse-with-size"],
+        ids=[
+            "unhashable-family", "float-n", "cube-with-k", "ksparse-with-size",
+            "cube-misspelt-k", "random-misspelt-seed",
+        ],
     )
     def test_bad_spec_entry_is_input_error(self, tmp_path, capsys, entry, message):
         spec = tmp_path / "spec.json"

@@ -162,14 +162,19 @@ class TestWitnessRecheck:
     def test_rechecks_survive_python_O(self):
         # python -O strips assert statements; the re-checks must still fail
         cases = [
-            ("simvc.engine", "(0, 1)", "vc_exact(k_sparse(3, 1))"),
-            ("simvc.similarity", "(0, 1, 2)", "lifted_vc(full_cube(3))"),
+            ("simvc.engine._largest = lambda *args: (0, 1)", "vc_exact(k_sparse(3, 1))"),
+            ("simvc.similarity._largest = lambda *args: (0, 1, 2)", "lifted_vc(full_cube(3))"),
+            # one orbit of one space, where n = 2 has 15 spaces
+            (
+                "simvc.experiments.exhaustive_orbits = lambda n: [(full_cube(n), 1)]",
+                "exhaustive_search(2)",
+            ),
         ]
-        for module, witness, call in cases:
+        for patch, call in cases:
             code = (
-                f"import {module}\n"
-                f"{module}._largest = lambda *args: {witness}\n"
-                "from simvc import full_cube, k_sparse, lifted_vc, vc_exact\n"
+                "import simvc.engine, simvc.experiments, simvc.similarity\n"
+                "from simvc import exhaustive_search, full_cube, k_sparse, lifted_vc, vc_exact\n"
+                f"{patch}\n"
                 f"print({call})\n"
             )
             proc = subprocess.run(

@@ -2,7 +2,6 @@
 
 import json
 from fractions import Fraction
-from itertools import starmap
 
 import pytest
 
@@ -23,7 +22,7 @@ from simvc import (
     verify_theorem,
 )
 
-from conftest import forest_components
+from conftest import forest_components, run_python
 
 
 class TestVerifyTheorem:
@@ -138,8 +137,8 @@ class TestRatioSearch:
             def __exit__(self, *exc):
                 return False
 
-            def starmap(self, fn, batch):
-                return list(starmap(fn, batch))
+            def imap(self, fn, items, chunksize):
+                return map(fn, items)
 
         class FakeContext:
             Pool = FakePool
@@ -151,6 +150,19 @@ class TestRatioSearch:
         monkeypatch.setattr("simvc.experiments.os.cpu_count", lambda: None)
         assert ratio_search(enumerate_spaces(2), jobs=3) == expected
         assert sizes == [2, 1]
+
+    def test_pooled_map_reads_its_input_lazily(self):
+        # an endless input: a map that reads it whole hangs, and the timeout fails the test
+        code = (
+            "from itertools import count, islice\n"
+            "from operator import neg\n"
+            "from simvc.experiments import _ordered_map\n"
+            "results = _ordered_map(neg, count(), 2)\n"
+            "print(list(islice(results, 5)))\n"
+            "results.close()\n"
+            "print('closed')\n"
+        )
+        assert run_python(code, timeout=60) == "[0, -1, -2, -3, -4]\nclosed\n"
 
     def test_oracle_recomputation_n3(self):
         # same maximum through the naive oracle on base and lifted spaces

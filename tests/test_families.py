@@ -225,6 +225,17 @@ class TestFamilySpec:
             FamilySpec.from_dict({"family": "random", "n": 3, "size": 2})
         with pytest.raises(SimvcError, match="malformed family spec"):
             FamilySpec.from_dict({"family": "cube", "n": "three"})
+        # a misspelt or undocumented key is an error, not ignored
+        for doc, key in (
+            ({"family": "cube", "n": 4, "kk": 2}, "kk"),
+            ({"family": "random", "n": 4, "size": 3, "seed": 1, "sed": 5}, "sed"),
+            ({"kind": "cube", "n": 4}, "kind"),
+        ):
+            message = f"malformed family spec .*: unknown key '{key}'$"
+            with pytest.raises(SimvcError, match=message):
+                FamilySpec.from_dict(doc)
+        # null still means absent
+        assert FamilySpec.from_dict({"family": "cube", "n": 4, "k": None}).k is None
 
     def test_numbers_must_be_json_integers(self):
         # no coercion: floats, booleans and strings (even "3") are malformed
