@@ -41,7 +41,6 @@ from .space import (
     LOAD_DOMAIN_SIZE_CAP,
     HypothesisSpace,
     is_shattered,
-    make_space,
     restrict,
     space_from_dict,
     space_to_dict,
@@ -70,7 +69,6 @@ __all__ = [
     "lift_hypothesis",
     "lift_space",
     "lifted_vc",
-    "make_space",
     "pair_domain",
     "random_space",
     "random_space_stream",

@@ -2,11 +2,12 @@
 
 A hypothesis labels every element of the domain {0, ..., n-1} with 0 or 1
 and is stored as an integer whose bit j is the label of element j.  A space
-is a set of hypotheses: its constructor keeps each distinct int once, in
-increasing order, so equal sets are equal spaces.  The lexicographic order
-of bit strings appears only at output: ``bit_strings()`` lists the rows in
-it, files are written in it, and ``lex_cube`` gives the enumerations their
-order.
+is a set of hypotheses: its one constructor, ``HypothesisSpace(n, ints)``,
+keeps each distinct int once, in increasing order, so equal sets are equal
+spaces.  Bit strings are read only from the file format, by
+``space_from_dict``.  Their lexicographic order appears only at output:
+``bit_strings()`` lists the rows in it, files are written in it, and
+``lex_cube`` gives the enumerations their order.
 
 A subset is shattered when the restriction to it realizes all 2^|subset|
 patterns.  ``is_shattered`` answers yes or no; the realized patterns
@@ -17,7 +18,8 @@ The JSON file format for a space is::
     {"domain_size": n, "hypotheses": ["0101", ...]}
 
 where character j of each string (left to right, 0-indexed) is the label of
-element j.  Lifted spaces written by the CLI carry an additional
+element j; ``space_to_dict`` writes it and ``space_from_dict`` reads it.
+Lifted spaces written by the CLI carry an additional
 ``"pair_domain_of": n`` field recording the base domain; it is ignored on
 load.
 """
@@ -25,7 +27,7 @@ load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
 from .errors import SimvcError
 
@@ -54,7 +56,8 @@ class HypothesisSpace:
     ``hypotheses`` may be passed as any iterable of ints, in any order and
     with repeats.  Each hypothesis is an int whose bit j is the label of
     element j.  ``domain_size`` 0 is permitted only as the degenerate result
-    of an empty restriction; :func:`make_space` requires at least one element.
+    of an empty restriction; :func:`space_from_dict` requires at least one
+    element.
     """
 
     domain_size: int
@@ -85,43 +88,6 @@ class HypothesisSpace:
 def lex_cube(n: int) -> "tuple[int, ...]":
     """All 2^n hypotheses over [n], in the lexicographic order of their bit strings."""
     return tuple(sorted(range(1 << n), key=lambda h: _bit_string(h, n)))
-
-
-def make_space(
-    domain_size: int,
-    raw_hypotheses: Iterable[Union[str, int]],
-    *,
-    max_domain_size: int = DOMAIN_SIZE_CAP,
-) -> HypothesisSpace:
-    """Build a space from raw bit vectors.
-
-    Input order and duplicates are irrelevant to the result.  Raw hypotheses
-    may be bit strings like ``"0101"`` (character j labels element j) or
-    ints (bit j labels element j).
-    """
-    if domain_size < 1:
-        raise ValueError("domain_size must be at least 1")
-    if domain_size > max_domain_size:
-        raise SimvcError(
-            f"domain_size {domain_size} exceeds the supported maximum {max_domain_size}"
-        )
-    bits_list = []
-    for raw in raw_hypotheses:
-        if isinstance(raw, int):
-            # HypothesisSpace range-checks the ints
-            bits_list.append(raw)
-            continue
-        if len(raw) != domain_size:
-            raise SimvcError(
-                f"hypothesis {raw!r} has length {len(raw)}, expected {domain_size}"
-            )
-        bad = [ch for ch in raw if ch not in "01"]
-        if bad:
-            raise ValueError(f"invalid bit character {bad[0]!r} in {raw!r}")
-        bits_list.append(int(raw[::-1], 2))
-    if not bits_list:
-        raise SimvcError("no hypotheses supplied")
-    return HypothesisSpace(domain_size, bits_list)
 
 
 def check_subset(domain_size: int, subset: Sequence[int]) -> None:
@@ -169,16 +135,33 @@ def space_to_dict(space: HypothesisSpace, *, pair_domain_of: "int | None" = None
 
 
 def space_from_dict(doc: dict, max_domain_size: int = LOAD_DOMAIN_SIZE_CAP) -> HypothesisSpace:
-    """Parse the file format; ``domain_size`` is capped as in ``make_space``, extra keys ignored."""
+    """Parse the file format, the one reader of bit strings; extra keys are ignored.
+
+    ``domain_size`` must lie in 1..``max_domain_size``, checked before any
+    row is read, and each row must be ``domain_size`` characters ``0``/``1``.
+    """
     if not isinstance(doc, dict):
         raise ValueError("space document must be a JSON object")
     try:
         domain_size = doc["domain_size"]
-        hypotheses = doc["hypotheses"]
+        rows = doc["hypotheses"]
     except KeyError as exc:
         raise ValueError(f"space document is missing key {exc.args[0]!r}") from None
     if not isinstance(domain_size, int) or isinstance(domain_size, bool):
         raise ValueError("domain_size must be an integer")
-    if not isinstance(hypotheses, list) or not all(isinstance(s, str) for s in hypotheses):
+    if not isinstance(rows, list) or not all(isinstance(s, str) for s in rows):
         raise ValueError("hypotheses must be a list of bit strings")
-    return make_space(domain_size, hypotheses, max_domain_size=max_domain_size)
+    if domain_size < 1:
+        raise ValueError("domain_size must be at least 1")
+    if domain_size > max_domain_size:
+        raise SimvcError(
+            f"domain_size {domain_size} exceeds the supported maximum {max_domain_size}"
+        )
+    for row in rows:
+        if len(row) != domain_size:
+            raise SimvcError(f"hypothesis {row!r} has length {len(row)}, expected {domain_size}")
+        # int(row, 2) alone would accept "0_1", "+1", " 1" and Unicode digits
+        bad = [ch for ch in row if ch not in "01"]
+        if bad:
+            raise ValueError(f"invalid bit character {bad[0]!r} in {row!r}")
+    return HypothesisSpace(domain_size, (int(row[::-1], 2) for row in rows))

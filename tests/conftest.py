@@ -7,7 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from simvc import binary_entropy, make_space
+from simvc import HypothesisSpace, binary_entropy, space_from_dict
+
+
+def bit_space(n, rows):
+    """The space of bit-string ``rows`` over [n], read as from a space file."""
+    return space_from_dict({"domain_size": n, "hypotheses": list(rows)})
 
 
 def module_env():
@@ -30,7 +35,7 @@ def run_python(code, timeout):
 @pytest.fixture
 def five_halves_space():
     """A space on n = 8 with d = 2 and d_sim = 5, so d_sim / d = 5/2; bit j labels element j."""
-    return make_space(8, [
+    return HypothesisSpace(8, [
         0, 2, 34, 64, 65, 66, 67, 70, 81, 82, 86, 89, 90, 93, 94, 95, 98, 114,
         122, 125, 126, 127, 131, 147, 159, 193, 195, 211, 219, 222, 223, 254,
     ])
@@ -96,7 +101,7 @@ def spaces(draw, min_n=2, max_n=6, max_size=20):
     bits = draw(
         st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=size, max_size=size)
     )
-    return make_space(n, bits)
+    return HypothesisSpace(n, bits)
 
 
 @st.composite

@@ -591,6 +591,17 @@ def test_closed_stdout_exits_141_silently():
     assert (proc.returncode, proc.stderr) == (141, "")
 
 
+def test_program_fault_is_not_an_input_error(monkeypatch, capsys):
+    # only ValueError (SimvcError among them) and OSError are input errors
+    def broken(*args, **kwargs):
+        raise TypeError("a fault in the program")
+
+    monkeypatch.setattr("simvc.cli.verify_theorem", broken)
+    with pytest.raises(TypeError, match="a fault in the program"):
+        main(["verify", "--family", "cube", "--n", "2"])
+    assert capsys.readouterr().err == ""
+
+
 def test_module_entry_point(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(space_to_dict(full_cube(2))))

@@ -15,7 +15,6 @@ from simvc import (
     k_sparse,
     lift_space,
     lifted_vc,
-    make_space,
     pair_domain,
     random_space,
     restrict,
@@ -25,12 +24,12 @@ from simvc import (
     vc_naive,
 )
 
-from conftest import module_env, run_python, spaces, subsets_of
+from conftest import bit_space, module_env, run_python, spaces, subsets_of
 
 
 class TestVcExact:
     def test_single_hypothesis(self):
-        assert vc_exact(make_space(4, ["0110"])) == (0, ())
+        assert vc_exact(bit_space(4, ["0110"])) == (0, ())
 
     def test_full_cube(self):
         assert vc_exact(full_cube(3))[0] == 3
@@ -40,11 +39,11 @@ class TestVcExact:
 
     def test_witness_is_lex_smallest_maximum(self):
         # (0,) and (1,) shatter but the columns 2,3 only reach 3 patterns
-        space = make_space(4, ["0000", "0100", "1000", "1101"])
+        space = bit_space(4, ["0000", "0100", "1000", "1101"])
         assert vc_exact(space) == (2, (0, 1))
 
     def test_empty_domain_space(self):
-        space = restrict(make_space(2, ["00", "11"]), ())
+        space = restrict(bit_space(2, ["00", "11"]), ())
         assert vc_exact(space)[0] == 0
 
 
@@ -57,11 +56,11 @@ class TestVcNaive:
 
     def test_two_constant_hypotheses(self):
         # singletons shattered; no pair realizes pattern 01
-        assert vc_naive(make_space(3, ["000", "111"])) == 1
+        assert vc_naive(bit_space(3, ["000", "111"])) == 1
 
     def test_oracle_domain_cap(self):
         with pytest.raises(SimvcError, match="oracle requires domain_size <= 20, got 21"):
-            vc_naive(make_space(21, ["0" * 21, "1" * 21]))
+            vc_naive(bit_space(21, ["0" * 21, "1" * 21]))
 
 
 class TestOracleEquivalence:

@@ -14,7 +14,6 @@ from simvc import (
     full_cube,
     k_sparse,
     lift_space,
-    make_space,
     random_space_stream,
     ratio_search,
     run_report,
@@ -22,7 +21,7 @@ from simvc import (
     verify_theorem,
 )
 
-from conftest import forest_components, run_python
+from conftest import bit_space, forest_components, run_python
 
 
 class TestVerifyTheorem:
@@ -39,14 +38,14 @@ class TestVerifyTheorem:
         assert report.lower_ok and report.upper_ok
 
     def test_singleton_space(self):
-        report = verify_theorem(make_space(3, ["010"]))
+        report = verify_theorem(bit_space(3, ["010"]))
         assert (report.d, report.d_sim) == (0, 0)
         assert report.ratio is None
         assert report.urner_value is None
         assert report.lower_ok and report.upper_ok
 
     def test_single_element_domain(self):
-        report = verify_theorem(make_space(1, ["0", "1"]))
+        report = verify_theorem(bit_space(1, ["0", "1"]))
         assert (report.d, report.d_sim) == (1, 0)
         assert report.witness_sim == ()
         assert report.lower_ok and report.upper_ok

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simvc import (
+    HypothesisSpace,
     SimvcError,
     enumerate_spaces,
     full_cube,
@@ -14,7 +15,6 @@ from simvc import (
     lift_hypothesis,
     lift_space,
     lifted_vc,
-    make_space,
     pair_domain,
     random_space,
     restrict,
@@ -24,7 +24,7 @@ from simvc import (
 
 from simvc.similarity import _star_blocks
 
-from conftest import chain_witness, forest_components, spaces
+from conftest import bit_space, chain_witness, forest_components, spaces
 
 
 def bit_string(bits: int, n: int) -> str:
@@ -82,13 +82,13 @@ class TestLift:
         assert set(lifted.bit_strings()) == {"111", "001", "010", "100"}
 
     def test_lift_single_hypothesis_space(self):
-        lifted = lift_space(make_space(3, ["010"]))
+        lifted = lift_space(bit_space(3, ["010"]))
         assert len(lifted) == 1
         assert vc_exact(lifted)[0] == 0
 
     def test_lift_requires_pairs(self):
         with pytest.raises(SimvcError, match="cannot lift a space over 1 element"):
-            lift_space(make_space(1, ["0", "1"]))
+            lift_space(bit_space(1, ["0", "1"]))
 
     @given(spaces(max_n=6))
     @settings(max_examples=50, deadline=None)
@@ -246,7 +246,7 @@ def test_star_forests_are_one_per_vertex_partition():
 def _permuted(space, perm):
     """Element j of ``space`` becomes element perm[j]."""
     n = space.domain_size
-    return make_space(
+    return HypothesisSpace(
         n, [sum(((h >> j) & 1) << perm[j] for j in range(n)) for h in space.hypotheses]
     )
 
@@ -269,7 +269,7 @@ class TestLiftedVcInvariance:
         # which keeps every shattered pair set, so the witness stays too
         n = space.domain_size
         mask = data.draw(st.integers(0, (1 << n) - 1))
-        flipped = make_space(n, [h ^ mask for h in space.hypotheses])
+        flipped = HypothesisSpace(n, [h ^ mask for h in space.hypotheses])
         assert lifted_vc(flipped) == lifted_vc(space)
         assert vc_exact(flipped)[0] == vc_exact(space)[0]
 
@@ -279,21 +279,23 @@ class TestLiftedVcInvariance:
         # h and its complement lift to the same labelling
         n = space.domain_size
         top = (1 << n) - 1
-        closed = make_space(n, list(space.hypotheses) + [h ^ top for h in space.hypotheses])
+        closed = HypothesisSpace(n, list(space.hypotheses) + [h ^ top for h in space.hypotheses])
         assert lifted_vc(closed) == lifted_vc(space)
 
 
 def ordered_lift(space):
     """Lift onto all n*n ordered pairs, diagonal included; pair (w, x) is column w*n + x."""
     n = space.domain_size
-    return make_space(
+    return HypothesisSpace(
         n * n,
-        [
-            "".join(
-                "1" if (h >> w) & 1 == (h >> x) & 1 else "0" for w in range(n) for x in range(n)
+        (
+            sum(
+                int((h >> w) & 1 == (h >> x) & 1) << (w * n + x)
+                for w in range(n)
+                for x in range(n)
             )
             for h in space.hypotheses
-        ],
+        ),
     )
 
 
@@ -315,7 +317,7 @@ class TestOrderedModeEquivalence:
             assert canonical == ordered
 
     def test_ordered_lift_handles_single_element_domain(self):
-        space = make_space(1, ["0", "1"])
+        space = bit_space(1, ["0", "1"])
         assert vc_exact(ordered_lift(space))[0] == 0
 
 
@@ -326,7 +328,7 @@ def test_restrict_of_lift_equals_chain_labelling():
     h = chain_witness(elems, labels, 0)
     domain = pair_domain(4)
     ranks = tuple(domain.index(pair) for pair in zip(elems, elems[1:]))
-    projected = restrict(lift_space(make_space(4, [h])), ranks)
+    projected = restrict(lift_space(HypothesisSpace(4, [h])), ranks)
     lifted = lift_hypothesis(h, 4)
     expected = "".join(str((lifted >> r) & 1) for r in ranks)
     assert projected.bit_strings() == [expected]

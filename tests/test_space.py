@@ -1,66 +1,60 @@
 """Core space representation: a sorted set of ints, restriction, shattering."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from simvc import (
+    DOMAIN_SIZE_CAP,
     HypothesisSpace,
     SimvcError,
     full_cube,
     is_shattered,
     k_sparse,
-    make_space,
     restrict,
     space_from_dict,
     space_to_dict,
 )
 
-from conftest import spaces, subsets_of
+from conftest import bit_space, spaces, subsets_of
 
 
-class TestMakeSpace:
+class TestSpaceFromDict:
     def test_dedup_and_sort(self):
-        space = make_space(2, ["01", "01", "10"])
+        space = bit_space(2, ["01", "01", "10"])
         assert space.bit_strings() == ["01", "10"]
 
     def test_input_order_irrelevant(self):
-        a = make_space(3, ["110", "001", "010"])
-        b = make_space(3, ["010", "110", "001"])
+        a = bit_space(3, ["110", "001", "010"])
+        b = bit_space(3, ["010", "110", "001"])
         assert a == b
 
     def test_empty_space(self):
-        with pytest.raises(SimvcError, match="no hypotheses supplied"):
-            make_space(3, [])
+        with pytest.raises(SimvcError, match="must contain at least one hypothesis"):
+            bit_space(3, [])
 
     def test_length_mismatch(self):
         with pytest.raises(SimvcError, match="hypothesis '011' has length 3, expected 2"):
-            make_space(2, ["011"])
+            bit_space(2, ["011"])
 
     def test_domain_too_large(self):
+        doc = {"domain_size": 25, "hypotheses": ["0" * 25]}
         with pytest.raises(SimvcError, match="domain_size 25 exceeds the supported maximum 24"):
-            make_space(25, ["0" * 25])
+            space_from_dict(doc, DOMAIN_SIZE_CAP)
 
     def test_invalid_character(self):
-        with pytest.raises(ValueError):
-            make_space(2, ["0x"])
-
-    def test_accepts_ints(self):
-        # bit j of an int is the label of element j, as character j of a string
-        space = make_space(3, [0b001, "100", 0b110])
-        assert space.bit_strings() == ["011", "100"]
-        assert space.hypotheses == (0b001, 0b110)
-
-    def test_int_out_of_range(self):
-        with pytest.raises(SimvcError, match="hypothesis 4 does not fit a space over 2 elements"):
-            make_space(2, [4])
-        with pytest.raises(SimvcError, match="hypothesis -1 does not fit"):
-            make_space(2, [-1])
+        # int(row, 2) parses every row here but "0x"; only the 0/1 check rejects them
+        cases = [("0x", "x"), ("0_1", "_"), ("+1", "+"), (" 1", " "), ("\u0661", "\u0661")]
+        for row, bad in cases:
+            with pytest.raises(ValueError, match=re.escape(f"invalid bit character {bad!r}")):
+                bit_space(len(row), [row])
 
 
 class TestHypothesisSpace:
     def test_stores_sorted_distinct_ints(self):
         space = HypothesisSpace(2, (0b10, 0b01, 0b10, 0b00))
-        assert space == make_space(2, ["01", "10", "00"])
+        assert space == bit_space(2, ["01", "10", "00"])
         assert space.hypotheses == (0b00, 0b01, 0b10)
         # bit strings keep their lexicographic order at output
         assert HypothesisSpace(2, (0b01, 0b10)).bit_strings() == ["01", "10"]
@@ -76,11 +70,11 @@ class TestRestrict:
         assert space.bit_strings() == ["0", "1"]
 
     def test_two_columns(self):
-        space = restrict(make_space(3, ["000", "111"]), (0, 2))
+        space = restrict(bit_space(3, ["000", "111"]), (0, 2))
         assert space.bit_strings() == ["00", "11"]
 
     def test_empty_subset_is_single_empty_map(self):
-        space = restrict(make_space(3, ["000", "111"]), ())
+        space = restrict(bit_space(3, ["000", "111"]), ())
         assert space.domain_size == 0
         assert space.bit_strings() == [""]
 
@@ -89,13 +83,13 @@ class TestRestrict:
             restrict(full_cube(2), (2,))
 
     def test_column_order_follows_subset(self):
-        space = restrict(make_space(3, ["010"]), (1, 2))
+        space = restrict(bit_space(3, ["010"]), (1, 2))
         assert space.bit_strings() == ["10"]
 
 
 class TestPatternCount:
     def test_examples(self):
-        assert len(restrict(make_space(3, ["000", "111"]), (0, 1))) == 2
+        assert len(restrict(bit_space(3, ["000", "111"]), (0, 1))) == 2
         assert len(restrict(full_cube(2), (0, 1))) == 4
         # projections of {000,100,010,001} onto (0,1) by hand: 00, 10, 01
         assert len(restrict(k_sparse(3, 1), (0, 1))) == 3
@@ -115,7 +109,7 @@ class TestPatternCount:
                 st.integers(0, len(space) - 1), min_size=1, max_size=len(space)
             )
         )
-        sub = make_space(
+        sub = HypothesisSpace(
             space.domain_size, [space.hypotheses[i] for i in sorted(keep)]
         )
         subset = data.draw(subsets_of(space.domain_size))
@@ -145,7 +139,7 @@ class TestIsShattered:
         assert min({format(i, "03b") for i in range(8)} - realized) == "011"
 
     def test_empty_subset_always_shattered(self):
-        space = make_space(2, ["00"])
+        space = bit_space(2, ["00"])
         assert is_shattered(space, ()) is True
         assert restrict(space, ()).bit_strings() == [""]
 
@@ -178,7 +172,7 @@ class TestIsShattered:
 
 class TestSerialization:
     def test_round_trip_is_canonical(self):
-        space = make_space(3, ["100", "001", "001"])
+        space = bit_space(3, ["100", "001", "001"])
         doc = space_to_dict(space)
         assert doc == {"domain_size": 3, "hypotheses": ["001", "100"]}
         assert space_from_dict(doc) == space
@@ -200,7 +194,7 @@ class TestSerialization:
 @given(spaces())
 @settings(max_examples=50, deadline=None)
 def test_canonical_form_is_stable(space):
-    rebuilt = make_space(space.domain_size, reversed(space.bit_strings()))
+    rebuilt = bit_space(space.domain_size, reversed(space.bit_strings()))
     assert rebuilt == space
     strings = space.bit_strings()
     assert strings == sorted(strings) and len(set(strings)) == len(strings)
