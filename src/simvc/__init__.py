@@ -1,12 +1,6 @@
 """Exact-computation toolkit for VC dimensions of similarity hypothesis spaces."""
 
-from .bounds import (
-    binary_entropy,
-    sauer_guaranteed_vc,
-    solve_optimal_delta,
-    theorem_bounds,
-    urner_bound,
-)
+from .bounds import forest_cap, solve_optimal_delta, theorem_bounds
 from .engine import ORACLE_DOMAIN_CAP, vc_exact, vc_naive
 from .errors import SimvcError
 from .experiments import (
@@ -59,10 +53,10 @@ __all__ = [
     "ORACLE_DOMAIN_CAP",
     "RatioSearchResult",
     "SimvcError",
-    "binary_entropy",
     "enumerate_spaces",
     "exhaustive_orbits",
     "exhaustive_search",
+    "forest_cap",
     "full_cube",
     "is_shattered",
     "k_sparse",
@@ -75,14 +69,12 @@ __all__ = [
     "ratio_search",
     "restrict",
     "run_report",
-    "sauer_guaranteed_vc",
     "solve_optimal_delta",
     "space_from_dict",
     "space_to_dict",
     "spaces_for",
     "splitmix64_stream",
     "theorem_bounds",
-    "urner_bound",
     "vc_exact",
     "vc_naive",
     "verify_theorem",

@@ -1,7 +1,11 @@
-"""Closed-form combinatorial bounds.
+"""Closed-form bounds: the paper's upper-bound argument and its constants.
 
-``theorem_bounds`` floors 4.55 d as 91 d // 20, so floor comparisons are
-exact.  ``solve_optimal_delta`` returns the float pair (epsilon, delta)
+A t-edge forest shattered by the lift has at most min(n, 2t) vertices, and
+Sauer–Shelah caps the patterns a space of VC dimension d takes there, so
+2^t <= Phi_d(min(n, 2t)).  ``forest_cap`` is the largest t that inequality
+allows.  The paper loosens it with an entropy estimate to the bracket of
+``theorem_bounds``, which floors 4.55 d as 91 d // 20 so floor comparisons
+are exact.  ``solve_optimal_delta`` returns the float pair (epsilon, delta)
 behind that factor: the bisected root of H(epsilon) = 1/2 and
 delta = 1/(2 epsilon).
 """
@@ -13,29 +17,27 @@ import math
 from .errors import SimvcError
 
 
-def sauer_guaranteed_vc(space_size: int, domain_size: int) -> int:
-    """Largest m with space_size > sum_{k<m} C(domain_size, k); 0 if none.
+def _sauer_sum(n: int, d: int) -> int:
+    """Phi_d(n) = sum_{k<=d} C(n, k), one running sum."""
+    term = total = 1
+    for k in range(1, min(n, d) + 1):
+        term = term * (n - k + 1) // k
+        total += term
+    return total
 
-    This is the growth-function lower bound on the VC dimension: a space too
-    large to be m-1-dimensional must shatter some m-element set.
+
+def forest_cap(n: int, d: int) -> int:
+    """max{t <= n - 1 : 2^t <= Phi_d(min(n, 2t))}: the lifted VC bound on [n] at VC d.
+
+    The scan stops at the first t that fails, so it costs O(d^2) whatever n
+    is and never builds 2^n.
     """
-    if space_size < 1:
-        raise ValueError("space_size must be at least 1")
-    if domain_size < 0:
-        raise ValueError("domain_size must be non-negative")
-    # space_size > 2^domain_size, without building 2^domain_size
-    if (space_size - 1) >> domain_size:
-        raise SimvcError(
-            f"space_size {space_size} exceeds 2^{domain_size} possible hypotheses"
-        )
-    # below = sum_{k<=m} C(domain_size, k), one running sum; it reaches
-    # 2^domain_size >= space_size at m = domain_size, which ends the loop
-    m, term, below = 0, 1, 1
-    while space_size > below:
-        m += 1
-        term = term * (domain_size - m + 1) // m
-        below += term
-    return m
+    if n < 1 or not 0 <= d <= n:
+        raise SimvcError(f"forest_cap needs n >= 1 and 0 <= d <= n, got n = {n}, d = {d}")
+    t = 0
+    while t < n - 1 and 1 << (t + 1) <= _sauer_sum(min(n, 2 * t + 2), d):
+        t += 1
+    return t
 
 
 def binary_entropy(eps: float) -> float:
@@ -59,22 +61,16 @@ def theorem_bounds(d: int) -> "tuple[int, int]":
     return max(d - 1, 0), 91 * d // 20
 
 
-def solve_optimal_delta(tolerance: float) -> "tuple[float, float]":
+def solve_optimal_delta() -> "tuple[float, float]":
     """Best constants this argument allows: bisect H(eps) = 1/2 on (0, 1/2).
 
-    Bisection stops once the bracket is no wider than ``tolerance`` or no
-    float lies strictly inside it.  Returns ``(epsilon, delta)`` with
-    epsilon the left end of the final bracket, which bisection keeps where
-    H < 1/2, so H(epsilon) < 1/2 holds exactly and delta = 1/(2*epsilon) is
-    a hair above the optimum.
+    Bisection keeps H < 1/2 at the left end and runs until the two ends are
+    adjacent floats.  Returns ``(epsilon, delta)`` with epsilon that left
+    end, the last float below the root, so H(epsilon) < 1/2 holds exactly
+    and delta = 1/(2*epsilon) is a hair above the optimum.
     """
-    if not 0 < tolerance < math.inf:
-        raise SimvcError(f"tolerance must be positive and finite, got {tolerance}")
     lo, hi = 1e-9, 0.5
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2.0
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent floats
+    while lo < (mid := (lo + hi) / 2.0) < hi:
         if binary_entropy(mid) < 0.5:
             lo = mid
         else:

@@ -3,7 +3,7 @@
 Exit codes: 0 success; 1 usage or input error (a flag the chosen mode
 does not use included); 2 a finding: ``vc verify`` saw a side of the
 paper's bracket fail, or ``vc search`` found a ratio above 2, which is a
-result, not a fault (one space on n = 8 reaches 5/2) -- output is preserved
+result, not a fault (one space on n = 12 reaches 3) -- output is preserved
 before the nonzero exit so the space is never lost; 141 stdout closed
 before the output was written (the status a shell gives a command killed by
 SIGPIPE), with nothing written to stderr.
@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .bounds import binary_entropy, sauer_guaranteed_vc, solve_optimal_delta
+from .bounds import binary_entropy, forest_cap, solve_optimal_delta
 from .engine import vc_exact, vc_naive
 from .experiments import exhaustive_search, ratio_search, run_report, verify_theorem
 from .families import FamilySpec, random_space_stream, spaces_for
@@ -34,7 +34,6 @@ from .space import (
 #: Defaults of the flags only one mode uses; None on the parser means "not given".
 _SAMPLES = 10_000
 _SEED = 0
-_TOL = 1e-9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,31 +130,14 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if not args.solve_delta:
-        _reject_unused("--entropy" if args.entropy is not None else "--sauer", tol=args.tol)
-    if args.entropy is not None:
-        _emit({"epsilon": args.entropy, "binary_entropy": binary_entropy(args.entropy)})
+    if args.cap is not None:
+        n, d = args.cap
+        if not 1 <= n <= DOMAIN_SIZE_CAP:
+            raise ValueError(f"--cap N must be in 1..{DOMAIN_SIZE_CAP}, got {n}")
+        _emit({"domain_size": n, "d": d, "cap": forest_cap(n, d)})
         return 0
-    if args.sauer is not None:
-        size, n = args.sauer
-        _emit(
-            {
-                "space_size": size,
-                "domain_size": n,
-                "guaranteed_vc": sauer_guaranteed_vc(size, n),
-            }
-        )
-        return 0
-    tol = _TOL if args.tol is None else args.tol
-    epsilon, delta = solve_optimal_delta(tol)
-    _emit(
-        {
-            "epsilon": epsilon,
-            "delta": delta,
-            "entropy_at_epsilon": binary_entropy(epsilon),
-            "tolerance": tol,
-        }
-    )
+    epsilon, delta = solve_optimal_delta()
+    _emit({"epsilon": epsilon, "delta": delta, "entropy_at_epsilon": binary_entropy(epsilon)})
     return 0
 
 
@@ -204,10 +186,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="closed-form bound values")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--entropy", type=float)
-    mode.add_argument("--sauer", type=int, nargs=2, metavar=("SIZE", "N"))
+    mode.add_argument("--cap", type=int, nargs=2, metavar=("N", "D"))
     mode.add_argument("--solve-delta", action="store_true")
-    p.add_argument("--tol", type=float, help=f"--solve-delta only (default {_TOL:g})")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("report", help="bound reports for a spec file of families")

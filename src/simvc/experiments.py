@@ -5,11 +5,12 @@ VC dimension of its lifted space (``lifted_vc``, a search over vertex
 partitions), the ratio between them, and whether both sides of the
 ``theorem_bounds`` bracket d - 1 <= d_sim <= floor(4.55 d) hold.  It reports
 rather than asserts, so a hypothetical counterexample is captured instead of
-crashed on.
+crashed on.  The exact ``forest_cap(n, d)`` is the one bound it asserts: a
+d_sim above it is a fault of the search, not a finding.
 
 ``verify_theorem`` is the only per-space job.  ``ratio_search`` maps it over
 a space stream and keeps the first maximum of the reports' d_sim / d,
-flagging a maximum above 2 (one exists: a space on n = 8 reaches 5/2); the
+flagging a maximum above 2 (one exists: a space on n = 12 reaches 3); the
 stream's own length is the length of the search.  ``exhaustive_search``
 gives the result ``ratio_search`` would give over ``enumerate_spaces(n)``,
 verifying one space per symmetry orbit (``exhaustive_orbits``) and counting
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .bounds import theorem_bounds, urner_bound
+from .bounds import forest_cap, theorem_bounds, urner_bound
 from .engine import vc_exact
 from .errors import SimvcError
 from .families import FamilySpec, exhaustive_orbits, spaces_for
@@ -122,10 +123,16 @@ class BoundReport:
 def verify_theorem(
     space: HypothesisSpace, family_spec: Union[FamilySpec, str] = "file"
 ) -> BoundReport:
-    """Measure one space against the d - 1 <= d_sim <= floor(4.55 d) bracket."""
+    """Measure one space against the d - 1 <= d_sim <= floor(4.55 d) bracket.
+
+    Raises ``AssertionError`` when d_sim exceeds ``forest_cap(n, d)``.
+    """
     start = time.perf_counter()
     d, witness_base = vc_exact(space)
     d_sim, witness_sim = lifted_vc(space)
+    cap = forest_cap(space.domain_size, d)
+    if d_sim > cap:
+        raise AssertionError(f"d_sim = {d_sim} exceeds forest_cap = {cap} at d = {d}")
     ratio = Fraction(d_sim, d) if d > 0 else None
     lower, upper = theorem_bounds(d)
     report = BoundReport(

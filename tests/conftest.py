@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from simvc import HypothesisSpace, binary_entropy, space_from_dict
+from simvc import HypothesisSpace, space_from_dict
+from simvc.bounds import binary_entropy
 
 
 def bit_space(n, rows):
@@ -38,6 +39,21 @@ def five_halves_space():
     return HypothesisSpace(8, [
         0, 2, 34, 64, 65, 66, 67, 70, 81, 82, 86, 89, 90, 93, 94, 95, 98, 114,
         122, 125, 126, 127, 131, 147, 159, 193, 195, 211, 219, 222, 223, 254,
+    ])
+
+
+@pytest.fixture
+def ratio_three_space():
+    """A space on n = 12 with d = 2 and d_sim = 6 = forest_cap(12, 2), so d_sim / d = 3.
+
+    The lifted witness is the six disjoint pairs (0, 1), (2, 3), ..., (10, 11).
+    """
+    return HypothesisSpace(12, [
+        0, 1, 4, 5, 16, 17, 20, 22, 64, 65, 68, 70, 80, 82, 88, 90, 256, 257,
+        260, 265, 273, 281, 321, 353, 536, 576, 592, 600, 720, 1025, 1041, 1088,
+        1089, 1092, 1094, 1120, 1121, 1124, 1126, 1216, 1248, 1252, 1254, 1281,
+        1289, 1313, 1321, 1441, 1600, 1601, 1604, 1606, 1638, 1728, 2052, 2053,
+        2308, 2640, 2648, 2768, 2776, 3652, 3654, 3686,
     ])
 
 

@@ -14,7 +14,6 @@ import pytest
 
 from simvc import (
     FamilySpec,
-    binary_entropy,
     enumerate_spaces,
     exhaustive_search,
     full_cube,
@@ -33,6 +32,7 @@ from simvc import (
     vc_naive,
     verify_theorem,
 )
+from simvc.bounds import binary_entropy
 
 from conftest import chain_witness, entropy_sum, forest_components
 
@@ -335,7 +335,7 @@ def test_criterion_8_bounds_math():
         if not le(*entropy_sum(n, i / 100))
     ]
     entropy_ok = binary_entropy(0.11) < 0.5
-    epsilon, delta = solve_optimal_delta(1e-9)
+    epsilon, delta = solve_optimal_delta()
     eps_ok = abs(epsilon - 0.1100) <= 1e-4
     delta_ok = 4.54 < delta < 4.55
     ok = not grid_failures and entropy_ok and eps_ok and delta_ok

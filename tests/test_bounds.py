@@ -7,53 +7,61 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simvc import (
-    SimvcError,
-    binary_entropy,
-    sauer_guaranteed_vc,
-    solve_optimal_delta,
-    theorem_bounds,
-    urner_bound,
-)
+from simvc import SimvcError, forest_cap, solve_optimal_delta, theorem_bounds
+from simvc.bounds import binary_entropy, urner_bound
 
 from conftest import entropy_sum, run_python
 
 
+def capped_by_definition(n, d):
+    """max{t <= n - 1 : 2^t <= Phi_d(min(n, 2t))}, trying every t."""
+    return max(
+        t for t in range(n) if 2**t <= sum(math.comb(min(n, 2 * t), k) for k in range(d + 1))
+    )
+
+
 class TestSauer:
+    """``forest_cap``: Sauer–Shelah on a t-edge forest shattered by the lift."""
+
     def test_examples(self):
-        assert sauer_guaranteed_vc(6, 4) == 2  # 6 > 5 but 6 <= 11
-        for n in (1, 3, 5):
-            assert sauer_guaranteed_vc(1 << n, n) == n
-        assert sauer_guaranteed_vc(1, 5) == 0
+        # with n unbounded; floor(4.55 d) gives 4, 9, 13, 18, 22, 27
+        assert [forest_cap(100, d) for d in range(1, 7)] == [2, 6, 10, 14, 19, 23]
+        assert forest_cap(12, 2) == 6
+        assert forest_cap(1, 0) == forest_cap(1, 1) == 0
 
     def test_invalid_query(self):
-        with pytest.raises(SimvcError, match=r"space_size 17 exceeds 2\^4 possible hypotheses"):
-            sauer_guaranteed_vc(17, 4)
+        for n, d in ((3, 4), (3, -1), (0, 0)):
+            with pytest.raises(SimvcError, match=rf"got n = {n}, d = {d}"):
+                forest_cap(n, d)
 
     def test_wide_domain_builds_no_power_of_two(self):
         # 2^(10^8) alone would take 12.5 MB
         tracemalloc.start()
         try:
-            assert sauer_guaranteed_vc(3, 10**8) == 1
+            assert forest_cap(10**8, 3) == 10
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
     def test_answer_in_one_pass(self):
-        # C(4000, k) summed to k = 1999 is just below 2^3999; recomputing the
-        # partial sum at every step takes minutes here, so run it in a child
-        code = "from simvc import sauer_guaranteed_vc; print(sauer_guaranteed_vc(2**3999, 4000))"
-        assert run_python(code, timeout=60) == "2000\n"
+        # trying every t <= n - 1 takes hours at n = 10^9; the scan stops near
+        # 4.55 d, so run it in a child with a deadline
+        code = "from simvc import forest_cap; print(forest_cap(10**9, 300))"
+        t = int(run_python(code, timeout=60))
+        assert 2**t <= sum(math.comb(2 * t, k) for k in range(301))
+        assert 2 ** (t + 1) > sum(math.comb(2 * t + 2, k) for k in range(301))
+        assert t <= 91 * 300 // 20
 
-    @given(st.integers(0, 12), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_definition(self, n, data):
-        size = data.draw(st.integers(1, 1 << n))
-        m = sauer_guaranteed_vc(size, n)
-        if m > 0:
-            assert size > sum(math.comb(n, k) for k in range(m))
-        assert size <= sum(math.comb(n, k) for k in range(m + 1))
+    def test_definition(self):
+        for n in range(1, 41):
+            for d in range(n + 1):
+                assert forest_cap(n, d) == capped_by_definition(n, d), (n, d)
+
+    def test_sharper_than_the_linear_bound(self):
+        # 2 * floor(4.55 d) + 2 vertices hold a forest of floor(4.55 d) + 1 pairs
+        for d in range(101):
+            assert forest_cap(2 * (91 * d // 20) + 2, d) <= 91 * d // 20
 
 
 class TestBinaryEntropy:
@@ -123,21 +131,17 @@ class TestTheoremBounds:
 
 class TestOptimalDelta:
     def test_solution(self):
-        epsilon, delta = solve_optimal_delta(1e-9)
+        epsilon, delta = solve_optimal_delta()
         assert epsilon == pytest.approx(0.110028, abs=1e-5)
-        assert binary_entropy(epsilon) < 0.5
-        assert abs(binary_entropy(epsilon) - 0.5) <= 1e-8
+        # the last float below the root
+        assert binary_entropy(epsilon) < 0.5 <= binary_entropy(math.nextafter(epsilon, 1))
         assert 4.54 < delta < 4.55
         assert delta == 1.0 / (2.0 * epsilon)
 
     def test_rounded_constant_is_valid_and_near_optimal(self):
         # 1/(2 * 0.11) = 4.5454... rounds up to 4.55, and the optimum is below it
         assert 1.0 / (2.0 * 0.11) == pytest.approx(4.5454, abs=1e-3)
-        assert solve_optimal_delta(1e-9)[1] < 4.55
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(SimvcError, match="tolerance must be positive"):
-            solve_optimal_delta(0.0)
+        assert solve_optimal_delta()[1] < 4.55
 
 
 class TestUrnerBound:

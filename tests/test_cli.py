@@ -13,13 +13,13 @@ from simvc import (
     DOMAIN_SIZE_CAP,
     LOAD_DOMAIN_SIZE_CAP,
     RatioSearchResult,
-    binary_entropy,
     full_cube,
     k_sparse,
     random_space,
     space_to_dict,
     splitmix64_stream,
 )
+from simvc.bounds import binary_entropy
 from simvc.cli import main
 
 from conftest import module_env
@@ -243,8 +243,9 @@ class TestVerify:
         doc = json.loads(out)
         assert (doc["d"], doc["d_sim"], doc["ratio"]) == (3, 2, "2/3")
 
-    def test_input_file(self, tmp_path, capsys, five_halves_space):
-        for space, ratio in ((full_cube(2), "1/2"), (five_halves_space, "5/2")):
+    def test_input_file(self, tmp_path, capsys, five_halves_space, ratio_three_space):
+        cases = ((full_cube(2), "1/2"), (five_halves_space, "5/2"), (ratio_three_space, "3"))
+        for space, ratio in cases:
             path = write_space(tmp_path / "s.json", space)
             code, out, _ = run_cli(capsys, "verify", "--input", str(path))
             # a ratio above 2 inside the paper's bracket is a finding, not a failure
@@ -389,71 +390,79 @@ class TestSearch:
 
 
 class TestBounds:
-    def test_entropy(self, capsys):
-        code, out, _ = run_cli(capsys, "bounds", "--entropy", "0.11")
+    def test_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--cap", "12", "2")
         assert code == 0
-        doc = json.loads(out)
-        assert doc["binary_entropy"] == pytest.approx(0.49992, abs=1e-4)
+        assert json.loads(out) == {"domain_size": 12, "d": 2, "cap": 6}
+
+    @pytest.mark.parametrize(
+        "n, d, message",
+        [
+            ("3", "5", "got n = 3, d = 5"),
+            ("3", "-1", "got n = 3, d = -1"),
+            ("25", "2", f"--cap N must be in 1..{DOMAIN_SIZE_CAP}, got 25"),
+            ("0", "0", f"--cap N must be in 1..{DOMAIN_SIZE_CAP}, got 0"),
+        ],
+    )
+    def test_cap_out_of_range_is_input_error(self, capsys, n, d, message):
+        code, out, err = run_cli(capsys, "bounds", "--cap", n, d)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    def test_entropy(self, capsys):
+        # --entropy is gone; binary_entropy is only the solver's helper
+        with pytest.raises(SystemExit) as info:
+            main(["bounds", "--entropy", "0.11"])
+        assert info.value.code == 1
+        assert capsys.readouterr().out == ""
 
     def test_sauer(self, capsys):
-        code, out, _ = run_cli(capsys, "bounds", "--sauer", "6", "4")
-        assert code == 0
-        assert json.loads(out)["guaranteed_vc"] == 2
+        # --sauer is gone; --cap is the one Sauer–Shelah mode
+        with pytest.raises(SystemExit) as info:
+            main(["bounds", "--sauer", "6", "4"])
+        assert info.value.code == 1
+        assert capsys.readouterr().out == ""
 
     def test_solve_delta(self, capsys):
-        code, out, _ = run_cli(capsys, "bounds", "--solve-delta", "--tol", "1e-10")
+        code, out, _ = run_cli(capsys, "bounds", "--solve-delta")
         assert code == 0
         doc = json.loads(out)
+        assert set(doc) == {"epsilon", "delta", "entropy_at_epsilon"}
         assert doc["epsilon"] == pytest.approx(0.110028, abs=1e-5)
         assert 4.54 < doc["delta"] < 4.55
 
     def test_solve_delta_stops_at_adjacent_floats(self):
-        # far below the float spacing near eps*; the bisection must still end
-        proc = run_module("bounds", "--solve-delta", "--tol", "1e-300", timeout=60)
+        proc = run_module("bounds", "--solve-delta", timeout=60)
         assert proc.returncode == 0
         eps = json.loads(proc.stdout)["epsilon"]
         assert binary_entropy(eps) < 0.5 <= binary_entropy(math.nextafter(eps, 1))
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_solve_delta_non_finite_tolerance_is_input_error(self, capsys, tol):
-        code, out, err = run_cli(capsys, "bounds", "--solve-delta", "--tol", tol)
-        assert code == 1
-        assert out == ""
-        assert f"tolerance must be positive and finite, got {tol}" in err
+        # --tol is gone: every tolerance is a usage error
+        with pytest.raises(SystemExit) as info:
+            main(["bounds", "--solve-delta", "--tol", tol])
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --tol {tol}" in captured.err
 
     def test_no_selector(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["bounds"])
         assert info.value.code == 1
-        assert "one of the arguments --entropy --sauer --solve-delta is required" in (
+        assert "one of the arguments --cap --solve-delta is required" in (
             capsys.readouterr().err
         )
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["--entropy", "0.11", "--sauer", "3", "2"],
-            ["--sauer", "3", "2", "--solve-delta"],
-        ],
-        ids=["entropy-sauer", "sauer-solve-delta"],
-    )
-    def test_two_selectors(self, capsys, argv):
+    def test_two_selectors(self, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["bounds", *argv])
+            main(["bounds", "--cap", "3", "2", "--solve-delta"])
         assert info.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not allowed with argument" in captured.err
-
-    def test_entropy_rejects_tol(self, capsys):
-        code, out, err = run_cli(capsys, "bounds", "--entropy", "0.11", "--tol", "5")
-        assert code == 1
-        assert out == ""
-        assert err == "vc: error: --entropy does not take --tol\n"
-
-    def test_entropy_out_of_range(self, capsys):
-        code, _, err = run_cli(capsys, "bounds", "--entropy", "1.5")
-        assert code == 1
 
 
 class TestReport:

@@ -1,5 +1,6 @@
 """Exact engine vs the brute-force oracle."""
 
+import math
 import subprocess
 import sys
 from itertools import combinations
@@ -18,7 +19,6 @@ from simvc import (
     pair_domain,
     random_space,
     restrict,
-    sauer_guaranteed_vc,
     splitmix64_stream,
     vc_exact,
     vc_naive,
@@ -90,7 +90,8 @@ class TestEngineInvariants:
     def test_log2_bound_and_sauer_floor(self, space):
         d = vc_exact(space)[0]
         assert d <= len(space).bit_length() - 1
-        assert d >= sauer_guaranteed_vc(len(space), space.domain_size)
+        # Sauer–Shelah: a space of VC dimension d has at most Phi_d(n) members
+        assert len(space) <= sum(math.comb(space.domain_size, k) for k in range(d + 1))
 
     @given(spaces(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -168,11 +169,18 @@ class TestWitnessRecheck:
                 "simvc.experiments.exhaustive_orbits = lambda n: [(full_cube(n), 1)]",
                 "exhaustive_search(2)",
             ),
+            # d = 1 on n = 3 caps d_sim at forest_cap(3, 1) = 2
+            (
+                "simvc.experiments.lifted_vc = lambda space: (9, ())",
+                "verify_theorem(k_sparse(3, 1))",
+            ),
         ]
         for patch, call in cases:
             code = (
                 "import simvc.engine, simvc.experiments, simvc.similarity\n"
-                "from simvc import exhaustive_search, full_cube, k_sparse, lifted_vc, vc_exact\n"
+                "from simvc import (\n"
+                "    exhaustive_search, full_cube, k_sparse, lifted_vc, vc_exact, verify_theorem,\n"
+                ")\n"
                 f"{patch}\n"
                 f"print({call})\n"
             )

@@ -11,6 +11,7 @@ from simvc import (
     SimvcError,
     enumerate_spaces,
     exhaustive_search,
+    forest_cap,
     full_cube,
     k_sparse,
     lift_space,
@@ -69,6 +70,22 @@ class TestVerifyTheorem:
             for h in five_halves_space.hypotheses
         }
         assert len(patterns) == 32
+
+    def test_ratio_three_meets_the_forest_cap(self, ratio_three_space):
+        report = verify_theorem(ratio_three_space)
+        assert (report.d, report.d_sim, report.ratio) == (2, 6, Fraction(3))
+        assert report.lower_ok and report.upper_ok
+        pairs = tuple((2 * i, 2 * i + 1) for i in range(6))
+        assert report.witness_sim == pairs
+        assert vc_naive(ratio_three_space) == 2
+        # the lift's definition, h^(s)(w, x) = [h(w) = h(x)], without the engine
+        patterns = {
+            tuple((h >> w) & 1 == (h >> x) & 1 for w, x in pairs)
+            for h in ratio_three_space.hypotheses
+        }
+        assert len(patterns) == 64
+        # so no space with d = 2 has a ratio above 3
+        assert forest_cap(12, 2) == 6
 
     def test_to_dict_round_trips_through_json(self):
         report = verify_theorem(full_cube(2), family_spec=FamilySpec("full_cube", 2))
