@@ -8,6 +8,16 @@ adding an element splits each group by its column, and the extension is
 abandoned at the first one-sided split.  Sets are visited in lexicographic
 preorder and the best set is replaced only by a strictly longer one, so the
 witness is the lexicographically smallest maximum shattered set.
+
+The search is a branch and bound.  A set of size m beats the best set so far,
+of length L, only by adding L + 1 - m more elements, so at least that many
+candidates must remain, and every group must hold at least 2^(L+1-m) rows,
+one for each pattern on the added elements.  A set that fails either count
+is grown no further.  L is passed down the recursion, so every branch is
+measured against the longest set found anywhere before it.  The bound cuts
+only branches that hold no set longer than L, and only a strictly longer set
+replaces the best, so the witness is the one the unbounded search returns.
+
 ``vc_exact`` returns ``(d, subset)`` and re-checks the witness with
 ``is_shattered``; a failed re-check raises ``AssertionError``, also under
 ``python -O``.
@@ -50,6 +60,7 @@ def _largest(
     chosen: "tuple[int, ...]",
     allowed: int,
     limit: int,
+    beat: int = 0,
 ) -> "tuple[int, ...]":
     """The first longest shattered set, in preorder, that extends ``chosen``.
 
@@ -58,12 +69,22 @@ def _largest(
     above its last that may extend it.  Each element e splits every group by
     its column, is abandoned at the first one-sided split, and otherwise
     drops ``blocks[e]`` from the candidates.  The search stops as soon as it
-    holds a set of size ``limit``.
+    holds a set of size ``limit``.  Only a set longer than ``beat``, the
+    longest its callers already hold, is sought; when none extends
+    ``chosen``, a set no longer than ``beat`` comes back, and the callers
+    keep their own.
     """
     best = chosen
     if len(chosen) == limit:
         return best
+    beat = max(beat, len(chosen))
+    # groups never change in this call and allowed only shrinks, so once the
+    # bound fails it fails for every later candidate too
+    smallest = min(g.bit_count() for g in groups)
     while allowed:
+        need = beat + 1 - len(chosen)
+        if allowed.bit_count() < need or smallest < 1 << need:
+            break
         e = (allowed & -allowed).bit_length() - 1
         allowed ^= 1 << e
         col = cols[e]
@@ -75,11 +96,14 @@ def _largest(
             split.append(a)
             split.append(g ^ a)
         else:
-            found = _largest(cols, blocks, split, chosen + (e,), allowed & ~blocks[e], limit)
+            found = _largest(
+                cols, blocks, split, chosen + (e,), allowed & ~blocks[e], limit, beat
+            )
             if len(found) > len(best):
                 best = found
                 if len(best) == limit:
                     break
+                beat = max(beat, len(best))
     return best
 
 

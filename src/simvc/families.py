@@ -12,7 +12,7 @@ of SplitMix64 run on the base seed.  Seeds are the 64-bit values
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice
 from typing import Iterator, Optional
 
 from .errors import SimvcError
@@ -221,34 +221,50 @@ def exhaustive_orbits(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
     return _orbit_representatives(n)
 
 
+def _image_table(targets: "list[int]") -> "list[int]":
+    """Entry m is the mask whose bits are ``targets[i]`` for each bit i of m."""
+    table = [0] * (1 << len(targets))
+    for m in range(1, len(table)):
+        low = m & -m
+        table[m] = table[m ^ low] | 1 << targets[low.bit_length() - 1]
+    return table
+
+
 def _orbit_representatives(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
     cube = lex_cube(n)
     count = len(cube)
-    # each symmetry as a permutation of cube indices
-    group = []
-    for perm in permutations(range(n)):
-        for flip in range(1 << n):
-            moved = []
-            for h in cube:
-                bits = flip
-                for j in range(n):
-                    bits ^= ((h >> j) & 1) << perm[j]
-                moved.append(cube.index(bits))
-            group.append(tuple(moved))
+    half = count // 2
+    index = {h: i for i, h in enumerate(cube)}
+    top = (1 << n) - 1
+    # the flip of element 0, the transposition (0 1) and the n-cycle
+    # generate all n! * 2^n symmetries; n = 1 needs the flip alone
+    moves = [
+        lambda h: h ^ 1,
+        lambda h: h ^ ((h ^ h >> 1) & 1) * 3,
+        lambda h: (h << 1 | h >> (n - 1)) & top,
+    ][: 1 if n == 1 else 3]
+    # each generator maps a space's mask one half at a time
+    generators = []
+    for move in moves:
+        targets = [index[move(h)] for h in cube]
+        generators.append((_image_table(targets[:half]), _image_table(targets[half:])))
     seen = bytearray(1 << count)
     for mask in range(1, 1 << count):
         if seen[mask]:
             continue
-        members = [i for i in range(count) if (mask >> i) & 1]
-        orbit_size = 0
-        for g in group:
-            image = 0
-            for i in members:
-                image |= 1 << g[i]
-            if not seen[image]:
-                seen[image] = 1
-                orbit_size += 1
-        yield HypothesisSpace(n, (cube[i] for i in members)), orbit_size
+        seen[mask] = 1
+        orbit_size = 1
+        stack = [mask]
+        while stack:
+            m = stack.pop()
+            low, high = m & ((1 << half) - 1), m >> half
+            for low_table, high_table in generators:
+                image = low_table[low] | high_table[high]
+                if not seen[image]:
+                    seen[image] = 1
+                    orbit_size += 1
+                    stack.append(image)
+        yield HypothesisSpace(n, (h for i, h in enumerate(cube) if (mask >> i) & 1)), orbit_size
 
 
 def spaces_for(spec: FamilySpec) -> Iterator[HypothesisSpace]:

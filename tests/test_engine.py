@@ -207,3 +207,25 @@ class TestSearchBound:
             repr((12, tuple(range(12)))),
             repr((11, tuple((0, j) for j in range(1, 12)))),
         ]
+
+    def test_wide_random_spaces_finish(self):
+        # values from the search without the counting bound, which took 37 s
+        # at (16, 64) and did not finish (24, 64) in 90 s
+        code = (
+            "from simvc import lifted_vc, random_space, vc_exact\n"
+            "for n, size in ((12, 64), (16, 32), (16, 64)):\n"
+            "    space = random_space(n, size, 7)\n"
+            "    print(vc_exact(space))\n"
+            "    print(lifted_vc(space))\n"
+            "print(lifted_vc(random_space(24, 64, 7))[0])\n"
+        )
+        lines = run_python(code, timeout=60).splitlines()
+        assert lines[:-1] == [
+            repr((5, (0, 1, 6, 10, 11))),
+            repr((5, ((0, 1), (0, 2), (0, 3), (0, 6), (8, 11)))),
+            repr((4, (0, 1, 2, 8))),
+            repr((4, ((0, 1), (0, 2), (0, 3), (0, 8)))),
+            repr((5, (0, 2, 9, 10, 15))),
+            repr((5, ((0, 1), (0, 2), (0, 3), (0, 6), (5, 12)))),
+        ]
+        assert lines[-1].isdigit()
