@@ -12,11 +12,16 @@ witness is the lexicographically smallest maximum shattered set.
 The search is a branch and bound.  A set of size m beats the best set so far,
 of length L, only by adding L + 1 - m more elements, so at least that many
 candidates must remain, and every group must hold at least 2^(L+1-m) rows,
-one for each pattern on the added elements.  A set that fails either count
-is grown no further.  L is passed down the recursion, so every branch is
-measured against the longest set found anywhere before it.  The bound cuts
-only branches that hold no set longer than L, and only a strictly longer set
+one for each pattern on the added elements.  The count is tested where an
+element is tried: a candidate that would leave too few candidates is skipped
+unsplit, and its split is abandoned at the first part with too few rows, so
+no child that cannot beat L is built.  Each split hands its smallest part's
+row count to the child, which stops its loop once that or its candidates
+fall short.  L is passed down the recursion, so every branch is measured
+against the longest set found anywhere before it.  The bound cuts only
+branches that hold no set longer than L, and only a strictly longer set
 replaces the best, so the witness is the one the unbounded search returns.
+At L = m the row floor is one, and the test is the one-sided split.
 
 ``vc_exact`` returns ``(d, subset)`` and re-checks the witness with
 ``is_shattered``; a failed re-check raises ``AssertionError``, also under
@@ -57,6 +62,7 @@ def _largest(
     cols: Sequence[int],
     blocks: Sequence[int],
     groups: "list[int]",
+    smallest: int,
     chosen: "tuple[int, ...]",
     allowed: int,
     limit: int,
@@ -65,40 +71,55 @@ def _largest(
     """The first longest shattered set, in preorder, that extends ``chosen``.
 
     ``chosen`` is shattered, ``groups`` are the hypothesis groups its
-    columns cut the hypothesis set into, and ``allowed`` holds the elements
-    above its last that may extend it.  Each element e splits every group by
-    its column, is abandoned at the first one-sided split, and otherwise
-    drops ``blocks[e]`` from the candidates.  The search stops as soon as it
-    holds a set of size ``limit``.  Only a set longer than ``beat``, the
-    longest its callers already hold, is sought; when none extends
-    ``chosen``, a set no longer than ``beat`` comes back, and the callers
-    keep their own.
+    columns cut the hypothesis set into, ``smallest`` is the popcount of the
+    smallest of them, and ``allowed`` holds the elements above its last that
+    may extend it.  Only a set longer than ``beat``, the longest its callers
+    already hold, is sought; to get one, an element e must leave at least
+    need - 1 candidates once ``blocks[e]`` is dropped, and splitting every
+    group by its column must leave at least 2^(need - 1) rows in each part,
+    where need = beat + 1 - len(chosen).  Element e is abandoned before it
+    splits when the first count fails and at the first part that fails the
+    second, so no child that cannot beat ``beat`` is built.  The search stops
+    as soon as it holds a set of size ``limit``.  When no set longer than
+    ``beat`` extends ``chosen``, a set no longer than ``beat`` comes back,
+    and the callers keep their own.
     """
     best = chosen
     if len(chosen) == limit:
         return best
     beat = max(beat, len(chosen))
-    # groups never change in this call and allowed only shrinks, so once the
-    # bound fails it fails for every later candidate too
-    smallest = min(g.bit_count() for g in groups)
     while allowed:
         need = beat + 1 - len(chosen)
+        # groups never change in this call and allowed only shrinks, so once
+        # the bound fails it fails for every later candidate too
         if allowed.bit_count() < need or smallest < 1 << need:
             break
         e = (allowed & -allowed).bit_length() - 1
         allowed ^= 1 << e
+        rest = allowed & ~blocks[e]
+        if rest.bit_count() < need - 1:
+            continue
+        floor = 1 << (need - 1)
         col = cols[e]
         split = []
+        low = smallest
         for g in groups:
             a = g & col
-            if a == 0 or a == g:
+            b = g ^ a
+            count = a.bit_count()
+            if count < floor:
                 break
+            if count < low:
+                low = count
+            count = b.bit_count()
+            if count < floor:
+                break
+            if count < low:
+                low = count
             split.append(a)
-            split.append(g ^ a)
+            split.append(b)
         else:
-            found = _largest(
-                cols, blocks, split, chosen + (e,), allowed & ~blocks[e], limit, beat
-            )
+            found = _largest(cols, blocks, split, low, chosen + (e,), rest, limit, beat)
             if len(found) > len(best):
                 best = found
                 if len(best) == limit:
@@ -118,7 +139,7 @@ def vc_exact(space: HypothesisSpace) -> "tuple[int, Subset]":
     count = len(space.hypotheses)
     limit = min(space.domain_size, count.bit_length() - 1)
     n = space.domain_size
-    best = _largest(cols, [0] * n, [(1 << count) - 1], (), (1 << n) - 1, limit)
+    best = _largest(cols, [0] * n, [(1 << count) - 1], count, (), (1 << n) - 1, limit)
     if not is_shattered(space, best):
         raise AssertionError(f"vc_exact witness {best} is not shattered")
     return len(best), best

@@ -113,7 +113,9 @@ def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
     # a forest over n vertices has at most n - 1 edges
     limit = min(n - 1, len(rows).bit_length() - 1)
     blocks = _star_blocks(pairs, n)
-    best = _largest(pair_cols, blocks, [(1 << len(rows)) - 1], (), (1 << len(pairs)) - 1, limit)
+    best = _largest(
+        pair_cols, blocks, [(1 << len(rows)) - 1], len(rows), (), (1 << len(pairs)) - 1, limit
+    )
     witness = tuple(pairs[r] for r in best)
     # the definition on the base rows: h(a) = h(b) over the witness takes all 2^d patterns
     patterns = {

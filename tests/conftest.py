@@ -7,8 +7,25 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from simvc import HypothesisSpace, space_from_dict
+from simvc import HypothesisSpace, space_from_dict, splitmix64_stream
 from simvc.bounds import binary_entropy
+
+
+#: Seed of the acceptance suite's bound stream; perfbench's random_report draws its specs too.
+BOUNDS_STREAM_SEED = 0xC0FFEE
+
+
+def bound_stream_params(count, seed=BOUNDS_STREAM_SEED):
+    """(n, size, seed) of the bound stream's first ``count`` random spaces: n = 2..8, size <= 48.
+
+    Each triple is three consecutive SplitMix64 outputs, with n = 2 + r % 7
+    and size = 1 + r % min(2^n, 48).
+    """
+    rng = splitmix64_stream(seed)
+    for _ in range(count):
+        n = 2 + next(rng) % 7
+        size = 1 + next(rng) % min(1 << n, 48)
+        yield n, size, next(rng)
 
 
 def bit_space(n, rows):

@@ -34,38 +34,20 @@ from simvc import (
 )
 from simvc.bounds import binary_entropy
 
-from conftest import chain_witness, entropy_sum, forest_components
+from conftest import bound_stream_params, chain_witness, entropy_sum, forest_components
 
 JOBS = 4
 
-#: Seeds of the documented random streams used below; each space draws
-#: (n, size, seed) as three consecutive SplitMix64 outputs, with
-#: n = 2 + r % 7 (or % 9 for the oracle stream) and size = 1 + r % min(2^n, cap).
-BOUNDS_STREAM_SEED = 0xC0FFEE
+#: Seed of the oracle stream of criterion 5.  It draws (n, size, seed) as three
+#: consecutive SplitMix64 outputs, like the bound stream
+#: (``conftest.bound_stream_params``), with n = 2 + r % 9 and
+#: size = 1 + r % min(2^n, 24).
 ORACLE_STREAM_SEED = 0xFACADE
 
 
 def _line(num: int, ok: bool, detail: str, started: float) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {num}] {status} ({time.perf_counter() - started:.1f}s) {detail}", flush=True)
-
-
-def _random_bound_stream(count: int, seed: int = BOUNDS_STREAM_SEED):
-    rng = splitmix64_stream(seed)
-    for _ in range(count):
-        n = 2 + next(rng) % 7  # 2..8
-        size = 1 + next(rng) % min(1 << n, 48)
-        yield random_space(n, size, next(rng))
-
-
-def _random_bound_specs(count: int, seed: int = BOUNDS_STREAM_SEED):
-    rng = splitmix64_stream(seed)
-    specs = []
-    for _ in range(count):
-        n = 2 + next(rng) % 7
-        size = 1 + next(rng) % min(1 << n, 48)
-        specs.append(FamilySpec("random", n, size=size, seed=next(rng)))
-    return specs
 
 
 def _nonforest_rank_sets(n: int, max_size: int = 4):
@@ -187,7 +169,8 @@ def test_criterion_3_bound_bracket_universal(exhaustive_sweeps):
     for n in (3, 4):
         violations.extend(exhaustive_sweeps[n].bound_violations)
     checked = exhaustive_sweeps[3].spaces + exhaustive_sweeps[4].spaces
-    for space in _random_bound_stream(10_000):
+    for n, size, seed in bound_stream_params(10_000):
+        space = random_space(n, size, seed)
         report = verify_theorem(space)
         checked += 1
         if not (report.lower_ok and report.upper_ok):
@@ -359,7 +342,13 @@ def test_criterion_9_reports_identical_across_workers(tmp_path):
         "grid": (grid_specs, "csv"),
         "exhaustive3": ([FamilySpec("exhaustive", 3)], "jsonl"),
         "exhaustive4": ([FamilySpec("exhaustive", 4)], "jsonl"),
-        "random_slice": (_random_bound_specs(1000), "jsonl"),
+        "random_slice": (
+            [
+                FamilySpec("random", n, size=size, seed=seed)
+                for n, size, seed in bound_stream_params(1000)
+            ],
+            "jsonl",
+        ),
     }
     mismatched = []
     for name, (specs, fmt) in workloads.items():

@@ -20,6 +20,38 @@ def capped_by_definition(n, d):
     )
 
 
+def tree_partitions(v, largest=None):
+    """Every forest shape on v vertices: its trees' vertex counts, each >= 2, non-increasing."""
+    if v == 0:
+        yield ()
+        return
+    for size in range(min(v, largest or v), 1, -1):
+        for rest in tree_partitions(v - size, size):
+            yield (size,) + rest
+
+
+def capped_by_shape(n, d):
+    """The largest edge count of a forest shape on <= n vertices whose every sub-forest counts.
+
+    A sub-forest with t' edges on v' vertices needs 2^t' <= Phi_d(v').  Within
+    a tree of s vertices, j edges touch at least j + 1 vertices (a subtree), and
+    more vertices only raise Phi_d, so the sub-forests to test take j_i edges
+    from tree i as one subtree: t' = sum j_i, v' = sum (j_i + 1) over j_i > 0.
+    """
+    def phi(v):
+        return sum(math.comb(v, k) for k in range(d + 1))
+
+    best = 0
+    for v in range(n + 1):
+        for shape in tree_partitions(v):
+            sub = {(0, 0)}
+            for s in shape:
+                sub |= {(t + j, w + j + 1) for t, w in sub for j in range(1, s)}
+            if all(2**t <= phi(w) for t, w in sub):
+                best = max(best, v - len(shape))
+    return best
+
+
 class TestSauer:
     """``forest_cap``: Sauer–Shelah on a t-edge forest shattered by the lift."""
 
@@ -57,6 +89,13 @@ class TestSauer:
         for n in range(1, 41):
             for d in range(n + 1):
                 assert forest_cap(n, d) == capped_by_definition(n, d), (n, d)
+
+    def test_equals_the_per_shape_cap(self):
+        # testing every sub-forest of every shape prunes nothing that the
+        # whole-forest count 2^t <= Phi_d(min(n, 2t)) allows
+        for n in range(1, 21):
+            for d in range(min(n, 5) + 1):
+                assert forest_cap(n, d) == capped_by_shape(n, d), (n, d)
 
     def test_sharper_than_the_linear_bound(self):
         # 2 * floor(4.55 d) + 2 vertices hold a forest of floor(4.55 d) + 1 pairs

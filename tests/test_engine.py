@@ -210,10 +210,11 @@ class TestSearchBound:
 
     def test_wide_random_spaces_finish(self):
         # values from the search without the counting bound, which took 37 s
-        # at (16, 64) and did not finish (24, 64) in 90 s
+        # at (16, 64) and did not finish (24, 64) in 90 s; the two 128-row
+        # cells are from the search that tested the bound only on entry
         code = (
             "from simvc import lifted_vc, random_space, vc_exact\n"
-            "for n, size in ((12, 64), (16, 32), (16, 64)):\n"
+            "for n, size in ((12, 64), (16, 32), (16, 64), (16, 128), (20, 128)):\n"
             "    space = random_space(n, size, 7)\n"
             "    print(vc_exact(space))\n"
             "    print(lifted_vc(space))\n"
@@ -227,5 +228,9 @@ class TestSearchBound:
             repr((4, ((0, 1), (0, 2), (0, 3), (0, 8)))),
             repr((5, (0, 2, 9, 10, 15))),
             repr((5, ((0, 1), (0, 2), (0, 3), (0, 6), (5, 12)))),
+            repr((5, (0, 1, 2, 3, 4))),
+            repr((6, ((0, 1), (0, 2), (0, 3), (0, 10), (5, 13), (11, 12)))),
+            repr((6, (2, 5, 9, 11, 13, 18))),
+            repr((6, ((0, 1), (0, 2), (0, 3), (0, 9), (4, 12), (13, 18)))),
         ]
         assert lines[-1].isdigit()

@@ -24,7 +24,7 @@ from simvc import (
 
 from simvc.similarity import _star_blocks
 
-from conftest import bit_space, chain_witness, forest_components, spaces
+from conftest import bit_space, bound_stream_params, chain_witness, forest_components, spaces
 
 
 def bit_string(bits: int, n: int) -> str:
@@ -219,6 +219,17 @@ class TestLiftedVcOracle:
             d_sim, witness = lifted_vc(full_cube(n))
             assert d_sim == n - 1
             assert witness == tuple((0, j) for j in range(1, n))
+
+    def test_acceptance_bound_stream(self):
+        # the spaces of the random_report benchmark, where the search's
+        # split-time bound cuts most often
+        for n, size, seed in bound_stream_params(1000):
+            space = random_space(n, size, seed)
+            assert lifted_vc(space) == lifted_oracle(space), (n, size, seed)
+
+    def test_extremal_spaces(self, five_halves_space, ratio_three_space):
+        assert lifted_vc(five_halves_space) == lifted_oracle(five_halves_space)
+        assert lifted_vc(ratio_three_space) == lifted_oracle(ratio_three_space)
 
 
 def test_star_forests_are_one_per_vertex_partition():
