@@ -9,19 +9,20 @@ abandoned at the first one-sided split.  Sets are visited in lexicographic
 preorder and the best set is replaced only by a strictly longer one, so the
 witness is the lexicographically smallest maximum shattered set.
 
-The search is a branch and bound.  A set of size m beats the best set so far,
-of length L, only by adding L + 1 - m more elements, so at least that many
-candidates must remain, and every group must hold at least 2^(L+1-m) rows,
-one for each pattern on the added elements.  The count is tested where an
-element is tried: a candidate that would leave too few candidates is skipped
-unsplit, and its split is abandoned at the first part with too few rows, so
-no child that cannot beat L is built.  Each split hands its smallest part's
-row count to the child, which stops its loop once that or its candidates
-fall short.  L is passed down the recursion, so every branch is measured
-against the longest set found anywhere before it.  The bound cuts only
-branches that hold no set longer than L, and only a strictly longer set
-replaces the best, so the witness is the one the unbounded search returns.
-At L = m the row floor is one, and the test is the one-sided split.
+The search is a branch and bound on one best set, the longest found so far,
+of length L.  A set of size m beats it only by adding L + 1 - m more
+elements, so at least that many candidates must remain, and every group must
+hold at least 2^(L+1-m) rows, one for each pattern on the added elements.
+The count is tested where an element is tried: a candidate that would leave
+too few candidates is skipped unsplit, and its split is abandoned at the
+first part with too few rows, so no child that cannot beat L is built.  Each
+split hands its smallest part's row count to the child, which stops its loop
+once that or its candidates fall short.  The bound cuts only branches that
+hold no set longer than L, and only a strictly longer set replaces the best,
+so the witness is the one the unbounded search returns.  At L = m the row
+floor is one, and the test is the one-sided split.  The row bound is also
+the only stop: 2^m groups of |H| rows always leave one below 2^(L+1-m) rows
+once L = floor(log2 |H|), so the search ends there without a cap of its own.
 
 ``vc_exact`` returns ``(d, subset)`` and re-checks the witness with
 ``is_shattered``; a failed re-check raises ``AssertionError``, also under
@@ -58,88 +59,75 @@ def _columns(rows: Iterable[int], width: int) -> "list[int]":
     return cols
 
 
-def _largest(
-    cols: Sequence[int],
-    blocks: Sequence[int],
-    groups: "list[int]",
-    smallest: int,
-    chosen: "tuple[int, ...]",
-    allowed: int,
-    limit: int,
-    beat: int = 0,
-) -> "tuple[int, ...]":
-    """The first longest shattered set, in preorder, that extends ``chosen``.
+def _search(cols: Sequence[int], blocks: Sequence[int], count: int) -> "tuple[int, ...]":
+    """The first longest shattered set, in preorder, of the ``count`` rows' columns.
 
-    ``chosen`` is shattered, ``groups`` are the hypothesis groups its
-    columns cut the hypothesis set into, ``smallest`` is the popcount of the
-    smallest of them, and ``allowed`` holds the elements above its last that
-    may extend it.  Only a set longer than ``beat``, the longest its callers
-    already hold, is sought; to get one, an element e must leave at least
-    need - 1 candidates once ``blocks[e]`` is dropped, and splitting every
-    group by its column must leave at least 2^(need - 1) rows in each part,
-    where need = beat + 1 - len(chosen).  Element e is abandoned before it
-    splits when the first count fails and at the first part that fails the
-    second, so no child that cannot beat ``beat`` is built.  The search stops
-    as soon as it holds a set of size ``limit``.  When no set longer than
-    ``beat`` extends ``chosen``, a set no longer than ``beat`` comes back,
-    and the callers keep their own.
+    ``grow`` extends a shattered set ``chosen``: ``groups`` are the row
+    groups its columns cut the rows into, ``smallest`` is the popcount of
+    the smallest of them, and ``allowed`` holds the elements above its last
+    that may extend it.  ``best`` is the longest set found so far, replaced
+    only by a strictly longer one.  To beat it, an element e must leave at
+    least need - 1 candidates once ``blocks[e]`` is dropped, and splitting
+    every group by its column must leave at least 2^(need - 1) rows in each
+    part, where need = len(best) + 1 - len(chosen).  Element e is abandoned
+    before it splits when the first count fails and at the first part that
+    fails the second, so no child that cannot beat ``best`` is built.
     """
-    best = chosen
-    if len(chosen) == limit:
-        return best
-    beat = max(beat, len(chosen))
-    while allowed:
-        need = beat + 1 - len(chosen)
-        # groups never change in this call and allowed only shrinks, so once
-        # the bound fails it fails for every later candidate too
-        if allowed.bit_count() < need or smallest < 1 << need:
-            break
-        e = (allowed & -allowed).bit_length() - 1
-        allowed ^= 1 << e
-        rest = allowed & ~blocks[e]
-        if rest.bit_count() < need - 1:
-            continue
-        floor = 1 << (need - 1)
-        col = cols[e]
-        split = []
-        low = smallest
-        for g in groups:
-            a = g & col
-            b = g ^ a
-            count = a.bit_count()
-            if count < floor:
-                break
-            if count < low:
-                low = count
-            count = b.bit_count()
-            if count < floor:
-                break
-            if count < low:
-                low = count
-            split.append(a)
-            split.append(b)
-        else:
-            found = _largest(cols, blocks, split, low, chosen + (e,), rest, limit, beat)
-            if len(found) > len(best):
-                best = found
-                if len(best) == limit:
+    best: "tuple[int, ...]" = ()
+
+    def grow(groups: "list[int]", smallest: int, chosen: "tuple[int, ...]", allowed: int) -> None:
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen
+        while allowed:
+            need = len(best) + 1 - len(chosen)
+            # groups never change in this call, allowed only shrinks and best
+            # only grows, so once the bound fails it fails for every later candidate
+            if allowed.bit_count() < need or smallest < 1 << need:
+                return
+            e = (allowed & -allowed).bit_length() - 1
+            allowed ^= 1 << e
+            rest = allowed & ~blocks[e]
+            if rest.bit_count() < need - 1:
+                continue
+            floor = 1 << (need - 1)
+            col = cols[e]
+            split = []
+            low = smallest
+            for g in groups:
+                a = g & col
+                b = g ^ a
+                rows = a.bit_count()
+                if rows < floor:
                     break
-                beat = max(beat, len(best))
+                if rows < low:
+                    low = rows
+                rows = b.bit_count()
+                if rows < floor:
+                    break
+                if rows < low:
+                    low = rows
+                split.append(a)
+                split.append(b)
+            else:
+                grow(split, low, chosen + (e,), rest)
+
+    grow([(1 << count) - 1], count, (), (1 << len(cols)) - 1)
     return best
 
 
 def vc_exact(space: HypothesisSpace) -> "tuple[int, Subset]":
     """d = vc(H) with its witness subset, the shape ``lifted_vc`` returns.
 
-    The depth-first search stops at the a-priori bound
-    dimension <= floor(log2 |H|).  The witness is the lexicographically
-    smallest maximum shattered subset.
+    The witness is the lexicographically smallest maximum shattered subset.
+    The search has no cap of its own; its row bound ends it once the best
+    set reaches d <= floor(log2 |H|).
     """
-    cols = _columns(space.hypotheses, space.domain_size)
-    count = len(space.hypotheses)
-    limit = min(space.domain_size, count.bit_length() - 1)
-    n = space.domain_size
-    best = _largest(cols, [0] * n, [(1 << count) - 1], count, (), (1 << n) - 1, limit)
+    best = _search(
+        _columns(space.hypotheses, space.domain_size),
+        [0] * space.domain_size,
+        len(space.hypotheses),
+    )
     if not is_shattered(space, best):
         raise AssertionError(f"vc_exact witness {best} is not shattered")
     return len(best), best

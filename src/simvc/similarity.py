@@ -18,7 +18,7 @@ lifted space is built for that, and nothing here is cached between calls.
 
 from __future__ import annotations
 
-from .engine import _columns, _largest
+from .engine import _columns, _search
 from .errors import SimvcError
 from .space import HypothesisSpace
 
@@ -110,13 +110,8 @@ def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
     pairs = pair_domain(n)
     # the column of pair (a, b) flipped: 1 where a and b differ
     pair_cols = [cols[a] ^ cols[b] for a, b in pairs]
-    # a forest over n vertices has at most n - 1 edges
-    limit = min(n - 1, len(rows).bit_length() - 1)
-    blocks = _star_blocks(pairs, n)
-    best = _largest(
-        pair_cols, blocks, [(1 << len(rows)) - 1], len(rows), (), (1 << len(pairs)) - 1, limit
-    )
-    witness = tuple(pairs[r] for r in best)
+    # at most 2^(n-1) rows, so the row bound stops the search at a forest's n - 1 edges
+    witness = tuple(pairs[r] for r in _search(pair_cols, _star_blocks(pairs, n), len(rows)))
     # the definition on the base rows: h(a) = h(b) over the witness takes all 2^d patterns
     patterns = {
         sum(((h >> a) & 1 == (h >> b) & 1) << t for t, (a, b) in enumerate(witness))

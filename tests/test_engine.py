@@ -3,7 +3,7 @@
 import math
 import subprocess
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,13 +130,15 @@ class TestWitnessOracle:
     """Both witnesses against ``first_maximum``, which never calls the engine."""
 
     def test_vc_exact(self, five_halves_space):
-        for space in _oracle_spaces(8, 200, 77):
+        # the cubes reach d = floor(log2 |H|), where only the row bound stops the search
+        cubes = [full_cube(n) for n in range(4, 9)]
+        for space in chain(_oracle_spaces(8, 200, 77), cubes):
             assert vc_exact(space) == first_maximum(space)
         assert vc_exact(five_halves_space) == first_maximum(five_halves_space)
 
     def test_lifted_vc(self):
         # the pair ranks of n <= 5 give at most 10 columns
-        for space in _oracle_spaces(5, 200, 78):
+        for space in chain(_oracle_spaces(5, 200, 78), [full_cube(4), full_cube(5)]):
             if space.domain_size < 2:
                 continue
             d, ranks = first_maximum(lift_space(space))
@@ -149,21 +151,21 @@ class TestWitnessRecheck:
 
     def test_vc_exact_rejects_an_unshattered_witness(self, monkeypatch):
         # k_sparse(3, 1) never labels 11 on (0, 1)
-        monkeypatch.setattr("simvc.engine._largest", lambda *args: (0, 1))
+        monkeypatch.setattr("simvc.engine._search", lambda *args: (0, 1))
         with pytest.raises(AssertionError):
             vc_exact(k_sparse(3, 1))
 
     def test_lifted_vc_rejects_a_triangle(self, monkeypatch):
         # ranks 0, 1, 2 of n = 3 are the triangle (0,1), (0,2), (1,2); no lift shatters a cycle
-        monkeypatch.setattr("simvc.similarity._largest", lambda *args: (0, 1, 2))
+        monkeypatch.setattr("simvc.similarity._search", lambda *args: (0, 1, 2))
         with pytest.raises(AssertionError):
             lifted_vc(full_cube(3))
 
     def test_rechecks_survive_python_O(self):
         # python -O strips assert statements; the re-checks must still fail
         cases = [
-            ("simvc.engine._largest = lambda *args: (0, 1)", "vc_exact(k_sparse(3, 1))"),
-            ("simvc.similarity._largest = lambda *args: (0, 1, 2)", "lifted_vc(full_cube(3))"),
+            ("simvc.engine._search = lambda *args: (0, 1)", "vc_exact(k_sparse(3, 1))"),
+            ("simvc.similarity._search = lambda *args: (0, 1, 2)", "lifted_vc(full_cube(3))"),
             # one orbit of one space, where n = 2 has 15 spaces
             (
                 "simvc.experiments.exhaustive_orbits = lambda n: [(full_cube(n), 1)]",
@@ -194,8 +196,9 @@ class TestWitnessRecheck:
 
 class TestSearchBound:
     def test_full_cube_stops_at_the_log2_bound(self):
-        # every set of the 12-cube is shattered; a search that looks past the
-        # first set of size limit takes minutes, so run it in a child
+        # every set of the 12-cube is shattered, and the search has no cap: its
+        # counting bound alone ends it at the first set of size log2 |H|; a
+        # search without the bound takes minutes, so run it in a child
         code = (
             "from simvc import full_cube, lifted_vc, vc_exact\n"
             "cube = full_cube(12)\n"
