@@ -62,10 +62,7 @@ def _emit(payload: dict) -> None:
 
 def _cmd_compute(args) -> int:
     space = _load_space(args.input, LOAD_DOMAIN_SIZE_CAP)
-    if args.naive:
-        _emit({"d": vc_naive(space), "witness": None})
-        return 0
-    d, subset = vc_exact(space)
+    d, subset = (vc_naive if args.naive else vc_exact)(space)
     patterns = restrict(space, subset).bit_strings()
     _emit({"d": d, "witness": {"subset": list(subset), "patterns": patterns}})
     return 0
@@ -134,6 +131,8 @@ def _cmd_bounds(args) -> int:
         n, d = args.cap
         if not 1 <= n <= DOMAIN_SIZE_CAP:
             raise ValueError(f"--cap N must be in 1..{DOMAIN_SIZE_CAP}, got {n}")
+        if not 0 <= d <= n:
+            raise ValueError(f"--cap D must be in 0..{n}, got {d}")
         _emit({"domain_size": n, "d": d, "cap": forest_cap(n, d)})
         return 0
     epsilon, delta = solve_optimal_delta()

@@ -32,13 +32,14 @@ Candidates are one bitmask, taken lowest bit first; choosing element e drops
 ``blocks[e]`` from it.  ``vc_exact`` blocks nothing; ``similarity.lifted_vc``
 searches pair columns and blocks pairs that would break a star forest.
 
-``vc_naive`` is an independent brute-force oracle: it tests every one of the
-2^n subsets with a plain projection count and exists solely to cross-check
-the engine.
+``vc_naive`` is the independent brute-force oracle, kept to cross-check the
+engine: the first subset ``is_shattered`` accepts, largest size first and
+lexicographic within a size, is by definition ``vc_exact``'s witness.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import SimvcError
@@ -133,15 +134,13 @@ def vc_exact(space: HypothesisSpace) -> "tuple[int, Subset]":
     return len(best), best
 
 
-def vc_naive(space: HypothesisSpace) -> int:
-    """Brute-force oracle: test every subset of the domain, no pruning."""
+def vc_naive(space: HypothesisSpace) -> "tuple[int, Subset]":
+    """Brute-force oracle: the first shattered subset, largest first, lexicographic in a size."""
     if space.domain_size > ORACLE_DOMAIN_CAP:
         raise SimvcError(
             f"oracle requires domain_size <= {ORACLE_DOMAIN_CAP}, got {space.domain_size}"
         )
-    best = 0
-    for mask in range(1, 1 << space.domain_size):
-        width = bin(mask).count("1")
-        if len({h & mask for h in space.hypotheses}) == 1 << width and width > best:
-            best = width
-    return best
+    for m in range(space.domain_size, -1, -1):
+        for subset in combinations(range(space.domain_size), m):
+            if is_shattered(space, subset):
+                return m, subset

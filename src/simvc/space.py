@@ -122,7 +122,9 @@ def restrict(space: HypothesisSpace, subset: Sequence[int]) -> HypothesisSpace:
 
 def is_shattered(space: HypothesisSpace, subset: Sequence[int]) -> bool:
     """Does the restriction to ``subset`` realize all 2^|subset| patterns?"""
-    return len(restrict(space, subset)) == 1 << len(subset)
+    check_subset(space.domain_size, subset)
+    mask = sum(1 << e for e in subset)
+    return len({h & mask for h in space.hypotheses}) == 1 << len(subset)
 
 
 def space_to_dict(space: HypothesisSpace, *, pair_domain_of: "int | None" = None) -> dict:

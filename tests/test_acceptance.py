@@ -228,7 +228,7 @@ def test_criterion_5_oracle_equivalence():
     for n in (1, 2, 3):
         for space in enumerate_spaces(n):
             checked += 1
-            if vc_exact(space)[0] != vc_naive(space):
+            if vc_exact(space) != vc_naive(space):
                 mismatches.append(space_to_dict(space))
     rng = splitmix64_stream(ORACLE_STREAM_SEED)
     for _ in range(1000):
@@ -236,13 +236,13 @@ def test_criterion_5_oracle_equivalence():
         size = 1 + next(rng) % min(1 << n, 24)
         space = random_space(n, size, next(rng))
         checked += 1
-        if vc_exact(space)[0] != vc_naive(space):
+        if vc_exact(space) != vc_naive(space):
             mismatches.append(space_to_dict(space))
     ok = not mismatches
     _line(
         5,
         ok,
-        f"engine equals brute-force oracle on {checked} spaces "
+        f"engine equals brute-force oracle in dimension and witness on {checked} spaces "
         f"(all n<=3 plus 1000 seeded random, n<=10); mismatches: {len(mismatches)}",
         started,
     )

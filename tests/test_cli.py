@@ -144,10 +144,13 @@ class TestCompute:
         assert out == LIFTED_K_SPARSE_5_2_COMPUTE
 
     def test_naive(self, tmp_path, capsys):
-        path = write_space(tmp_path / "s.json", full_cube(2))
+        # each singleton is a maximum; the oracle returns the engine's first one,
+        # so the two documents are the same bytes
+        path = write_space(tmp_path / "s.json", k_sparse(3, 1))
         code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--naive")
         assert code == 0
-        assert json.loads(out) == {"d": 2, "witness": None}
+        assert json.loads(out) == {"d": 1, "witness": {"subset": [0], "patterns": ["0", "1"]}}
+        assert out == run_cli(capsys, "compute", "--input", str(path))[1]
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "compute", "--input", str(tmp_path / "no.json"))
@@ -398,8 +401,9 @@ class TestBounds:
     @pytest.mark.parametrize(
         "n, d, message",
         [
-            ("3", "5", "got n = 3, d = 5"),
-            ("3", "-1", "got n = 3, d = -1"),
+            # ids name the inputs, so each row keeps its name whatever the message
+            pytest.param("3", "5", "--cap D must be in 0..3, got 5", id="3-5-got n = 3, d = 5"),
+            pytest.param("3", "-1", "--cap D must be in 0..3, got -1", id="3--1-got n = 3, d = -1"),
             ("25", "2", f"--cap N must be in 1..{DOMAIN_SIZE_CAP}, got 25"),
             ("0", "0", f"--cap N must be in 1..{DOMAIN_SIZE_CAP}, got 0"),
         ],

@@ -3,7 +3,7 @@
 import math
 import subprocess
 import sys
-from itertools import chain, combinations
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,14 +49,14 @@ class TestVcExact:
 
 class TestVcNaive:
     def test_full_cube(self):
-        assert vc_naive(full_cube(2)) == 2
+        assert vc_naive(full_cube(2)) == (2, (0, 1))
 
     def test_k_sparse_one(self):
-        assert vc_naive(k_sparse(3, 1)) == 1
+        assert vc_naive(k_sparse(3, 1)) == (1, (0,))
 
     def test_two_constant_hypotheses(self):
         # singletons shattered; no pair realizes pattern 01
-        assert vc_naive(bit_space(3, ["000", "111"])) == 1
+        assert vc_naive(bit_space(3, ["000", "111"])) == (1, (0,))
 
     def test_oracle_domain_cap(self):
         with pytest.raises(SimvcError, match="oracle requires domain_size <= 20, got 21"):
@@ -67,7 +67,7 @@ class TestOracleEquivalence:
     def test_exhaustive_small_domains(self):
         for n in (1, 2, 3):
             for space in enumerate_spaces(n):
-                assert vc_exact(space)[0] == vc_naive(space)
+                assert vc_exact(space) == vc_naive(space)
 
     def test_seeded_random_spaces(self):
         rng = splitmix64_stream(2024)
@@ -75,13 +75,13 @@ class TestOracleEquivalence:
             n = 2 + next(rng) % 9  # 2..10
             size = 1 + next(rng) % min(1 << n, 24)
             space = random_space(n, size, next(rng))
-            assert vc_exact(space)[0] == vc_naive(space)
+            assert vc_exact(space) == vc_naive(space)
 
     def test_large_random_sample_n4(self):
         rng = splitmix64_stream(41)
         for _ in range(400):
             space = random_space(4, 1 + next(rng) % 16, next(rng))
-            assert vc_exact(space)[0] == vc_naive(space)
+            assert vc_exact(space) == vc_naive(space)
 
 
 class TestEngineInvariants:
@@ -108,14 +108,6 @@ class TestEngineInvariants:
         assert len(restrict(space, subset)) == 1 << d
 
 
-def first_maximum(space):
-    """The first largest shattered subset in lexicographic order, by brute force."""
-    for m in range(space.domain_size, -1, -1):
-        for subset in combinations(range(space.domain_size), m):
-            if is_shattered(space, subset):
-                return m, subset
-
-
 def _oracle_spaces(max_n, count, seed):
     """Every space with n <= 3, then ``count`` seeded random spaces with 2 <= n <= max_n."""
     for n in (1, 2, 3):
@@ -127,21 +119,22 @@ def _oracle_spaces(max_n, count, seed):
 
 
 class TestWitnessOracle:
-    """Both witnesses against ``first_maximum``, which never calls the engine."""
+    """Both witnesses against ``vc_naive``, which never calls the engine."""
 
-    def test_vc_exact(self, five_halves_space):
+    def test_vc_exact(self, five_halves_space, ratio_three_space):
         # the cubes reach d = floor(log2 |H|), where only the row bound stops the search
         cubes = [full_cube(n) for n in range(4, 9)]
         for space in chain(_oracle_spaces(8, 200, 77), cubes):
-            assert vc_exact(space) == first_maximum(space)
-        assert vc_exact(five_halves_space) == first_maximum(five_halves_space)
+            assert vc_exact(space) == vc_naive(space)
+        assert vc_exact(five_halves_space) == vc_naive(five_halves_space)
+        assert vc_exact(ratio_three_space) == vc_naive(ratio_three_space)
 
     def test_lifted_vc(self):
         # the pair ranks of n <= 5 give at most 10 columns
         for space in chain(_oracle_spaces(5, 200, 78), [full_cube(4), full_cube(5)]):
             if space.domain_size < 2:
                 continue
-            d, ranks = first_maximum(lift_space(space))
+            d, ranks = vc_naive(lift_space(space))
             pairs = pair_domain(space.domain_size)
             assert lifted_vc(space) == (d, tuple(pairs[r] for r in ranks))
 

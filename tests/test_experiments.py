@@ -63,7 +63,7 @@ class TestVerifyTheorem:
         assert report.lower_ok and report.upper_ok
         assert report.witness_base == (0, 1)
         assert report.witness_sim == ((0, 2), (0, 6), (1, 3), (4, 5), (4, 7))
-        assert vc_naive(five_halves_space) == 2
+        assert vc_naive(five_halves_space) == (2, (0, 1))
         # the lift's definition, h^(s)(w, x) = [h(w) = h(x)], without the engine
         patterns = {
             tuple((h >> w) & 1 == (h >> x) & 1 for w, x in report.witness_sim)
@@ -77,7 +77,7 @@ class TestVerifyTheorem:
         assert report.lower_ok and report.upper_ok
         pairs = tuple((2 * i, 2 * i + 1) for i in range(6))
         assert report.witness_sim == pairs
-        assert vc_naive(ratio_three_space) == 2
+        assert vc_naive(ratio_three_space) == (2, (0, 2))
         # the lift's definition, h^(s)(w, x) = [h(w) = h(x)], without the engine
         patterns = {
             tuple((h >> w) & 1 == (h >> x) & 1 for w, x in pairs)
@@ -184,10 +184,10 @@ class TestRatioSearch:
         # same maximum through the naive oracle on base and lifted spaces
         best = None
         for space in enumerate_spaces(3):
-            d = vc_naive(space)
+            d, _ = vc_naive(space)
             if d < 1:
                 continue
-            d_sim = vc_naive(lift_space(space))
+            d_sim, _ = vc_naive(lift_space(space))
             ratio = Fraction(d_sim, d)
             if best is None or ratio > best:
                 best = ratio

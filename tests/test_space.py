@@ -143,6 +143,13 @@ class TestIsShattered:
         assert is_shattered(space, ()) is True
         assert restrict(space, ()).bit_strings() == [""]
 
+    def test_rejects_malformed_subset(self):
+        # the mask of (0, 0) is 0b10, element 1's, so the subset is checked before any count
+        with pytest.raises(SimvcError, match="domain index 2 out of range for domain of size 2"):
+            is_shattered(full_cube(2), (2,))
+        with pytest.raises(ValueError, match="subset elements must be strictly increasing"):
+            is_shattered(full_cube(2), (0, 0))
+
     @given(spaces(max_n=4), st.data())
     @settings(max_examples=60, deadline=None)
     def test_hereditary(self, space, data):
