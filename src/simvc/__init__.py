@@ -2,7 +2,6 @@
 
 from .bounds import forest_cap, solve_optimal_delta, theorem_bounds
 from .engine import ORACLE_DOMAIN_CAP, vc_exact, vc_naive
-from .errors import SimvcError
 from .experiments import (
     CSV_COLUMNS,
     BoundReport,
@@ -52,7 +51,6 @@ __all__ = [
     "LOAD_DOMAIN_SIZE_CAP",
     "ORACLE_DOMAIN_CAP",
     "RatioSearchResult",
-    "SimvcError",
     "enumerate_spaces",
     "exhaustive_orbits",
     "exhaustive_search",

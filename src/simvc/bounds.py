@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 
-from .errors import SimvcError
-
 
 def _sauer_sum(n: int, d: int) -> int:
     """Phi_d(n) = sum_{k<=d} C(n, k), one running sum."""
@@ -33,7 +31,7 @@ def forest_cap(n: int, d: int) -> int:
     is and never builds 2^n.
     """
     if n < 1 or not 0 <= d <= n:
-        raise SimvcError(f"forest_cap needs n >= 1 and 0 <= d <= n, got n = {n}, d = {d}")
+        raise ValueError(f"forest_cap needs n >= 1 and 0 <= d <= n, got n = {n}, d = {d}")
     t = 0
     while t < n - 1 and 1 << (t + 1) <= _sauer_sum(min(n, 2 * t + 2), d):
         t += 1
@@ -43,7 +41,7 @@ def forest_cap(n: int, d: int) -> int:
 def binary_entropy(eps: float) -> float:
     """H(eps) = eps*log2(1/eps) + (1-eps)*log2(1/(1-eps)); endpoints are 0."""
     if not 0.0 <= eps <= 1.0:
-        raise SimvcError(f"entropy argument {eps} outside [0, 1]")
+        raise ValueError(f"entropy argument {eps} outside [0, 1]")
     if eps == 0.0 or eps == 1.0:
         return 0.0
     return eps * math.log2(1.0 / eps) + (1.0 - eps) * math.log2(1.0 / (1.0 - eps))
@@ -56,7 +54,7 @@ def theorem_bounds(d: int) -> "tuple[int, int]":
     since the lifted dimension is an integer.
     """
     if d < 0:
-        raise SimvcError("d must be non-negative")
+        raise ValueError("d must be non-negative")
     # 4.55 as the exact rational 91/20
     return max(d - 1, 0), 91 * d // 20
 
@@ -81,5 +79,5 @@ def solve_optimal_delta() -> "tuple[float, float]":
 def urner_bound(d: int) -> float:
     """Comparison curve 2d*log2(2d); smaller than floor(4.55d) only for d <= 2."""
     if d < 1:
-        raise SimvcError("d must be at least 1")
+        raise ValueError("d must be at least 1")
     return 2.0 * d * math.log2(2.0 * d)

@@ -42,7 +42,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import SimvcError
 from .space import HypothesisSpace, Subset, is_shattered
 
 #: vc_naive enumerates 2^n subsets; beyond this it is no longer an oracle.
@@ -137,7 +136,7 @@ def vc_exact(space: HypothesisSpace) -> "tuple[int, Subset]":
 def vc_naive(space: HypothesisSpace) -> "tuple[int, Subset]":
     """Brute-force oracle: the first shattered subset, largest first, lexicographic in a size."""
     if space.domain_size > ORACLE_DOMAIN_CAP:
-        raise SimvcError(
+        raise ValueError(
             f"oracle requires domain_size <= {ORACLE_DOMAIN_CAP}, got {space.domain_size}"
         )
     for m in range(space.domain_size, -1, -1):

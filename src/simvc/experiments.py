@@ -35,7 +35,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .bounds import forest_cap, theorem_bounds, urner_bound
 from .engine import vc_exact
-from .errors import SimvcError
 from .families import FamilySpec, exhaustive_orbits, spaces_for
 from .similarity import lifted_vc
 from .space import HypothesisSpace, space_to_dict
@@ -181,7 +180,7 @@ def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
     to the workers is full, so it reads ahead by what that pipe holds.
     """
     if jobs < 1:
-        raise SimvcError(f"jobs must be at least 1, got {jobs}")
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1:
         return map(fn, items)
 
@@ -264,7 +263,7 @@ def run_report(
     is byte-identical across runs and worker counts.
     """
     if output_format not in ("csv", "jsonl"):
-        raise SimvcError(f"unknown report format {output_format!r}")
+        raise ValueError(f"unknown report format {output_format!r}")
     pairs = ((space, spec) for spec in specs for space in spaces_for(spec))
     reports = _ordered_map(_report_job, pairs, jobs)
     with open(output_path, "w", encoding="utf-8", newline="") as out:

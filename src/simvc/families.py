@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterator, Optional
 
-from .errors import SimvcError
 from .space import DOMAIN_SIZE_CAP, HypothesisSpace, lex_cube
 
 #: Full enumeration of 2^(2^n) - 1 nonempty spaces is feasible only here.
@@ -64,22 +63,22 @@ class FamilySpec:
     def __post_init__(self) -> None:
         # the generators' own range checks, so a bad spec fails before any space is built
         if self.kind not in FAMILY_PARAMS:
-            raise SimvcError(f"unknown family kind {self.kind!r}")
+            raise ValueError(f"unknown family kind {self.kind!r}")
+        takes = FAMILY_PARAMS[self.kind]
         for key in ("k", "size", "seed"):
-            if getattr(self, key) is not None and key not in FAMILY_PARAMS[self.kind]:
-                raise SimvcError(f"{self.kind} does not take {key}")
+            if getattr(self, key) is not None and key not in takes:
+                raise ValueError(f"{self.kind} does not take {key}")
         if self.kind == "exhaustive":
             _check_enumeration_n(self.n)
         else:
             _check_n(self.n)
-        if self.kind == "k_sparse":
-            if self.k is None:
-                raise SimvcError("k_sparse requires k")
+        if any(getattr(self, key) is None for key in takes):
+            raise ValueError(f"{self.kind} requires {' and '.join(takes)}")
+        if self.k is not None:
             _check_k(self.n, self.k)
-        if self.kind == "random":
-            if self.size is None or self.seed is None:
-                raise SimvcError("random requires size and seed")
+        if self.size is not None:
             _check_size(self.n, self.size)
+        if self.seed is not None:
             _check_seed(self.seed)
 
     def to_dict(self) -> dict:
@@ -93,16 +92,16 @@ class FamilySpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "FamilySpec":
         if not isinstance(doc, dict):
-            raise SimvcError(f"family spec must be an object, got {doc!r}")
+            raise ValueError(f"family spec must be an object, got {doc!r}")
         for key in doc:
             if key not in ("family", "n", "k", "size", "seed"):
-                raise SimvcError(f"malformed family spec {doc!r}: unknown key {key!r}")
+                raise ValueError(f"malformed family spec {doc!r}: unknown key {key!r}")
         raw_kind = doc.get("family")
         kind = _KIND_ALIASES.get(raw_kind, raw_kind) if isinstance(raw_kind, str) else None
         if kind not in FAMILY_PARAMS:
-            raise SimvcError(f"unknown family {raw_kind!r}")
+            raise ValueError(f"unknown family {raw_kind!r}")
         if "n" not in doc:
-            raise SimvcError("family spec requires n")
+            raise ValueError("family spec requires n")
         params = {
             key: doc[key]
             for key in ("n", "k", "size", "seed")
@@ -111,7 +110,7 @@ class FamilySpec:
         for key, value in params.items():
             # exact type: bool is an int subclass, and floats and strings are not coerced
             if type(value) is not int:
-                raise SimvcError(
+                raise ValueError(
                     f"malformed family spec {doc!r}: {key} must be an integer, got {value!r}"
                 )
         return cls(kind, **params)
@@ -119,23 +118,23 @@ class FamilySpec:
 
 def _check_n(n: int) -> None:
     if not 1 <= n <= DOMAIN_SIZE_CAP:
-        raise SimvcError(f"n must be in 1..{DOMAIN_SIZE_CAP}, got {n}")
+        raise ValueError(f"n must be in 1..{DOMAIN_SIZE_CAP}, got {n}")
 
 
 def _check_k(n: int, k: int) -> None:
     if not 0 <= k <= n:
-        raise SimvcError(f"k must be in 0..{n}, got {k}")
+        raise ValueError(f"k must be in 0..{n}, got {k}")
 
 
 def _check_size(n: int, size: int) -> None:
     if not 1 <= size <= (1 << n):
-        raise SimvcError(f"size must be in 1..2^{n}, got {size}")
+        raise ValueError(f"size must be in 1..2^{n}, got {size}")
 
 
 def _check_seed(seed: int) -> None:
     # SplitMix64 reduces its seed mod 2^64, so a seed outside this range would alias
     if not 0 <= seed <= _MASK64:
-        raise SimvcError(f"seed must be in 0..2^64-1, got {seed}")
+        raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
 
 
 def k_sparse(n: int, k: int) -> HypothesisSpace:
@@ -180,15 +179,15 @@ def random_space_stream(n: int, size: int, samples: int, seed: int) -> Iterator[
     _check_size(n, size)
     _check_seed(seed)
     if samples < 1:
-        raise SimvcError(f"samples must be at least 1, got {samples}")
+        raise ValueError(f"samples must be at least 1, got {samples}")
     return (random_space(n, size, s) for s in islice(splitmix64_stream(seed), samples))
 
 
 def _check_enumeration_n(n: int) -> None:
     if n < 1:
-        raise SimvcError(f"n must be at least 1, got {n}")
+        raise ValueError(f"n must be at least 1, got {n}")
     if n > ENUMERATION_CAP:
-        raise SimvcError(
+        raise ValueError(
             f"exhaustive enumeration caps at n = {ENUMERATION_CAP}, got {n}"
         )
 

@@ -19,7 +19,6 @@ lifted space is built for that, and nothing here is cached between calls.
 from __future__ import annotations
 
 from .engine import _columns, _search
-from .errors import SimvcError
 from .space import HypothesisSpace
 
 #: A canonical pair (i, j) with i < j, and a sorted, deduplicated set of them.
@@ -48,7 +47,7 @@ def lift_hypothesis(bits: int, n: int) -> int:
     ``pair_domain``) as one shifted mask.
     """
     if not 0 <= bits < 1 << n:
-        raise SimvcError(f"hypothesis {bits} does not fit a domain of {n} elements")
+        raise ValueError(f"hypothesis {bits} does not fit a domain of {n} elements")
     top = (1 << n) - 1
     out = rank = 0
     for i in range(n - 1):
@@ -67,7 +66,7 @@ def lift_space(space: HypothesisSpace) -> HypothesisSpace:
     """
     n = space.domain_size
     if n < 2:
-        raise SimvcError(
+        raise ValueError(
             f"cannot lift a space over {n} element(s): the pair domain is empty "
             "(treat the lifted VC dimension as 0)"
         )

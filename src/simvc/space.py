@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import SimvcError
-
 #: Maximum domain size for original spaces, the ones that get lifted.  It
 #: bounds sizes, not search time: exact VC computation is exponential.
 DOMAIN_SIZE_CAP = 24
@@ -68,11 +66,11 @@ class HypothesisSpace:
             raise ValueError("domain_size must be non-negative")
         rows = tuple(sorted(set(self.hypotheses)))
         if not rows:
-            raise SimvcError("a hypothesis space must contain at least one hypothesis")
+            raise ValueError("a hypothesis space must contain at least one hypothesis")
         # sorted, so only the two ends can fall outside [0, 2^n)
         for h in (rows[0], rows[-1]):
             if not 0 <= h < 1 << self.domain_size:
-                raise SimvcError(
+                raise ValueError(
                     f"hypothesis {h} does not fit a space over {self.domain_size} elements"
                 )
         object.__setattr__(self, "hypotheses", rows)
@@ -95,7 +93,7 @@ def check_subset(domain_size: int, subset: Sequence[int]) -> None:
     prev = -1
     for e in subset:
         if not 0 <= e < domain_size:
-            raise SimvcError(
+            raise ValueError(
                 f"domain index {e} out of range for domain of size {domain_size}"
             )
         if e <= prev:
@@ -156,12 +154,12 @@ def space_from_dict(doc: dict, max_domain_size: int = LOAD_DOMAIN_SIZE_CAP) -> H
     if domain_size < 1:
         raise ValueError("domain_size must be at least 1")
     if domain_size > max_domain_size:
-        raise SimvcError(
+        raise ValueError(
             f"domain_size {domain_size} exceeds the supported maximum {max_domain_size}"
         )
     for row in rows:
         if len(row) != domain_size:
-            raise SimvcError(f"hypothesis {row!r} has length {len(row)}, expected {domain_size}")
+            raise ValueError(f"hypothesis {row!r} has length {len(row)}, expected {domain_size}")
         # int(row, 2) alone would accept "0_1", "+1", " 1" and Unicode digits
         bad = [ch for ch in row if ch not in "01"]
         if bad:

@@ -15,17 +15,22 @@ from simvc.bounds import binary_entropy
 BOUNDS_STREAM_SEED = 0xC0FFEE
 
 
-def bound_stream_params(count, seed=BOUNDS_STREAM_SEED):
-    """(n, size, seed) of the bound stream's first ``count`` random spaces: n = 2..8, size <= 48.
+def stream_params(count, seed, max_n, max_size):
+    """(n, size, seed) of ``count`` seeded random spaces: n = 2..max_n, size <= max_size.
 
-    Each triple is three consecutive SplitMix64 outputs, with n = 2 + r % 7
-    and size = 1 + r % min(2^n, 48).
+    Each triple is three consecutive SplitMix64 outputs of ``seed``, with
+    n = 2 + r % (max_n - 1) and size = 1 + r % min(2^n, max_size).
     """
     rng = splitmix64_stream(seed)
     for _ in range(count):
-        n = 2 + next(rng) % 7
-        size = 1 + next(rng) % min(1 << n, 48)
+        n = 2 + next(rng) % (max_n - 1)
+        size = 1 + next(rng) % min(1 << n, max_size)
         yield n, size, next(rng)
+
+
+def bound_stream_params(count):
+    """The bound stream's first ``count`` triples: n = 2..8, size <= 48, as random_report's."""
+    return stream_params(count, BOUNDS_STREAM_SEED, 8, 48)
 
 
 def bit_space(n, rows):

@@ -34,14 +34,14 @@ from simvc import (
 )
 from simvc.bounds import binary_entropy
 
-from conftest import bound_stream_params, chain_witness, entropy_sum, forest_components
+from conftest import (
+    bound_stream_params, chain_witness, entropy_sum, forest_components, stream_params,
+)
 
 JOBS = 4
 
-#: Seed of the oracle stream of criterion 5.  It draws (n, size, seed) as three
-#: consecutive SplitMix64 outputs, like the bound stream
-#: (``conftest.bound_stream_params``), with n = 2 + r % 9 and
-#: size = 1 + r % min(2^n, 24).
+#: Seed of the oracle stream of criterion 5, ``conftest.stream_params`` with
+#: n = 2..10 and size <= 24.
 ORACLE_STREAM_SEED = 0xFACADE
 
 
@@ -230,11 +230,8 @@ def test_criterion_5_oracle_equivalence():
             checked += 1
             if vc_exact(space) != vc_naive(space):
                 mismatches.append(space_to_dict(space))
-    rng = splitmix64_stream(ORACLE_STREAM_SEED)
-    for _ in range(1000):
-        n = 2 + next(rng) % 9  # 2..10
-        size = 1 + next(rng) % min(1 << n, 24)
-        space = random_space(n, size, next(rng))
+    for n, size, seed in stream_params(1000, ORACLE_STREAM_SEED, 10, 24):
+        space = random_space(n, size, seed)
         checked += 1
         if vc_exact(space) != vc_naive(space):
             mismatches.append(space_to_dict(space))

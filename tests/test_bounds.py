@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simvc import SimvcError, forest_cap, solve_optimal_delta, theorem_bounds
+from simvc import forest_cap, solve_optimal_delta, theorem_bounds
 from simvc.bounds import binary_entropy, urner_bound
 
 from conftest import entropy_sum, run_python
@@ -63,7 +63,7 @@ class TestSauer:
 
     def test_invalid_query(self):
         for n, d in ((3, 4), (3, -1), (0, 0)):
-            with pytest.raises(SimvcError, match=rf"got n = {n}, d = {d}"):
+            with pytest.raises(ValueError, match=rf"got n = {n}, d = {d}"):
                 forest_cap(n, d)
 
     def test_wide_domain_builds_no_power_of_two(self):
@@ -113,9 +113,9 @@ class TestBinaryEntropy:
         assert value < 0.5
 
     def test_out_of_range(self):
-        with pytest.raises(SimvcError, match=r"entropy argument -0.1 outside \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"entropy argument -0.1 outside \[0, 1\]"):
             binary_entropy(-0.1)
-        with pytest.raises(SimvcError, match=r"entropy argument 1.1 outside \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"entropy argument 1.1 outside \[0, 1\]"):
             binary_entropy(1.1)
 
     def test_symmetry_and_maximum_on_grid(self):
@@ -157,7 +157,7 @@ class TestTheoremBounds:
         assert theorem_bounds(1) == (0, 4)
 
     def test_negative_rejected(self):
-        with pytest.raises(SimvcError, match="d must be non-negative"):
+        with pytest.raises(ValueError, match="d must be non-negative"):
             theorem_bounds(-1)
 
     @given(st.integers(0, 200))
@@ -190,7 +190,7 @@ class TestUrnerBound:
         assert urner_bound(8) == 64.0
 
     def test_out_of_range(self):
-        with pytest.raises(SimvcError, match="d must be at least 1"):
+        with pytest.raises(ValueError, match="d must be at least 1"):
             urner_bound(0)
 
     def test_crossover_with_linear_bound(self):

@@ -605,7 +605,7 @@ def test_closed_stdout_exits_141_silently():
 
 
 def test_program_fault_is_not_an_input_error(monkeypatch, capsys):
-    # only ValueError (SimvcError among them) and OSError are input errors
+    # only ValueError and OSError are input errors
     def broken(*args, **kwargs):
         raise TypeError("a fault in the program")
 

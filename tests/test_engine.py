@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simvc import (
-    SimvcError,
     enumerate_spaces,
     full_cube,
     is_shattered,
@@ -24,7 +23,7 @@ from simvc import (
     vc_naive,
 )
 
-from conftest import bit_space, module_env, run_python, spaces, subsets_of
+from conftest import bit_space, module_env, run_python, spaces, stream_params, subsets_of
 
 
 class TestVcExact:
@@ -59,7 +58,7 @@ class TestVcNaive:
         assert vc_naive(bit_space(3, ["000", "111"])) == (1, (0,))
 
     def test_oracle_domain_cap(self):
-        with pytest.raises(SimvcError, match="oracle requires domain_size <= 20, got 21"):
+        with pytest.raises(ValueError, match="oracle requires domain_size <= 20, got 21"):
             vc_naive(bit_space(21, ["0" * 21, "1" * 21]))
 
 
@@ -70,11 +69,8 @@ class TestOracleEquivalence:
                 assert vc_exact(space) == vc_naive(space)
 
     def test_seeded_random_spaces(self):
-        rng = splitmix64_stream(2024)
-        for _ in range(300):
-            n = 2 + next(rng) % 9  # 2..10
-            size = 1 + next(rng) % min(1 << n, 24)
-            space = random_space(n, size, next(rng))
+        for n, size, seed in stream_params(300, 2024, 10, 24):
+            space = random_space(n, size, seed)
             assert vc_exact(space) == vc_naive(space)
 
     def test_large_random_sample_n4(self):
@@ -108,32 +104,27 @@ class TestEngineInvariants:
         assert len(restrict(space, subset)) == 1 << d
 
 
-def _oracle_spaces(max_n, count, seed):
-    """Every space with n <= 3, then ``count`` seeded random spaces with 2 <= n <= max_n."""
-    for n in (1, 2, 3):
-        yield from enumerate_spaces(n)
-    rng = splitmix64_stream(seed)
-    for _ in range(count):
-        n = 2 + next(rng) % (max_n - 1)
-        yield random_space(n, 1 + next(rng) % min(1 << n, 40), next(rng))
+def _seeded_spaces(count, seed, max_n):
+    """``count`` seeded random spaces with 2 <= n <= max_n and |H| <= 40."""
+    return (random_space(*params) for params in stream_params(count, seed, max_n, 40))
 
 
 class TestWitnessOracle:
     """Both witnesses against ``vc_naive``, which never calls the engine."""
 
     def test_vc_exact(self, five_halves_space, ratio_three_space):
-        # the cubes reach d = floor(log2 |H|), where only the row bound stops the search
+        # every space on n <= 3 is TestOracleEquivalence's; the cubes reach
+        # d = floor(log2 |H|), where only the row bound stops the search
         cubes = [full_cube(n) for n in range(4, 9)]
-        for space in chain(_oracle_spaces(8, 200, 77), cubes):
+        for space in chain(_seeded_spaces(200, 77, 8), cubes):
             assert vc_exact(space) == vc_naive(space)
         assert vc_exact(five_halves_space) == vc_naive(five_halves_space)
         assert vc_exact(ratio_three_space) == vc_naive(ratio_three_space)
 
     def test_lifted_vc(self):
         # the pair ranks of n <= 5 give at most 10 columns
-        for space in chain(_oracle_spaces(5, 200, 78), [full_cube(4), full_cube(5)]):
-            if space.domain_size < 2:
-                continue
+        small = (space for n in (2, 3) for space in enumerate_spaces(n))
+        for space in chain(small, _seeded_spaces(200, 78, 5), [full_cube(4), full_cube(5)]):
             d, ranks = vc_naive(lift_space(space))
             pairs = pair_domain(space.domain_size)
             assert lifted_vc(space) == (d, tuple(pairs[r] for r in ranks))

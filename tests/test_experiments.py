@@ -8,7 +8,6 @@ import pytest
 from simvc import (
     CSV_COLUMNS,
     FamilySpec,
-    SimvcError,
     enumerate_spaces,
     exhaustive_search,
     forest_cap,
@@ -214,11 +213,11 @@ class TestExhaustiveSearch:
                 assert exhaustive_search(n, jobs=jobs) == expected
 
     def test_domain_and_jobs_are_checked(self):
-        with pytest.raises(SimvcError, match="n must be at least 1, got -1"):
+        with pytest.raises(ValueError, match="n must be at least 1, got -1"):
             exhaustive_search(-1)
-        with pytest.raises(SimvcError, match="caps at n = 4, got 5"):
+        with pytest.raises(ValueError, match="caps at n = 4, got 5"):
             exhaustive_search(5, jobs=2)
-        with pytest.raises(SimvcError, match="jobs must be at least 1, got 0"):
+        with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
             exhaustive_search(2, jobs=0)
 
 
@@ -272,7 +271,7 @@ class TestRunReport:
         assert a.read_text().splitlines()[0] == ",".join(CSV_COLUMNS[:-1])
 
     def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(SimvcError, match="unknown report format 'xml'"):
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
             run_report([], "xml", tmp_path / "x")
 
 

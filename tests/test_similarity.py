@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from simvc import (
     HypothesisSpace,
-    SimvcError,
     enumerate_spaces,
     full_cube,
     is_shattered,
@@ -18,13 +17,14 @@ from simvc import (
     pair_domain,
     random_space,
     restrict,
-    splitmix64_stream,
     vc_exact,
 )
 
 from simvc.similarity import _star_blocks
 
-from conftest import bit_space, bound_stream_params, chain_witness, forest_components, spaces
+from conftest import (
+    bit_space, bound_stream_params, chain_witness, forest_components, spaces, stream_params,
+)
 
 
 def bit_string(bits: int, n: int) -> str:
@@ -71,7 +71,7 @@ class TestLift:
                 assert lift_hypothesis(bits, n) == lift_hypothesis(bits ^ top, n)
 
     def test_lift_hypothesis_range(self):
-        with pytest.raises(SimvcError, match="hypothesis 8 does not fit a domain of 3 elements"):
+        with pytest.raises(ValueError, match="hypothesis 8 does not fit a domain of 3 elements"):
             lift_hypothesis(8, 3)
 
     def test_lift_space_full_cube_two(self):
@@ -87,7 +87,7 @@ class TestLift:
         assert vc_exact(lifted)[0] == 0
 
     def test_lift_requires_pairs(self):
-        with pytest.raises(SimvcError, match="cannot lift a space over 1 element"):
+        with pytest.raises(ValueError, match="cannot lift a space over 1 element"):
             lift_space(bit_space(1, ["0", "1"]))
 
     @given(spaces(max_n=6))
@@ -207,11 +207,8 @@ class TestLiftedVcOracle:
                 assert lifted_vc(space) == lifted_oracle(space)
 
     def test_seeded_random_spaces(self):
-        rng = splitmix64_stream(0x5117)
-        for _ in range(200):
-            n = 2 + next(rng) % 6  # 2..7
-            size = 1 + next(rng) % min(1 << n, 32)
-            space = random_space(n, size, next(rng))
+        for n, size, seed in stream_params(200, 0x5117, 7, 32):
+            space = random_space(n, size, seed)
             assert lifted_vc(space) == lifted_oracle(space)
 
     def test_cubes_reach_n_minus_one(self):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from simvc import (
     DOMAIN_SIZE_CAP,
     HypothesisSpace,
-    SimvcError,
     full_cube,
     is_shattered,
     k_sparse,
@@ -31,16 +30,16 @@ class TestSpaceFromDict:
         assert a == b
 
     def test_empty_space(self):
-        with pytest.raises(SimvcError, match="must contain at least one hypothesis"):
+        with pytest.raises(ValueError, match="must contain at least one hypothesis"):
             bit_space(3, [])
 
     def test_length_mismatch(self):
-        with pytest.raises(SimvcError, match="hypothesis '011' has length 3, expected 2"):
+        with pytest.raises(ValueError, match="hypothesis '011' has length 3, expected 2"):
             bit_space(2, ["011"])
 
     def test_domain_too_large(self):
         doc = {"domain_size": 25, "hypotheses": ["0" * 25]}
-        with pytest.raises(SimvcError, match="domain_size 25 exceeds the supported maximum 24"):
+        with pytest.raises(ValueError, match="domain_size 25 exceeds the supported maximum 24"):
             space_from_dict(doc, DOMAIN_SIZE_CAP)
 
     def test_invalid_character(self):
@@ -58,9 +57,9 @@ class TestHypothesisSpace:
         assert space.hypotheses == (0b00, 0b01, 0b10)
         # bit strings keep their lexicographic order at output
         assert HypothesisSpace(2, (0b01, 0b10)).bit_strings() == ["01", "10"]
-        with pytest.raises(SimvcError, match="hypothesis 4 does not fit a space over 2 elements"):
+        with pytest.raises(ValueError, match="hypothesis 4 does not fit a space over 2 elements"):
             HypothesisSpace(2, (0b00, 0b100))
-        with pytest.raises(SimvcError, match="hypothesis -1 does not fit a space over 2 elements"):
+        with pytest.raises(ValueError, match="hypothesis -1 does not fit a space over 2 elements"):
             HypothesisSpace(2, (-1, 0))
 
 
@@ -79,7 +78,7 @@ class TestRestrict:
         assert space.bit_strings() == [""]
 
     def test_out_of_range(self):
-        with pytest.raises(SimvcError, match="domain index 2 out of range for domain of size 2"):
+        with pytest.raises(ValueError, match="domain index 2 out of range for domain of size 2"):
             restrict(full_cube(2), (2,))
 
     def test_column_order_follows_subset(self):
@@ -145,7 +144,7 @@ class TestIsShattered:
 
     def test_rejects_malformed_subset(self):
         # the mask of (0, 0) is 0b10, element 1's, so the subset is checked before any count
-        with pytest.raises(SimvcError, match="domain index 2 out of range for domain of size 2"):
+        with pytest.raises(ValueError, match="domain index 2 out of range for domain of size 2"):
             is_shattered(full_cube(2), (2,))
         with pytest.raises(ValueError, match="subset elements must be strictly increasing"):
             is_shattered(full_cube(2), (0, 0))
