@@ -124,6 +124,38 @@ def run_module(*argv, timeout=None):
     )
 
 
+@pytest.fixture
+def expect_input_error(tmp_path, monkeypatch, capsys):
+    """Check one input error: exit 1, nothing on stdout, exactly ``vc: error:
+    <message>`` on stderr, and no ``--out``/``--output`` file, not even an empty one.
+
+    ``files`` maps names to documents written under ``tmp_path``, where ``argv``
+    (one space-separated string) runs.
+    """
+    def check(files, argv, message):
+        for name, doc in files.items():
+            (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *argv.split()) == (1, "", f"vc: error: {message}\n")
+        assert sorted(os.listdir(tmp_path)) == sorted(files)
+
+    return check
+
+
+def assert_usage_error(capsys, argv, fragment):
+    """argparse's usage line, exit 1 and nothing on stdout; ``fragment`` is a part
+    of its message worded alike on Python 3.10-3.13."""
+    with pytest.raises(SystemExit) as info:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (1, "")
+    assert captured.err.startswith("usage: vc")
+    assert fragment in captured.err
+
+
+REPORT = "report --spec spec.json --format csv --out x.csv"
+
+
 class TestCompute:
     def test_exact(self, tmp_path, capsys):
         path = write_space(tmp_path / "s.json", k_sparse(3, 1))
@@ -152,23 +184,6 @@ class TestCompute:
         assert json.loads(out) == {"d": 1, "witness": {"subset": [0], "patterns": ["0", "1"]}}
         assert out == run_cli(capsys, "compute", "--input", str(path))[1]
 
-    def test_missing_file(self, tmp_path, capsys):
-        code, _, err = run_cli(capsys, "compute", "--input", str(tmp_path / "no.json"))
-        assert code == 1
-        assert "error" in err
-
-    def test_bad_json(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        code, _, err = run_cli(capsys, "compute", "--input", str(path))
-        assert code == 1
-
-    def test_bad_space_document(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"domain_size": 2, "hypotheses": ["011"]}))
-        code, _, err = run_cli(capsys, "compute", "--input", str(path))
-        assert code == 1
-
 
 class TestLift:
     def test_writes_pair_domain_header(self, tmp_path, capsys):
@@ -190,12 +205,6 @@ class TestLift:
         assert code == 0
         assert json.loads(out)["d"] == 4
 
-    def test_single_element_domain_is_input_error(self, tmp_path, capsys):
-        src = tmp_path / "one.json"
-        src.write_text(json.dumps({"domain_size": 1, "hypotheses": ["0", "1"]}))
-        code, _, err = run_cli(capsys, "lift", "--input", str(src), "--output", str(tmp_path / "o"))
-        assert code == 1
-
     def test_widest_original_domain_feeds_compute(self, tmp_path, capsys):
         # compute reads files up to C(24, 2) columns so that this round-trips
         src = write_space(tmp_path / "s.json", random_space(DOMAIN_SIZE_CAP, 4, 7))
@@ -206,30 +215,18 @@ class TestLift:
         assert (code, err) == (0, "")
         assert json.loads(out)["d"] == 2
 
-    def test_domain_above_original_cap_writes_no_file(self, tmp_path, capsys):
-        src = write_wide_space(tmp_path / "s.json", DOMAIN_SIZE_CAP + 1, 4)
-        dst = tmp_path / "lifted.json"
-        code, out, err = run_cli(capsys, "lift", "--input", str(src), "--output", str(dst))
-        assert (code, out) == (1, "")
-        assert err == "vc: error: domain_size 25 exceeds the supported maximum 24\n"
-        assert not dst.exists()
-
 
 @pytest.mark.parametrize(
     "command, cap",
     [("lift", DOMAIN_SIZE_CAP), ("verify", DOMAIN_SIZE_CAP), ("compute", LOAD_DOMAIN_SIZE_CAP)],
 )
-def test_wide_file_names_the_command_cap(tmp_path, capsys, command, cap):
+def test_wide_file_names_the_command_cap(expect_input_error, command, cap):
     # the cap is checked once, before any row is parsed, so the bad row is never read
-    src = tmp_path / "wide.json"
-    src.write_text(json.dumps({"domain_size": 300, "hypotheses": ["not a row"]}))
-    argv = [command, "--input", str(src)]
-    if command == "lift":
-        argv += ["--output", str(tmp_path / "lifted.json")]
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err == f"vc: error: domain_size 300 exceeds the supported maximum {cap}\n"
-    assert not (tmp_path / "lifted.json").exists()
+    argv = f"{command} --input wide.json" + " --output lifted.json" * (command == "lift")
+    expect_input_error(
+        {"wide.json": {"domain_size": 300, "hypotheses": ["not a row"]}}, argv,
+        f"domain_size 300 exceeds the supported maximum {cap}",
+    )
 
 
 class TestVerify:
@@ -256,38 +253,12 @@ class TestVerify:
             doc = json.loads(out)
             assert (doc["family"], doc["ratio"]) == ("file", ratio)
 
-    def test_family_and_input_conflict(self, tmp_path, capsys):
-        path = write_space(tmp_path / "s.json", full_cube(2))
-        code, _, err = run_cli(
-            capsys, "verify", "--family", "cube", "--n", "2", "--input", str(path)
-        )
-        assert code == 1
-
-    def test_missing_k(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--family", "ksparse", "--n", "5")
-        assert code == 1
-
-    def test_cube_rejects_k(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--family", "cube", "--n", "3", "--k", "2")
-        assert code == 1
-        assert out == ""
-        assert err == "vc: error: full_cube does not take k\n"
-
     def test_input_above_original_cap_is_input_error(self, tmp_path):
         # a 60-column space is a 1770-column lift; a hang fails on the timeout
         path = write_wide_space(tmp_path / "s.json", 60, 16)
         proc = run_module("verify", "--input", str(path), timeout=30)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "vc: error: domain_size 60 exceeds the supported maximum 24\n"
-
-    def test_input_rejects_n_and_k(self, tmp_path, capsys):
-        path = write_space(tmp_path / "s.json", full_cube(2))
-        code, out, err = run_cli(
-            capsys, "verify", "--input", str(path), "--n", "9", "--k", "4"
-        )
-        assert code == 1
-        assert out == ""
-        assert err == "vc: error: --input does not take --n\n"
 
 
 class TestSearch:
@@ -309,52 +280,17 @@ class TestSearch:
             assert code == 0
             assert out == RANDOM_N4_SIZE6_OUTPUT
 
-    def test_jobs_below_one_is_input_error(self, capsys):
-        code, out, err = run_cli(
-            capsys, "search", "--mode", "exhaustive", "--n", "2", "--jobs", "0"
-        )
-        assert code == 1
-        assert out == ""
-        assert "jobs must be at least 1, got 0" in err
-
-    def test_random_samples_below_one_names_samples(self, capsys):
-        code, out, err = run_cli(
-            capsys, "search", "--mode", "random", "--n", "3", "--size", "2", "--samples", "0"
-        )
-        assert code == 1
-        assert out == ""
-        assert err == "vc: error: samples must be at least 1, got 0\n"
-
-    def test_seed_outside_64_bits_is_input_error(self, capsys):
-        # SplitMix64 would reduce -1 to 2^64-1 and print that seed's result
-        code, out, err = run_cli(
-            capsys,
-            "search", "--mode", "random", "--n", "4", "--size", "5",
-            "--samples", "3", "--seed", "-1",
-        )
-        assert code == 1
-        assert out == ""
-        assert err == "vc: error: seed must be in 0..2^64-1, got -1\n"
-
-    def test_exhaustive_rejects_random_flags(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            "search", "--mode", "exhaustive", "--n", "2",
-            "--size", "5", "--seed", "9", "--samples", "3",
-        )
-        assert code == 1
-        assert out == ""
-        assert err == "vc: error: --mode exhaustive does not take --size\n"
-
-    @pytest.mark.parametrize("n", ["-1", "0", "5"])
-    def test_exhaustive_domain_is_input_error(self, capsys, n):
-        code, out, err = run_cli(capsys, "search", "--mode", "exhaustive", "--n", n)
-        assert code == 1
-        assert out == ""
-        if n == "5":
-            assert "vc: error: exhaustive enumeration caps at n = 4, got 5" in err
-        else:
-            assert f"vc: error: n must be at least 1, got {n}" in err
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            ("-1", "n must be at least 1, got -1"),
+            ("0", "n must be at least 1, got 0"),
+            ("5", "exhaustive enumeration caps at n = 4, got 5"),
+        ],
+        ids=["-1", "0", "5"],
+    )
+    def test_exhaustive_domain_is_input_error(self, expect_input_error, n, message):
+        expect_input_error({}, f"search --mode exhaustive --n {n}", message)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_exhaustive_n4_output(self, capsys, jobs):
@@ -408,25 +344,8 @@ class TestBounds:
             ("0", "0", f"--cap N must be in 1..{DOMAIN_SIZE_CAP}, got 0"),
         ],
     )
-    def test_cap_out_of_range_is_input_error(self, capsys, n, d, message):
-        code, out, err = run_cli(capsys, "bounds", "--cap", n, d)
-        assert code == 1
-        assert out == ""
-        assert message in err
-
-    def test_entropy(self, capsys):
-        # --entropy is gone; binary_entropy is only the solver's helper
-        with pytest.raises(SystemExit) as info:
-            main(["bounds", "--entropy", "0.11"])
-        assert info.value.code == 1
-        assert capsys.readouterr().out == ""
-
-    def test_sauer(self, capsys):
-        # --sauer is gone; --cap is the one Sauer–Shelah mode
-        with pytest.raises(SystemExit) as info:
-            main(["bounds", "--sauer", "6", "4"])
-        assert info.value.code == 1
-        assert capsys.readouterr().out == ""
+    def test_cap_out_of_range_is_input_error(self, expect_input_error, n, d, message):
+        expect_input_error({}, f"bounds --cap {n} {d}", message)
 
     def test_solve_delta(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--solve-delta")
@@ -444,29 +363,9 @@ class TestBounds:
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_solve_delta_non_finite_tolerance_is_input_error(self, capsys, tol):
-        # --tol is gone: every tolerance is a usage error
-        with pytest.raises(SystemExit) as info:
-            main(["bounds", "--solve-delta", "--tol", tol])
-        assert info.value.code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"unrecognized arguments: --tol {tol}" in captured.err
-
-    def test_no_selector(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["bounds"])
-        assert info.value.code == 1
-        assert "one of the arguments --cap --solve-delta is required" in (
-            capsys.readouterr().err
+        assert_usage_error(
+            capsys, f"bounds --solve-delta --tol {tol}", f"unrecognized arguments: --tol {tol}"
         )
-
-    def test_two_selectors(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["bounds", "--cap", "3", "2", "--solve-delta"])
-        assert info.value.code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "not allowed with argument" in captured.err
 
 
 class TestReport:
@@ -491,26 +390,24 @@ class TestReport:
         assert len(lines) == 4
         assert lines[1].startswith("k_sparse,5,2,,,2,4,2,true,true")
 
-    def test_malformed_spec_file(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps([{"family": "warp", "n": 3}]))
-        code, _, err = run_cli(
-            capsys, "report", "--spec", str(spec), "--format", "csv",
-            "--out", str(tmp_path / "x.csv"),
-        )
-        assert code == 1
-
     @pytest.mark.parametrize(
         "entry, message",
         [
-            ({"family": ["cube"], "n": 2}, "vc: error: unknown family ['cube']\n"),
-            ({"family": "cube", "n": 2.9}, "n must be an integer, got 2.9\n"),
-            ({"family": "cube", "n": 3, "k": 2, "seed": 5}, "full_cube does not take k\n"),
-            ({"family": "ksparse", "n": 3, "k": 1, "size": 4}, "k_sparse does not take size\n"),
-            ({"family": "cube", "n": 4, "kk": 2}, "unknown key 'kk'\n"),
+            ({"family": ["cube"], "n": 2}, "unknown family ['cube']"),
+            (
+                {"family": "cube", "n": 2.9},
+                "malformed family spec {'family': 'cube', 'n': 2.9}: n must be an integer, got 2.9",
+            ),
+            ({"family": "cube", "n": 3, "k": 2, "seed": 5}, "full_cube does not take k"),
+            ({"family": "ksparse", "n": 3, "k": 1, "size": 4}, "k_sparse does not take size"),
+            (
+                {"family": "cube", "n": 4, "kk": 2},
+                "malformed family spec {'family': 'cube', 'n': 4, 'kk': 2}: unknown key 'kk'",
+            ),
             (
                 {"family": "random", "n": 4, "size": 3, "seed": 1, "sed": 5},
-                "unknown key 'sed'\n",
+                "malformed family spec {'family': 'random', 'n': 4, 'size': 3, 'seed': 1,"
+                " 'sed': 5}: unknown key 'sed'",
             ),
         ],
         ids=[
@@ -518,77 +415,115 @@ class TestReport:
             "cube-misspelt-k", "random-misspelt-seed",
         ],
     )
-    def test_bad_spec_entry_is_input_error(self, tmp_path, capsys, entry, message):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps([entry]))
-        out = tmp_path / "x.csv"
-        code, stdout, err = run_cli(
-            capsys, "report", "--spec", str(spec), "--format", "csv", "--out", str(out)
-        )
-        assert code == 1
-        assert stdout == ""
-        assert err.endswith(message)
-        assert not out.exists()
+    def test_bad_spec_entry_is_input_error(self, expect_input_error, entry, message):
+        expect_input_error({"spec.json": [entry]}, REPORT, message)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_out_of_range_entry_writes_no_file(self, tmp_path, capsys, jobs):
+    def test_out_of_range_entry_writes_no_file(self, expect_input_error, jobs):
         # every entry is checked before the output file is opened
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps([{"family": "cube", "n": 2}, {"family": "cube", "n": 99}]))
-        out = tmp_path / "x.csv"
-        code, stdout, err = run_cli(
-            capsys, "report", "--spec", str(spec), "--format", "csv",
-            "--out", str(out), "--jobs", jobs,
+        expect_input_error(
+            {"spec.json": [{"family": "cube", "n": 2}, {"family": "cube", "n": 99}]},
+            f"{REPORT} --jobs {jobs}", "n must be in 1..24, got 99",
         )
-        assert code == 1
-        assert stdout == ""
-        assert err == "vc: error: n must be in 1..24, got 99\n"
-        assert not out.exists()
-
-    def test_seed_outside_64_bits_writes_no_file(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps([{"family": "random", "n": 4, "size": 6, "seed": 2**64}]))
-        out = tmp_path / "x.csv"
-        code, stdout, err = run_cli(
-            capsys, "report", "--spec", str(spec), "--format", "csv", "--out", str(out)
-        )
-        assert code == 1
-        assert stdout == ""
-        assert err == f"vc: error: seed must be in 0..2^64-1, got {2**64}\n"
-        assert not out.exists()
-
-    def test_jobs_below_one_is_input_error(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps([{"family": "cube", "n": 2}]))
-        out = tmp_path / "x.csv"
-        code, _, err = run_cli(
-            capsys, "report", "--spec", str(spec), "--format", "csv",
-            "--out", str(out), "--jobs", "0",
-        )
-        assert code == 1
-        assert "jobs must be at least 1, got 0" in err
-        assert not out.exists()
-
-    def test_spec_must_be_array(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"family": "cube", "n": 2}))
-        code, _, err = run_cli(
-            capsys, "report", "--spec", str(spec), "--format", "csv",
-            "--out", str(tmp_path / "x.csv"),
-        )
-        assert code == 1
 
 
-class TestUsageErrors:
-    def test_unknown_subcommand(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["frobnicate"])
-        assert info.value.code == 1
+# The one-off errors `vc` reports; the parametrized `*_is_input_error` and
+# `*_writes_no_file` tests above hold the rest, through the same two checks. A
+# new flag's error is one more row here.
 
-    def test_missing_required_flag(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["compute"])
-        assert info.value.code == 1
+CUBE_2 = space_to_dict(full_cube(2))
+
+#: id -> (files written under tmp_path, argv, the exact message)
+INPUT_ERRORS = {
+    "compute-missing-file": (
+        {}, "compute --input no.json", "[Errno 2] No such file or directory: 'no.json'",
+    ),
+    "compute-bad-json": (
+        {"s.json": "{not json"}, "compute --input s.json",
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+    "compute-row-too-long": (
+        {"s.json": {"domain_size": 2, "hypotheses": ["011"]}}, "compute --input s.json",
+        "hypothesis '011' has length 3, expected 2",
+    ),
+    "lift-one-element": (
+        {"s.json": {"domain_size": 1, "hypotheses": ["0", "1"]}},
+        "lift --input s.json --output lifted.json",
+        "cannot lift a space over 1 element(s): the pair domain is empty"
+        " (treat the lifted VC dimension as 0)",
+    ),
+    "lift-above-original-cap": (
+        {"s.json": {"domain_size": 25, "hypotheses": ["0" * 25]}},
+        "lift --input s.json --output lifted.json",
+        "domain_size 25 exceeds the supported maximum 24",
+    ),
+    "verify-family-and-input": (
+        {"s.json": CUBE_2}, "verify --family cube --n 2 --input s.json",
+        "--input and --family are mutually exclusive",
+    ),
+    "verify-ksparse-without-k": ({}, "verify --family ksparse --n 5", "k_sparse requires k"),
+    "verify-cube-with-k": ({}, "verify --family cube --n 3 --k 2", "full_cube does not take k"),
+    "verify-input-with-n-and-k": (
+        {"s.json": CUBE_2}, "verify --input s.json --n 9 --k 4", "--input does not take --n",
+    ),
+    "search-jobs-0": (
+        {}, "search --mode exhaustive --n 2 --jobs 0", "jobs must be at least 1, got 0",
+    ),
+    "search-exhaustive-with-random-flags": (
+        {}, "search --mode exhaustive --n 2 --size 5 --seed 9 --samples 3",
+        "--mode exhaustive does not take --size",
+    ),
+    "search-samples-0": (
+        {}, "search --mode random --n 3 --size 2 --samples 0", "samples must be at least 1, got 0",
+    ),
+    # SplitMix64 would reduce -1 to 2^64-1 and print that seed's result
+    "search-seed--1": (
+        {}, "search --mode random --n 4 --size 5 --samples 3 --seed -1",
+        "seed must be in 0..2^64-1, got -1",
+    ),
+    "report-spec-not-array": (
+        {"spec.json": {"family": "cube", "n": 2}}, REPORT,
+        "report spec file must contain a JSON array of family specs",
+    ),
+    "report-jobs-0": (
+        {"spec.json": [{"family": "cube", "n": 2}]}, f"{REPORT} --jobs 0",
+        "jobs must be at least 1, got 0",
+    ),
+    "report-unknown-family": (
+        {"spec.json": [{"family": "warp", "n": 3}]}, REPORT, "unknown family 'warp'",
+    ),
+    "report-seed-2^64": (
+        {"spec.json": [{"family": "random", "n": 4, "size": 6, "seed": 2**64}]}, REPORT,
+        f"seed must be in 0..2^64-1, got {2**64}",
+    ),
+}
+
+NO_BOUNDS_MODE = "one of the arguments --cap --solve-delta is required"
+
+#: id -> (argv, a fragment of argparse's message worded alike on Python 3.10-3.13)
+USAGE_ERRORS = {
+    "unknown-command": ("frobnicate", "invalid choice: 'frobnicate'"),
+    "compute-without-input": ("compute", "the following arguments are required: --input"),
+    "bounds-without-mode": ("bounds", NO_BOUNDS_MODE),
+    "bounds-two-modes": (
+        "bounds --cap 3 2 --solve-delta",
+        "argument --solve-delta: not allowed with argument --cap",
+    ),
+    "bounds-entropy": ("bounds --entropy 0.11", NO_BOUNDS_MODE),
+    "bounds-sauer": ("bounds --sauer 6 4", NO_BOUNDS_MODE),
+}
+
+
+@pytest.mark.parametrize(
+    "files, argv, message", list(INPUT_ERRORS.values()), ids=list(INPUT_ERRORS)
+)
+def test_input_error(expect_input_error, files, argv, message):
+    expect_input_error(files, argv, message)
+
+
+@pytest.mark.parametrize("argv, fragment", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_error(capsys, argv, fragment):
+    assert_usage_error(capsys, argv, fragment)
 
 
 def test_closed_stdout_exits_141_silently():
