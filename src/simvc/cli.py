@@ -12,6 +12,7 @@ SIGPIPE), with nothing written to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -127,6 +128,10 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.cap is None and not args.solve_delta:
+        # checked here, not by a required group, so that argparse reports an
+        # unknown flag before a missing mode
+        args.usage_error("one of the arguments --cap --solve-delta is required")
     if args.cap is not None:
         n, d = args.cap
         if not 1 <= n <= DOMAIN_SIZE_CAP:
@@ -145,7 +150,12 @@ def _cmd_report(args) -> int:
         doc = json.load(fh)
     if not isinstance(doc, list):
         raise ValueError("report spec file must contain a JSON array of family specs")
-    specs = [FamilySpec.from_dict(entry) for entry in doc]
+    specs = []
+    for i, entry in enumerate(doc, 1):
+        try:
+            specs.append(FamilySpec.from_dict(entry))
+        except ValueError as exc:
+            raise ValueError(f"spec entry {i}: {exc}") from None
     rows = run_report(
         specs, args.format, args.out, jobs=args.jobs, include_timing=not args.no_timing
     )
@@ -153,7 +163,15 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The ``vc`` parser, built on the first call and shared by every later one.
+
+    ``main`` parses every command line of the process with this one object, so
+    parsing must not change it: each ``parse_args`` returns a fresh namespace,
+    and the ``func`` defaults are module functions, which read the module's
+    globals when they run.
+    """
     parser = _Parser(prog="vc", description="similarity VC-dimension toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -184,10 +202,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("bounds", help="closed-form bound values")
-    mode = p.add_mutually_exclusive_group(required=True)
+    mode = p.add_mutually_exclusive_group()
     mode.add_argument("--cap", type=int, nargs=2, metavar=("N", "D"))
     mode.add_argument("--solve-delta", action="store_true")
-    p.set_defaults(func=_cmd_bounds)
+    p.set_defaults(func=_cmd_bounds, usage_error=p.error)
 
     p = sub.add_parser("report", help="bound reports for a spec file of families")
     p.add_argument("--spec", required=True)
@@ -201,8 +219,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
         # flush here, so a closed stdout fails inside this try and not at exit

@@ -19,6 +19,7 @@ from simvc import (
     space_to_dict,
     splitmix64_stream,
 )
+from simvc import cli
 from simvc.bounds import binary_entropy
 from simvc.cli import main
 
@@ -157,15 +158,6 @@ REPORT = "report --spec spec.json --format csv --out x.csv"
 
 
 class TestCompute:
-    def test_exact(self, tmp_path, capsys):
-        path = write_space(tmp_path / "s.json", k_sparse(3, 1))
-        code, out, _ = run_cli(capsys, "compute", "--input", str(path))
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["d"] == 1
-        assert doc["witness"]["subset"] == [0]
-        assert doc["witness"]["patterns"] == ["0", "1"]
-
     def test_lifted_k_sparse_output(self, tmp_path, capsys):
         # a four-column witness: every realized pattern, in lexicographic order
         src = write_space(tmp_path / "s.json", k_sparse(5, 2))
@@ -196,14 +188,6 @@ class TestLift:
         assert doc["pair_domain_of"] == 3
         # bit-string order as written; int order would be 100, 010, 001, 111
         assert doc["hypotheses"] == ["001", "010", "100", "111"]
-
-    def test_lifted_file_feeds_compute(self, tmp_path, capsys):
-        src = write_space(tmp_path / "s.json", k_sparse(5, 2))
-        dst = tmp_path / "lifted.json"
-        assert run_cli(capsys, "lift", "--input", str(src), "--output", str(dst))[0] == 0
-        code, out, _ = run_cli(capsys, "compute", "--input", str(dst))
-        assert code == 0
-        assert json.loads(out)["d"] == 4
 
     def test_widest_original_domain_feeds_compute(self, tmp_path, capsys):
         # compute reads files up to C(24, 2) columns so that this round-trips
@@ -393,20 +377,29 @@ class TestReport:
     @pytest.mark.parametrize(
         "entry, message",
         [
-            ({"family": ["cube"], "n": 2}, "unknown family ['cube']"),
+            ({"family": ["cube"], "n": 2}, "spec entry 1: unknown family ['cube']"),
             (
                 {"family": "cube", "n": 2.9},
-                "malformed family spec {'family': 'cube', 'n': 2.9}: n must be an integer, got 2.9",
+                "spec entry 1: malformed family spec {'family': 'cube', 'n': 2.9}:"
+                " n must be an integer, got 2.9",
             ),
-            ({"family": "cube", "n": 3, "k": 2, "seed": 5}, "full_cube does not take k"),
-            ({"family": "ksparse", "n": 3, "k": 1, "size": 4}, "k_sparse does not take size"),
+            (
+                {"family": "cube", "n": 3, "k": 2, "seed": 5},
+                "spec entry 1: full_cube does not take k",
+            ),
+            (
+                {"family": "ksparse", "n": 3, "k": 1, "size": 4},
+                "spec entry 1: k_sparse does not take size",
+            ),
             (
                 {"family": "cube", "n": 4, "kk": 2},
-                "malformed family spec {'family': 'cube', 'n': 4, 'kk': 2}: unknown key 'kk'",
+                "spec entry 1: malformed family spec {'family': 'cube', 'n': 4, 'kk': 2}:"
+                " unknown key 'kk'",
             ),
             (
                 {"family": "random", "n": 4, "size": 3, "seed": 1, "sed": 5},
-                "malformed family spec {'family': 'random', 'n': 4, 'size': 3, 'seed': 1,"
+                "spec entry 1: malformed family spec {'family': 'random', 'n': 4, 'size': 3,"
+                " 'seed': 1,"
                 " 'sed': 5}: unknown key 'sed'",
             ),
         ],
@@ -423,7 +416,7 @@ class TestReport:
         # every entry is checked before the output file is opened
         expect_input_error(
             {"spec.json": [{"family": "cube", "n": 2}, {"family": "cube", "n": 99}]},
-            f"{REPORT} --jobs {jobs}", "n must be in 1..24, got 99",
+            f"{REPORT} --jobs {jobs}", "spec entry 2: n must be in 1..24, got 99",
         )
 
 
@@ -490,27 +483,25 @@ INPUT_ERRORS = {
         "jobs must be at least 1, got 0",
     ),
     "report-unknown-family": (
-        {"spec.json": [{"family": "warp", "n": 3}]}, REPORT, "unknown family 'warp'",
+        {"spec.json": [{"family": "warp", "n": 3}]}, REPORT, "spec entry 1: unknown family 'warp'",
     ),
     "report-seed-2^64": (
         {"spec.json": [{"family": "random", "n": 4, "size": 6, "seed": 2**64}]}, REPORT,
-        f"seed must be in 0..2^64-1, got {2**64}",
+        f"spec entry 1: seed must be in 0..2^64-1, got {2**64}",
     ),
 }
-
-NO_BOUNDS_MODE = "one of the arguments --cap --solve-delta is required"
 
 #: id -> (argv, a fragment of argparse's message worded alike on Python 3.10-3.13)
 USAGE_ERRORS = {
     "unknown-command": ("frobnicate", "invalid choice: 'frobnicate'"),
     "compute-without-input": ("compute", "the following arguments are required: --input"),
-    "bounds-without-mode": ("bounds", NO_BOUNDS_MODE),
+    "bounds-without-mode": ("bounds", "one of the arguments --cap --solve-delta is required"),
     "bounds-two-modes": (
         "bounds --cap 3 2 --solve-delta",
         "argument --solve-delta: not allowed with argument --cap",
     ),
-    "bounds-entropy": ("bounds --entropy 0.11", NO_BOUNDS_MODE),
-    "bounds-sauer": ("bounds --sauer 6 4", NO_BOUNDS_MODE),
+    "bounds-entropy": ("bounds --entropy 0.11", "unrecognized arguments: --entropy 0.11"),
+    "bounds-sauer": ("bounds --sauer 6 4", "unrecognized arguments: --sauer 6 4"),
 }
 
 
@@ -524,6 +515,21 @@ def test_input_error(expect_input_error, files, argv, message):
 @pytest.mark.parametrize("argv, fragment", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
 def test_usage_error(capsys, argv, fragment):
     assert_usage_error(capsys, argv, fragment)
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys):
+    # main parses every command line of a process with one cached parser
+    assert cli._build_parser() is cli._build_parser()
+    random_argv = (
+        "search", "--mode", "random", "--n", "4", "--size", "6", "--samples", "25", "--seed", "11",
+    )
+    assert run_cli(capsys, *random_argv) == (0, RANDOM_N4_SIZE6_OUTPUT, "")
+    # a --seed left over from the random run would make this an input error
+    code, out, err = run_cli(capsys, "search", "--mode", "exhaustive", "--n", "2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["spaces_examined"] == 15
+    assert_usage_error(capsys, "frobnicate", "invalid choice: 'frobnicate'")
+    assert run_cli(capsys, *random_argv) == (0, RANDOM_N4_SIZE6_OUTPUT, "")
 
 
 def test_closed_stdout_exits_141_silently():
