@@ -15,16 +15,20 @@ stream's own length is the length of the search.  ``exhaustive_search``
 gives the result ``ratio_search`` would give over ``enumerate_spaces(n)``,
 verifying one space per symmetry orbit (``exhaustive_orbits``) and counting
 every space.
-``run_report`` writes the reports themselves.  All three share one ordered
-map: the built-in ``map`` at one job, otherwise ``Pool.imap`` on a fork pool
-of at most one worker per CPU, which reads a stream only as far ahead as its
-pipe to the workers holds.  Results come in stream order, so the outcome
-does not depend on the worker count.
+``run_report`` writes the reports themselves: each job verifies one space
+and renders its CSV row or JSONL line, so a worker sends back a finished
+line and the main process only writes the lines in stream order.  All three
+share one ordered map: the built-in ``map`` at one job, otherwise
+``Pool.imap`` on a fork pool of at most one worker per CPU, which reads a
+stream only as far ahead as its pipe to the workers holds.  Results come in
+stream order, so the outcome does not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import json
 import multiprocessing
 import os
@@ -178,6 +182,10 @@ def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
     per CPU.  ``jobs`` is checked before any worker starts.  The pool's
     feeder thread sends chunks of ``_CHUNK`` items and blocks while the pipe
     to the workers is full, so it reads ahead by what that pipe holds.
+    Each result is pickled back to this process, which shares the CPUs with
+    the workers, so each job returns only what its caller keeps: a ratio
+    and its space, or a finished report line that ``run_report`` writes in
+    stream order.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -244,9 +252,24 @@ def exhaustive_search(n: int, jobs: int = 1) -> RatioSearchResult:
     return result
 
 
-def _report_job(pair: "tuple[HypothesisSpace, FamilySpec]") -> BoundReport:
+def _csv_line(fields: Iterable[str]) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(fields)
+    return buffer.getvalue()
+
+
+def _report_line(
+    output_format: str,
+    include_timing: bool,
+    pair: "tuple[HypothesisSpace, FamilySpec]",
+) -> str:
+    """The finished report line of one space: a CSV row or a compact JSON document."""
     space, spec = pair
-    return verify_theorem(space, family_spec=spec)
+    report = verify_theorem(space, family_spec=spec)
+    if output_format == "csv":
+        return _csv_line(report.csv_row(include_timing=include_timing))
+    doc = report.to_dict(include_timing=include_timing)
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def run_report(
@@ -259,25 +282,22 @@ def run_report(
 ) -> int:
     """Write one report row per space described by ``specs``; returns the row count.
 
+    The jobs return finished lines, rendered where the space was verified;
+    this process writes the CSV header and then each line in stream order.
     ``include_timing=False`` drops the wall-time column, leaving output that
     is byte-identical across runs and worker counts.
     """
     if output_format not in ("csv", "jsonl"):
         raise ValueError(f"unknown report format {output_format!r}")
     pairs = ((space, spec) for spec in specs for space in spaces_for(spec))
-    reports = _ordered_map(_report_job, pairs, jobs)
+    lines = _ordered_map(
+        functools.partial(_report_line, output_format, include_timing), pairs, jobs
+    )
     with open(output_path, "w", encoding="utf-8", newline="") as out:
         if output_format == "csv":
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS if include_timing else CSV_COLUMNS[:-1])
-            def write_row(report: BoundReport) -> None:
-                writer.writerow(report.csv_row(include_timing=include_timing))
-        else:
-            def write_row(report: BoundReport) -> None:
-                doc = report.to_dict(include_timing=include_timing)
-                out.write(json.dumps(doc, separators=(",", ":")) + "\n")
+            out.write(_csv_line(CSV_COLUMNS if include_timing else CSV_COLUMNS[:-1]))
         count = 0
-        for report in reports:
-            write_row(report)
+        for line in lines:
+            out.write(line)
             count += 1
         return count

@@ -122,6 +122,9 @@ class TestWitnessOracle:
         assert vc_exact(ratio_three_space) == vc_naive(ratio_three_space)
 
     def test_lifted_vc(self):
+        # n = 1 has no pairs, so nothing is lifted
+        for space in enumerate_spaces(1):
+            assert lifted_vc(space) == (0, ())
         # the pair ranks of n <= 5 give at most 10 columns
         small = (space for n in (2, 3) for space in enumerate_spaces(n))
         for space in chain(small, _seeded_spaces(200, 78, 5), [full_cube(4), full_cube(5)]):

@@ -86,6 +86,13 @@ class TestVerifyTheorem:
         # so no space with d = 2 has a ratio above 3
         assert forest_cap(12, 2) == 6
 
+    def test_every_witness_sim_is_forest(self):
+        for n in (2, 3):
+            for space in enumerate_spaces(n):
+                report = verify_theorem(space)
+                assert forest_components(report.witness_sim) is not None
+                assert report.lower_ok and report.upper_ok
+
     def test_to_dict_round_trips_through_json(self):
         report = verify_theorem(full_cube(2), family_spec=FamilySpec("full_cube", 2))
         doc = json.loads(json.dumps(report.to_dict()))
@@ -270,14 +277,6 @@ class TestRunReport:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[0] == ",".join(CSV_COLUMNS[:-1])
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown report format 'xml'"):
-            run_report([], "xml", tmp_path / "x")
-
-
-class TestIterReports:
-    """Report rows come out in stream order, whatever the worker count."""
-
     def test_stream_order_preserved(self, tmp_path):
         out = tmp_path / "rows.jsonl"
         run_report([FamilySpec("full_cube", 2), FamilySpec("k_sparse", 3, k=1)], "jsonl", out)
@@ -286,17 +285,40 @@ class TestIterReports:
 
     def test_parallel_matches_serial(self, tmp_path):
         # 255 rows span two pool chunks
-        serial = tmp_path / "serial.jsonl"
-        parallel = tmp_path / "parallel.jsonl"
-        run_report([FamilySpec("exhaustive", 3)], "jsonl", serial, include_timing=False)
-        run_report(
-            [FamilySpec("exhaustive", 3)], "jsonl", parallel, jobs=4, include_timing=False
-        )
-        assert serial.read_bytes() == parallel.read_bytes()
+        for fmt in ("csv", "jsonl"):
+            serial = tmp_path / f"serial.{fmt}"
+            parallel = tmp_path / f"parallel.{fmt}"
+            run_report([FamilySpec("exhaustive", 3)], fmt, serial, include_timing=False)
+            run_report(
+                [FamilySpec("exhaustive", 3)], fmt, parallel, jobs=4, include_timing=False
+            )
+            assert serial.read_bytes() == parallel.read_bytes()
 
-    def test_every_witness_sim_is_forest(self):
-        for n in (2, 3):
-            for space in enumerate_spaces(n):
-                report = verify_theorem(space)
-                assert forest_components(report.witness_sim) is not None
-                assert report.lower_ok and report.upper_ok
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_parallel_rows_carry_timing(self, tmp_path, fmt):
+        # the workers render the rows, so the flag must reach them
+        out = tmp_path / f"timed.{fmt}"
+        specs = [FamilySpec("exhaustive", 2), FamilySpec("k_sparse", 4, k=1)]
+        assert run_report(specs, fmt, out, jobs=2, include_timing=True) == 16
+        lines = out.read_text().splitlines()
+        if fmt == "csv":
+            assert lines[0] == ",".join(CSV_COLUMNS)
+            for line in lines[1:]:
+                fields = line.split(",")
+                assert len(fields) == len(CSV_COLUMNS)
+                assert fields[-1].isdigit()
+        else:
+            assert len(lines) == 16
+            for line in lines:
+                assert type(json.loads(line)["wall_time_ms"]) is int
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_worker_fault_fails_the_report(self, tmp_path, monkeypatch, fmt):
+        # the forked workers inherit the patch; d = 1 on n = 3 caps d_sim at 2
+        monkeypatch.setattr("simvc.experiments.lifted_vc", lambda space: (9, ()))
+        with pytest.raises(AssertionError, match="d_sim = 9 exceeds forest_cap = 2 at d = 1"):
+            run_report([FamilySpec("k_sparse", 3, k=1)], fmt, tmp_path / f"x.{fmt}", jobs=2)
+
+    def test_unknown_format_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            run_report([], "xml", tmp_path / "x")

@@ -199,13 +199,6 @@ def lifted_oracle(space):
 
 
 class TestLiftedVcOracle:
-    def test_exhaustive_small_domains(self):
-        for space in enumerate_spaces(1):
-            assert lifted_vc(space) == (0, ())
-        for n in (2, 3):
-            for space in enumerate_spaces(n):
-                assert lifted_vc(space) == lifted_oracle(space)
-
     def test_seeded_random_spaces(self):
         for n, size, seed in stream_params(200, 0x5117, 7, 32):
             space = random_space(n, size, seed)
