@@ -201,10 +201,12 @@ def enumerate_spaces(n: int) -> Iterator[HypothesisSpace]:
     """
     _check_enumeration_n(n)
     cube = lex_cube(n)
-    return (
-        HypothesisSpace(n, (h for i, h in enumerate(cube) if (mask >> i) & 1))
-        for mask in range(1, 1 << len(cube))
-    )
+    return (_masked_space(n, cube, mask) for mask in range(1, 1 << len(cube)))
+
+
+def _masked_space(n: int, cube: "tuple[int, ...]", mask: int) -> HypothesisSpace:
+    """The space over [n] that keeps ``cube[i]`` for each bit i of ``mask``."""
+    return HypothesisSpace(n, (h for i, h in enumerate(cube) if (mask >> i) & 1))
 
 
 def exhaustive_orbits(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
@@ -233,37 +235,39 @@ def _orbit_representatives(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
     cube = lex_cube(n)
     count = len(cube)
     half = count // 2
+    low_bits = (1 << half) - 1
     index = {h: i for i, h in enumerate(cube)}
     top = (1 << n) - 1
-    # the flip of element 0, the transposition (0 1) and the n-cycle
-    # generate all n! * 2^n symmetries; n = 1 needs the flip alone
-    moves = [
-        lambda h: h ^ 1,
-        lambda h: h ^ ((h ^ h >> 1) & 1) * 3,
-        lambda h: (h << 1 | h >> (n - 1)) & top,
-    ][: 1 if n == 1 else 3]
+    # two maps generate all n! * 2^n symmetries: the n-cycle followed by the
+    # flip of element 0, and the transposition (0 1).  At n = 1 the first is
+    # the flip, which generates them alone, so it stands in for the second.
+    # Each is a table from cube position to the position of the image.
+    cycle_flip = [index[(h << 1 | h >> (n - 1)) & top ^ 1] for h in cube]
+    swap = [index[h ^ ((h ^ h >> 1) & 1) * 3] for h in cube] if n > 1 else cycle_flip
     # each generator maps a space's mask one half at a time
-    generators = []
-    for move in moves:
-        targets = [index[move(h)] for h in cube]
-        generators.append((_image_table(targets[:half]), _image_table(targets[half:])))
+    (a_low, a_high), (b_low, b_high) = [
+        (_image_table(targets[:half]), _image_table(targets[half:]))
+        for targets in (cycle_flip, swap)
+    ]
+    # each space is visited once: a closure marks its orbit, and the next
+    # representative is the next unmarked mask
     seen = bytearray(1 << count)
-    for mask in range(1, 1 << count):
-        if seen[mask]:
-            continue
+    mask = seen.find(0, 1)
+    while mask != -1:
         seen[mask] = 1
-        orbit_size = 1
-        stack = [mask]
-        while stack:
-            m = stack.pop()
-            low, high = m & ((1 << half) - 1), m >> half
-            for low_table, high_table in generators:
-                image = low_table[low] | high_table[high]
-                if not seen[image]:
-                    seen[image] = 1
-                    orbit_size += 1
-                    stack.append(image)
-        yield HypothesisSpace(n, (h for i, h in enumerate(cube) if (mask >> i) & 1)), orbit_size
+        orbit = [mask]
+        for m in orbit:  # also visits the images appended along the way
+            low, high = m & low_bits, m >> half
+            image = a_low[low] | a_high[high]
+            if not seen[image]:
+                seen[image] = 1
+                orbit.append(image)
+            image = b_low[low] | b_high[high]
+            if not seen[image]:
+                seen[image] = 1
+                orbit.append(image)
+        yield _masked_space(n, cube, mask), len(orbit)
+        mask = seen.find(0, mask + 1)
 
 
 def spaces_for(spec: FamilySpec) -> Iterator[HypothesisSpace]:

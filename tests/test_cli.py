@@ -200,19 +200,6 @@ class TestLift:
         assert json.loads(out)["d"] == 2
 
 
-@pytest.mark.parametrize(
-    "command, cap",
-    [("lift", DOMAIN_SIZE_CAP), ("verify", DOMAIN_SIZE_CAP), ("compute", LOAD_DOMAIN_SIZE_CAP)],
-)
-def test_wide_file_names_the_command_cap(expect_input_error, command, cap):
-    # the cap is checked once, before any row is parsed, so the bad row is never read
-    argv = f"{command} --input wide.json" + " --output lifted.json" * (command == "lift")
-    expect_input_error(
-        {"wide.json": {"domain_size": 300, "hypotheses": ["not a row"]}}, argv,
-        f"domain_size 300 exceeds the supported maximum {cap}",
-    )
-
-
 class TestVerify:
     def test_family_ksparse(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "ksparse", "--n", "5", "--k", "2")
@@ -264,18 +251,6 @@ class TestSearch:
             assert code == 0
             assert out == RANDOM_N4_SIZE6_OUTPUT
 
-    @pytest.mark.parametrize(
-        "n, message",
-        [
-            ("-1", "n must be at least 1, got -1"),
-            ("0", "n must be at least 1, got 0"),
-            ("5", "exhaustive enumeration caps at n = 4, got 5"),
-        ],
-        ids=["-1", "0", "5"],
-    )
-    def test_exhaustive_domain_is_input_error(self, expect_input_error, n, message):
-        expect_input_error({}, f"search --mode exhaustive --n {n}", message)
-
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_exhaustive_n4_output(self, capsys, jobs):
         # 401 orbit representatives span four pool chunks at jobs 2
@@ -317,19 +292,6 @@ class TestBounds:
         code, out, _ = run_cli(capsys, "bounds", "--cap", "12", "2")
         assert code == 0
         assert json.loads(out) == {"domain_size": 12, "d": 2, "cap": 6}
-
-    @pytest.mark.parametrize(
-        "n, d, message",
-        [
-            # ids name the inputs, so each row keeps its name whatever the message
-            pytest.param("3", "5", "--cap D must be in 0..3, got 5", id="3-5-got n = 3, d = 5"),
-            pytest.param("3", "-1", "--cap D must be in 0..3, got -1", id="3--1-got n = 3, d = -1"),
-            ("25", "2", f"--cap N must be in 1..{DOMAIN_SIZE_CAP}, got 25"),
-            ("0", "0", f"--cap N must be in 1..{DOMAIN_SIZE_CAP}, got 0"),
-        ],
-    )
-    def test_cap_out_of_range_is_input_error(self, expect_input_error, n, d, message):
-        expect_input_error({}, f"bounds --cap {n} {d}", message)
 
     def test_solve_delta(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--solve-delta")
@@ -420,11 +382,13 @@ class TestReport:
         )
 
 
-# The one-off errors `vc` reports; the parametrized `*_is_input_error` and
-# `*_writes_no_file` tests above hold the rest, through the same two checks. A
-# new flag's error is one more row here.
+# The input and usage errors `vc` reports, one row per case; the parametrized
+# `test_bad_spec_entry_is_input_error`, `test_out_of_range_entry_writes_no_file`
+# and `test_solve_delta_non_finite_tolerance_is_input_error` above hold the rest,
+# through the same two checks. A new flag's error is one more row here.
 
 CUBE_2 = space_to_dict(full_cube(2))
+WIDE = {"domain_size": 300, "hypotheses": ["not a row"]}
 
 #: id -> (files written under tmp_path, argv, the exact message)
 INPUT_ERRORS = {
@@ -489,6 +453,32 @@ INPUT_ERRORS = {
         {"spec.json": [{"family": "random", "n": 4, "size": 6, "seed": 2**64}]}, REPORT,
         f"spec entry 1: seed must be in 0..2^64-1, got {2**64}",
     ),
+    # the cap is checked once, before any row is parsed, so the bad row is never read
+    "lift-wide-file": (
+        {"wide.json": WIDE}, "lift --input wide.json --output lifted.json",
+        f"domain_size 300 exceeds the supported maximum {DOMAIN_SIZE_CAP}",
+    ),
+    "verify-wide-file": (
+        {"wide.json": WIDE}, "verify --input wide.json",
+        f"domain_size 300 exceeds the supported maximum {DOMAIN_SIZE_CAP}",
+    ),
+    "compute-wide-file": (
+        {"wide.json": WIDE}, "compute --input wide.json",
+        f"domain_size 300 exceeds the supported maximum {LOAD_DOMAIN_SIZE_CAP}",
+    ),
+    "search-exhaustive-n--1": (
+        {}, "search --mode exhaustive --n -1", "n must be at least 1, got -1",
+    ),
+    "search-exhaustive-n-0": ({}, "search --mode exhaustive --n 0", "n must be at least 1, got 0"),
+    "search-exhaustive-n-5": (
+        {}, "search --mode exhaustive --n 5", "exhaustive enumeration caps at n = 4, got 5",
+    ),
+    "bounds-cap-d-above-n": ({}, "bounds --cap 3 5", "--cap D must be in 0..3, got 5"),
+    "bounds-cap-d-negative": ({}, "bounds --cap 3 -1", "--cap D must be in 0..3, got -1"),
+    "bounds-cap-n-above-cap": (
+        {}, "bounds --cap 25 2", f"--cap N must be in 1..{DOMAIN_SIZE_CAP}, got 25",
+    ),
+    "bounds-cap-n-0": ({}, "bounds --cap 0 0", f"--cap N must be in 1..{DOMAIN_SIZE_CAP}, got 0"),
 }
 
 #: id -> (argv, a fragment of argparse's message worded alike on Python 3.10-3.13)

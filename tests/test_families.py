@@ -1,7 +1,7 @@
 """Family generators and seeded streams."""
 
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -155,21 +155,29 @@ class TestEnumerateSpaces:
             enumerate_spaces(5)
 
 
-def _symmetry_images(space):
-    """Images of ``space`` under every permutation of the domain and XOR mask, as string sets."""
-    n = space.domain_size
-    strings = space.bit_strings()
-    images = set()
+def _symmetry_tables(n):
+    """The bit strings over [n] in lexicographic order, and every permutation of
+    the domain with every XOR mask as a table from a string's position to its image's."""
+    strings = ["".join(bits) for bits in product("01", repeat=n)]
+    position = {text: i for i, text in enumerate(strings)}
+    tables = []
     for perm in permutations(range(n)):
         for flip in range(1 << n):
-            image = set()
+            table = []
             for text in strings:
                 moved = ["0"] * n
                 for j, ch in enumerate(text):
                     moved[perm[j]] = "1" if (ch == "1") != bool((flip >> j) & 1) else "0"
-                image.add("".join(moved))
-            images.add(frozenset(image))
-    return images
+                table.append(position["".join(moved)])
+            tables.append(table)
+    return strings, tables
+
+
+def _symmetry_images(space):
+    """Images of ``space`` under every permutation of the domain and XOR mask, as string sets."""
+    strings, tables = _symmetry_tables(space.domain_size)
+    members = [strings.index(text) for text in space.bit_strings()]
+    return {frozenset(strings[table[i]] for i in members) for table in tables}
 
 
 class TestExhaustiveOrbits:
@@ -195,6 +203,25 @@ class TestExhaustiveOrbits:
                 assert not covered & orbit
                 covered |= orbit
             assert covered == set(order.values())
+
+    def test_n4_orbits_match_all_symmetries(self):
+        # masks over cube positions, imaged by all 384 maps rather than by any
+        # generating set
+        n = 4
+        strings, tables = _symmetry_tables(n)
+        assert len({tuple(table) for table in tables}) == 384
+        position = {text: i for i, text in enumerate(strings)}
+        total = 0
+        last = 0
+        for space, size in exhaustive_orbits(n):
+            members = [position[text] for text in space.bit_strings()]
+            mask = sum(1 << i for i in members)
+            images = {sum(1 << table[i] for i in members) for table in tables}
+            assert mask == min(images) > last
+            assert size == len(images)
+            last = mask
+            total += size
+        assert total == (1 << (1 << n)) - 1
 
     def test_domain_is_checked_at_the_call(self):
         with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
