@@ -1,27 +1,23 @@
 """Exact-computation toolkit for VC dimensions of similarity hypothesis spaces."""
 
 from .bounds import forest_cap, solve_optimal_delta, theorem_bounds
-from .engine import ORACLE_DOMAIN_CAP, vc_exact, vc_naive
+from .engine import vc_exact, vc_naive
 from .experiments import (
     CSV_COLUMNS,
     BoundReport,
-    RatioSearchResult,
     exhaustive_search,
     ratio_search,
     run_report,
     verify_theorem,
 )
 from .families import (
-    ENUMERATION_CAP,
     FamilySpec,
     enumerate_spaces,
     exhaustive_orbits,
     full_cube,
     k_sparse,
     random_space,
-    random_space_stream,
-    spaces_for,
-    splitmix64_stream,
+    splitmix64_stream,  # not in __all__; tests/test_acceptance.py imports it from here
 )
 from .similarity import (
     lift_hypothesis,
@@ -34,7 +30,6 @@ from .space import (
     LOAD_DOMAIN_SIZE_CAP,
     HypothesisSpace,
     is_shattered,
-    restrict,
     space_from_dict,
     space_to_dict,
 )
@@ -45,12 +40,9 @@ __all__ = [
     "BoundReport",
     "CSV_COLUMNS",
     "DOMAIN_SIZE_CAP",
-    "ENUMERATION_CAP",
     "FamilySpec",
     "HypothesisSpace",
     "LOAD_DOMAIN_SIZE_CAP",
-    "ORACLE_DOMAIN_CAP",
-    "RatioSearchResult",
     "enumerate_spaces",
     "exhaustive_orbits",
     "exhaustive_search",
@@ -63,15 +55,11 @@ __all__ = [
     "lifted_vc",
     "pair_domain",
     "random_space",
-    "random_space_stream",
     "ratio_search",
-    "restrict",
     "run_report",
     "solve_optimal_delta",
     "space_from_dict",
     "space_to_dict",
-    "spaces_for",
-    "splitmix64_stream",
     "theorem_bounds",
     "vc_exact",
     "vc_naive",

@@ -4,11 +4,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import pytest
 from hypothesis import strategies as st
 
-from simvc import HypothesisSpace, space_from_dict, splitmix64_stream
+from simvc import HypothesisSpace, space_from_dict
 from simvc.bounds import binary_entropy
+from simvc.families import splitmix64_stream
 
 
 #: Seed of the acceptance suite's bound stream; perfbench's random_report draws its specs too.
@@ -55,28 +55,21 @@ def run_python(code, timeout):
     return proc.stdout
 
 
-@pytest.fixture
-def five_halves_space():
-    """A space on n = 8 with d = 2 and d_sim = 5, so d_sim / d = 5/2; bit j labels element j."""
-    return HypothesisSpace(8, [
-        0, 2, 34, 64, 65, 66, 67, 70, 81, 82, 86, 89, 90, 93, 94, 95, 98, 114,
-        122, 125, 126, 127, 131, 147, 159, 193, 195, 211, 219, 222, 223, 254,
-    ])
+#: A space on n = 8 with d = 2 and d_sim = 5, so d_sim / d = 5/2; bit j labels element j.
+FIVE_HALVES_SPACE = HypothesisSpace(8, [
+    0, 2, 34, 64, 65, 66, 67, 70, 81, 82, 86, 89, 90, 93, 94, 95, 98, 114,
+    122, 125, 126, 127, 131, 147, 159, 193, 195, 211, 219, 222, 223, 254,
+])
 
-
-@pytest.fixture
-def ratio_three_space():
-    """A space on n = 12 with d = 2 and d_sim = 6 = forest_cap(12, 2), so d_sim / d = 3.
-
-    The lifted witness is the six disjoint pairs (0, 1), (2, 3), ..., (10, 11).
-    """
-    return HypothesisSpace(12, [
-        0, 1, 4, 5, 16, 17, 20, 22, 64, 65, 68, 70, 80, 82, 88, 90, 256, 257,
-        260, 265, 273, 281, 321, 353, 536, 576, 592, 600, 720, 1025, 1041, 1088,
-        1089, 1092, 1094, 1120, 1121, 1124, 1126, 1216, 1248, 1252, 1254, 1281,
-        1289, 1313, 1321, 1441, 1600, 1601, 1604, 1606, 1638, 1728, 2052, 2053,
-        2308, 2640, 2648, 2768, 2776, 3652, 3654, 3686,
-    ])
+#: A space on n = 12 with d = 2 and d_sim = 6 = forest_cap(12, 2), so d_sim / d = 3.
+#: The lifted witness is the six disjoint pairs (0, 1), (2, 3), ..., (10, 11).
+RATIO_THREE_SPACE = HypothesisSpace(12, [
+    0, 1, 4, 5, 16, 17, 20, 22, 64, 65, 68, 70, 80, 82, 88, 90, 256, 257,
+    260, 265, 273, 281, 321, 353, 536, 576, 592, 600, 720, 1025, 1041, 1088,
+    1089, 1092, 1094, 1120, 1121, 1124, 1126, 1216, 1248, 1252, 1254, 1281,
+    1289, 1313, 1321, 1441, 1600, 1601, 1604, 1606, 1638, 1728, 2052, 2053,
+    2308, 2640, 2648, 2768, 2776, 3652, 3654, 3686,
+])
 
 
 def chain_witness(elements, labels, start_bit):

@@ -12,18 +12,18 @@ import pytest
 from simvc import (
     DOMAIN_SIZE_CAP,
     LOAD_DOMAIN_SIZE_CAP,
-    RatioSearchResult,
     full_cube,
     k_sparse,
     random_space,
     space_to_dict,
-    splitmix64_stream,
 )
 from simvc import cli
 from simvc.bounds import binary_entropy
 from simvc.cli import main
+from simvc.experiments import RatioSearchResult
+from simvc.families import splitmix64_stream
 
-from conftest import module_env
+from conftest import FIVE_HALVES_SPACE, RATIO_THREE_SPACE, module_env
 
 
 def write_space(path, space, **extra):
@@ -214,8 +214,8 @@ class TestVerify:
         doc = json.loads(out)
         assert (doc["d"], doc["d_sim"], doc["ratio"]) == (3, 2, "2/3")
 
-    def test_input_file(self, tmp_path, capsys, five_halves_space, ratio_three_space):
-        cases = ((full_cube(2), "1/2"), (five_halves_space, "5/2"), (ratio_three_space, "3"))
+    def test_input_file(self, tmp_path, capsys):
+        cases = ((full_cube(2), "1/2"), (FIVE_HALVES_SPACE, "5/2"), (RATIO_THREE_SPACE, "3"))
         for space, ratio in cases:
             path = write_space(tmp_path / "s.json", space)
             code, out, _ = run_cli(capsys, "verify", "--input", str(path))
@@ -336,56 +336,10 @@ class TestReport:
         assert len(lines) == 4
         assert lines[1].startswith("k_sparse,5,2,,,2,4,2,true,true")
 
-    @pytest.mark.parametrize(
-        "entry, message",
-        [
-            ({"family": ["cube"], "n": 2}, "spec entry 1: unknown family ['cube']"),
-            (
-                {"family": "cube", "n": 2.9},
-                "spec entry 1: malformed family spec {'family': 'cube', 'n': 2.9}:"
-                " n must be an integer, got 2.9",
-            ),
-            (
-                {"family": "cube", "n": 3, "k": 2, "seed": 5},
-                "spec entry 1: full_cube does not take k",
-            ),
-            (
-                {"family": "ksparse", "n": 3, "k": 1, "size": 4},
-                "spec entry 1: k_sparse does not take size",
-            ),
-            (
-                {"family": "cube", "n": 4, "kk": 2},
-                "spec entry 1: malformed family spec {'family': 'cube', 'n': 4, 'kk': 2}:"
-                " unknown key 'kk'",
-            ),
-            (
-                {"family": "random", "n": 4, "size": 3, "seed": 1, "sed": 5},
-                "spec entry 1: malformed family spec {'family': 'random', 'n': 4, 'size': 3,"
-                " 'seed': 1,"
-                " 'sed': 5}: unknown key 'sed'",
-            ),
-        ],
-        ids=[
-            "unhashable-family", "float-n", "cube-with-k", "ksparse-with-size",
-            "cube-misspelt-k", "random-misspelt-seed",
-        ],
-    )
-    def test_bad_spec_entry_is_input_error(self, expect_input_error, entry, message):
-        expect_input_error({"spec.json": [entry]}, REPORT, message)
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_out_of_range_entry_writes_no_file(self, expect_input_error, jobs):
-        # every entry is checked before the output file is opened
-        expect_input_error(
-            {"spec.json": [{"family": "cube", "n": 2}, {"family": "cube", "n": 99}]},
-            f"{REPORT} --jobs {jobs}", "spec entry 2: n must be in 1..24, got 99",
-        )
-
-
-# The input and usage errors `vc` reports, one row per case; the parametrized
-# `test_bad_spec_entry_is_input_error`, `test_out_of_range_entry_writes_no_file`
-# and `test_solve_delta_non_finite_tolerance_is_input_error` above hold the rest,
-# through the same two checks. A new flag's error is one more row here.
+# Every input and usage error `vc` reports, one row per case, through two checks;
+# `TestBounds.test_solve_delta_non_finite_tolerance_is_input_error` above guards
+# that `vc bounds` has no `--tol`. A new flag's error is one more row here.
 
 CUBE_2 = space_to_dict(full_cube(2))
 WIDE = {"domain_size": 300, "hypotheses": ["not a row"]}
@@ -453,6 +407,42 @@ INPUT_ERRORS = {
         {"spec.json": [{"family": "random", "n": 4, "size": 6, "seed": 2**64}]}, REPORT,
         f"spec entry 1: seed must be in 0..2^64-1, got {2**64}",
     ),
+    "report-unhashable-family": (
+        {"spec.json": [{"family": ["cube"], "n": 2}]}, REPORT,
+        "spec entry 1: unknown family ['cube']",
+    ),
+    "report-float-n": (
+        {"spec.json": [{"family": "cube", "n": 2.9}]}, REPORT,
+        "spec entry 1: malformed family spec {'family': 'cube', 'n': 2.9}:"
+        " n must be an integer, got 2.9",
+    ),
+    "report-cube-with-k": (
+        {"spec.json": [{"family": "cube", "n": 3, "k": 2, "seed": 5}]}, REPORT,
+        "spec entry 1: full_cube does not take k",
+    ),
+    "report-ksparse-with-size": (
+        {"spec.json": [{"family": "ksparse", "n": 3, "k": 1, "size": 4}]}, REPORT,
+        "spec entry 1: k_sparse does not take size",
+    ),
+    "report-cube-misspelt-k": (
+        {"spec.json": [{"family": "cube", "n": 4, "kk": 2}]}, REPORT,
+        "spec entry 1: malformed family spec {'family': 'cube', 'n': 4, 'kk': 2}:"
+        " unknown key 'kk'",
+    ),
+    "report-random-misspelt-seed": (
+        {"spec.json": [{"family": "random", "n": 4, "size": 3, "seed": 1, "sed": 5}]}, REPORT,
+        "spec entry 1: malformed family spec {'family': 'random', 'n': 4, 'size': 3,"
+        " 'seed': 1, 'sed': 5}: unknown key 'sed'",
+    ),
+    # every entry is checked before the output file is opened
+    "report-out-of-range-entry-jobs-1": (
+        {"spec.json": [{"family": "cube", "n": 2}, {"family": "cube", "n": 99}]},
+        f"{REPORT} --jobs 1", "spec entry 2: n must be in 1..24, got 99",
+    ),
+    "report-out-of-range-entry-jobs-2": (
+        {"spec.json": [{"family": "cube", "n": 2}, {"family": "cube", "n": 99}]},
+        f"{REPORT} --jobs 2", "spec entry 2: n must be in 1..24, got 99",
+    ),
     # the cap is checked once, before any row is parsed, so the bad row is never read
     "lift-wide-file": (
         {"wide.json": WIDE}, "lift --input wide.json --output lifted.json",
@@ -492,6 +482,7 @@ USAGE_ERRORS = {
     ),
     "bounds-entropy": ("bounds --entropy 0.11", "unrecognized arguments: --entropy 0.11"),
     "bounds-sauer": ("bounds --sauer 6 4", "unrecognized arguments: --sauer 6 4"),
+    # the solver takes no tolerance: it stops at adjacent floats
 }
 
 

@@ -3,27 +3,13 @@
 import math
 import subprocess
 import sys
-from itertools import chain
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simvc import (
-    enumerate_spaces,
-    full_cube,
-    is_shattered,
-    k_sparse,
-    lift_space,
-    lifted_vc,
-    pair_domain,
-    random_space,
-    restrict,
-    splitmix64_stream,
-    vc_exact,
-    vc_naive,
-)
+from simvc import full_cube, is_shattered, k_sparse, lifted_vc, vc_exact, vc_naive
+from simvc.space import restrict
 
-from conftest import bit_space, module_env, run_python, spaces, stream_params, subsets_of
+from conftest import bit_space, module_env, run_python, spaces, subsets_of
 
 
 class TestVcExact:
@@ -62,24 +48,6 @@ class TestVcNaive:
             vc_naive(bit_space(21, ["0" * 21, "1" * 21]))
 
 
-class TestOracleEquivalence:
-    def test_exhaustive_small_domains(self):
-        for n in (1, 2, 3):
-            for space in enumerate_spaces(n):
-                assert vc_exact(space) == vc_naive(space)
-
-    def test_seeded_random_spaces(self):
-        for n, size, seed in stream_params(300, 2024, 10, 24):
-            space = random_space(n, size, seed)
-            assert vc_exact(space) == vc_naive(space)
-
-    def test_large_random_sample_n4(self):
-        rng = splitmix64_stream(41)
-        for _ in range(400):
-            space = random_space(4, 1 + next(rng) % 16, next(rng))
-            assert vc_exact(space) == vc_naive(space)
-
-
 class TestEngineInvariants:
     @given(spaces())
     @settings(max_examples=60, deadline=None)
@@ -102,35 +70,6 @@ class TestEngineInvariants:
         assert len(subset) == d
         assert is_shattered(space, subset)
         assert len(restrict(space, subset)) == 1 << d
-
-
-def _seeded_spaces(count, seed, max_n):
-    """``count`` seeded random spaces with 2 <= n <= max_n and |H| <= 40."""
-    return (random_space(*params) for params in stream_params(count, seed, max_n, 40))
-
-
-class TestWitnessOracle:
-    """Both witnesses against ``vc_naive``, which never calls the engine."""
-
-    def test_vc_exact(self, five_halves_space, ratio_three_space):
-        # every space on n <= 3 is TestOracleEquivalence's; the cubes reach
-        # d = floor(log2 |H|), where only the row bound stops the search
-        cubes = [full_cube(n) for n in range(4, 9)]
-        for space in chain(_seeded_spaces(200, 77, 8), cubes):
-            assert vc_exact(space) == vc_naive(space)
-        assert vc_exact(five_halves_space) == vc_naive(five_halves_space)
-        assert vc_exact(ratio_three_space) == vc_naive(ratio_three_space)
-
-    def test_lifted_vc(self):
-        # n = 1 has no pairs, so nothing is lifted
-        for space in enumerate_spaces(1):
-            assert lifted_vc(space) == (0, ())
-        # the pair ranks of n <= 5 give at most 10 columns
-        small = (space for n in (2, 3) for space in enumerate_spaces(n))
-        for space in chain(small, _seeded_spaces(200, 78, 5), [full_cube(4), full_cube(5)]):
-            d, ranks = vc_naive(lift_space(space))
-            pairs = pair_domain(space.domain_size)
-            assert lifted_vc(space) == (d, tuple(pairs[r] for r in ranks))
 
 
 class TestWitnessRecheck:

