@@ -17,7 +17,6 @@ from .families import (
     full_cube,
     k_sparse,
     random_space,
-    splitmix64_stream,  # not in __all__; tests/test_acceptance.py imports it from here
 )
 from .similarity import (
     lift_hypothesis,

@@ -4,10 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete.  Time budgets are printed for visibility, not asserted.
 """
 
+import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from operator import le
 
 import pytest
@@ -27,12 +28,12 @@ from simvc import (
     run_report,
     solve_optimal_delta,
     space_to_dict,
-    splitmix64_stream,
     vc_exact,
     vc_naive,
     verify_theorem,
 )
 from simvc.bounds import binary_entropy
+from simvc.families import splitmix64_stream
 
 from conftest import (
     bound_stream_params, chain_witness, entropy_sum, forest_components, stream_params,
@@ -44,71 +45,46 @@ JOBS = 4
 #: n = 2..10 and size <= 24.
 ORACLE_STREAM_SEED = 0xFACADE
 
+#: One report line as criteria 3, 4 and 7 read it: both bound checks, d_sim / d as written
+#: (None at d = 0) and the lifted witness.
+Line = namedtuple("Line", "bounds_ok ratio witness_sim")
+Sweep = namedtuple("Sweep", "path lines seconds")
+
 
 def _line(num: int, ok: bool, detail: str, started: float) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {num}] {status} ({time.perf_counter() - started:.1f}s) {detail}", flush=True)
 
 
-def _nonforest_rank_sets(n: int, max_size: int = 4):
-    domain = pair_domain(n)
-    out = []
-    for m in range(3, max_size + 1):
-        for ranks in combinations(range(len(domain)), m):
-            if forest_components([domain[r] for r in ranks]) is None:
-                out.append(ranks)
-    return out
-
-
-@dataclass
-class SweepSummary:
-    spaces: int
-    bound_violations: list
-    max_ratio: Fraction
-    argmax_strings: list
-    nonforest_witnesses: int
-    nonforest_shattered: int
-    elapsed: float
+def _spaces_at(n: int, indices):
+    """The spaces of lines ``indices`` of an exhaustive report on [n], found in one pass."""
+    wanted = set(indices)
+    head = islice(enumerate_spaces(n), max(wanted, default=-1) + 1)
+    return [space for i, space in enumerate(head) if i in wanted]
 
 
 @pytest.fixture(scope="session")
-def exhaustive_sweeps():
-    """One fused pass per exhaustive domain: bound checks, max ratio,
-    witness forestness, and cyclic-set shattering probes."""
-    summaries = {}
+def exhaustive_sweeps(tmp_path_factory):
+    """n -> the jobs-1 JSONL report of every space on [n], n = 3, 4.
+
+    Line i is space i of ``enumerate_spaces(n)``.  This is the suite's only
+    verification of those spaces: criteria 3, 4 and 7 read the lines, and
+    criterion 9 compares the file with a jobs-4 run.
+    """
+    folder = tmp_path_factory.mktemp("exhaustive")
+    sweeps = {}
     for n in (3, 4):
         started = time.perf_counter()
-        nonforest = _nonforest_rank_sets(n)
-        bound_violations = []
-        max_ratio = None
-        argmax = None
-        bad_witnesses = 0
-        cyclic_shattered = 0
-        count = 0
-        for space in enumerate_spaces(n):
-            count += 1
-            report = verify_theorem(space)
-            if not (report.lower_ok and report.upper_ok):
-                bound_violations.append(space_to_dict(space))
-            if report.ratio is not None and (max_ratio is None or report.ratio > max_ratio):
-                max_ratio = report.ratio
-                argmax = space
-            if report.witness_sim and forest_components(report.witness_sim) is None:
-                bad_witnesses += 1
-            lifted = lift_space(space)
-            for ranks in nonforest:
-                if is_shattered(lifted, ranks):
-                    cyclic_shattered += 1
-        summaries[n] = SweepSummary(
-            spaces=count,
-            bound_violations=bound_violations,
-            max_ratio=max_ratio,
-            argmax_strings=argmax.bit_strings(),
-            nonforest_witnesses=bad_witnesses,
-            nonforest_shattered=cyclic_shattered,
-            elapsed=time.perf_counter() - started,
-        )
-    return summaries
+        path = folder / f"exhaustive{n}_serial.jsonl"
+        run_report([FamilySpec("exhaustive", n)], "jsonl", path, jobs=1, include_timing=False)
+        with open(path, encoding="utf-8") as report:
+            lines = [
+                Line(doc["lower_ok"] and doc["upper_ok"], doc["ratio"],
+                     tuple(map(tuple, doc["witness_sim"])))
+                for doc in map(json.loads, report)
+            ]
+        sweeps[n] = Sweep(path, lines, time.perf_counter() - started)
+    return sweeps
 
 
 @pytest.fixture(scope="session")
@@ -167,8 +143,9 @@ def test_criterion_3_bound_bracket_universal(exhaustive_sweeps):
     started = time.perf_counter()
     violations = []
     for n in (3, 4):
-        violations.extend(exhaustive_sweeps[n].bound_violations)
-    checked = exhaustive_sweeps[3].spaces + exhaustive_sweeps[4].spaces
+        failing = [i for i, line in enumerate(exhaustive_sweeps[n].lines) if not line.bounds_ok]
+        violations += map(space_to_dict, _spaces_at(n, failing))
+    checked = len(exhaustive_sweeps[3].lines) + len(exhaustive_sweeps[4].lines)
     for n, size, seed in bound_stream_params(10_000):
         space = random_space(n, size, seed)
         report = verify_theorem(space)
@@ -176,9 +153,7 @@ def test_criterion_3_bound_bracket_universal(exhaustive_sweeps):
         if not (report.lower_ok and report.upper_ok):
             violations.append(space_to_dict(space))
     ok = not violations and checked == 255 + 65535 + 10_000
-    sweep_times = ", ".join(
-        f"n={n} sweep {exhaustive_sweeps[n].elapsed:.1f}s" for n in (3, 4)
-    )
+    sweep_times = ", ".join(f"n={n} report {exhaustive_sweeps[n].seconds:.1f}s" for n in (3, 4))
     _line(
         3,
         ok,
@@ -192,22 +167,29 @@ def test_criterion_3_bound_bracket_universal(exhaustive_sweeps):
 
 def test_criterion_4_max_ratio_is_two(exhaustive_sweeps):
     started = time.perf_counter()
-    sweep_ratios = {n: exhaustive_sweeps[n].max_ratio for n in (3, 4)}
+    sweep_ratios, argmax_strings = {}, {}
+    for n in (3, 4):
+        # the largest ratio and, as ratio_search keeps it, the first line reaching it
+        sweep_ratios[n], negative_index = max(
+            (Fraction(line.ratio), -i)
+            for i, line in enumerate(exhaustive_sweeps[n].lines) if line.ratio is not None
+        )
+        argmax_strings[n] = _spaces_at(n, [-negative_index])[0].bit_strings()
     search = ratio_search(enumerate_spaces(3))
-    # the orbit search must reproduce the per-space n=4 sweep
+    # the orbit search must reproduce the per-space n=4 report
     orbit_search = exhaustive_search(4)
-    counterexamples = []
-    for n, ratio in sweep_ratios.items():
-        if ratio > 2:
-            counterexamples.append((n, str(ratio), exhaustive_sweeps[n].argmax_strings))
+    counterexamples = [
+        (n, str(ratio), argmax_strings[n]) for n, ratio in sweep_ratios.items() if ratio > 2
+    ]
     ok = (
         sweep_ratios[3] == Fraction(2)
         and sweep_ratios[4] == Fraction(2)
         and search.max_ratio == Fraction(2)
+        and search.spaces_examined == 255
         and not search.conjecture_violated
         and orbit_search.max_ratio == sweep_ratios[4]
-        and orbit_search.argmax_space.bit_strings() == exhaustive_sweeps[4].argmax_strings
-        and orbit_search.spaces_examined == exhaustive_sweeps[4].spaces
+        and orbit_search.argmax_space.bit_strings() == argmax_strings[4]
+        and orbit_search.spaces_examined == len(exhaustive_sweeps[4].lines)
     )
     _line(
         4,
@@ -289,18 +271,28 @@ def test_criterion_6_chain_witness_soundness():
 
 def test_criterion_7_forest_necessity(exhaustive_sweeps, ksparse_grid, cube_rows):
     started = time.perf_counter()
-    bad_witnesses = sum(exhaustive_sweeps[n].nonforest_witnesses for n in (3, 4))
-    for row in list(ksparse_grid.values()) + list(cube_rows.values()):
-        if row.witness_sim and forest_components(row.witness_sim) is None:
-            bad_witnesses += 1
-    cyclic_shattered = sum(exhaustive_sweeps[n].nonforest_shattered for n in (3, 4))
+    witnesses = [line.witness_sim for n in (3, 4) for line in exhaustive_sweeps[n].lines]
+    witnesses += [row.witness_sim for row in list(ksparse_grid.values()) + list(cube_rows.values())]
+    bad_witnesses = sum(forest_components(w) is None for w in witnesses)
+    # H within cube(n) gives lift(H) within lift(cube(n)), and a smaller hypothesis set
+    # shatters nothing more, so a pair set that the cube's lift does not shatter is
+    # shattered by the lift of no space on [n]
+    cyclic_sets = cyclic_shattered = 0
+    for n in (3, 4, 5):
+        domain = pair_domain(n)
+        lifted = lift_space(full_cube(n))
+        for m in range(3, len(domain) + 1):
+            for ranks in combinations(range(len(domain)), m):
+                if forest_components([domain[r] for r in ranks]) is None:
+                    cyclic_sets += 1
+                    cyclic_shattered += is_shattered(lifted, ranks)
     ok = bad_witnesses == 0 and cyclic_shattered == 0
     _line(
         7,
         ok,
         f"every shattered pair-set witness is a forest ({bad_witnesses} failures); "
-        f"cyclic rank sets of size <= 4 never shatter any lifted space over "
-        f"n <= 4 ({cyclic_shattered} failures)",
+        f"none of the {cyclic_sets} cyclic pair sets over n <= 5 is shattered by the "
+        f"full cube's lift, so by no lifted space ({cyclic_shattered} failures)",
         started,
     )
     assert ok
@@ -330,7 +322,7 @@ def test_criterion_8_bounds_math():
     assert ok
 
 
-def test_criterion_9_reports_identical_across_workers(tmp_path):
+def test_criterion_9_reports_identical_across_workers(exhaustive_sweeps, tmp_path):
     started = time.perf_counter()
     grid_specs = [
         FamilySpec("k_sparse", n, k=k) for k in (1, 2, 3) for n in range(2 * k + 1, 10)
@@ -347,13 +339,16 @@ def test_criterion_9_reports_identical_across_workers(tmp_path):
             "jsonl",
         ),
     }
+    # the exhaustive sweeps' serial reports are the fixture's files
+    serial = {f"exhaustive{n}": exhaustive_sweeps[n].path for n in (3, 4)}
     mismatched = []
     for name, (specs, fmt) in workloads.items():
-        serial = tmp_path / f"{name}_serial.{fmt}"
+        if name not in serial:
+            serial[name] = tmp_path / f"{name}_serial.{fmt}"
+            run_report(specs, fmt, serial[name], jobs=1, include_timing=False)
         parallel = tmp_path / f"{name}_parallel.{fmt}"
-        run_report(specs, fmt, serial, jobs=1, include_timing=False)
         run_report(specs, fmt, parallel, jobs=JOBS, include_timing=False)
-        if serial.read_bytes() != parallel.read_bytes():
+        if serial[name].read_bytes() != parallel.read_bytes():
             mismatched.append(name)
     ok = not mismatched
     _line(

@@ -143,12 +143,6 @@ class TestEntropySum:
         lhs, rhs = entropy_sum(20, 0.11)
         assert lhs <= rhs
 
-    def test_grid(self):
-        for n in range(1, 21):
-            for i in range(1, 50):
-                lhs, rhs = entropy_sum(n, i / 100)
-                assert lhs <= rhs
-
 
 class TestTheoremBounds:
     def test_examples(self):

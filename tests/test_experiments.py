@@ -112,12 +112,6 @@ class TestRatioSearch:
         assert result.spaces_examined == 15
         assert not result.conjecture_violated
 
-    def test_exhaustive_n3(self):
-        result = ratio_search(enumerate_spaces(3))
-        assert result.max_ratio == Fraction(2)
-        assert result.spaces_examined == 255
-        assert not result.conjecture_violated
-
     def test_full_cube_stream(self):
         result = ratio_search(full_cube(n) for n in range(2, 6))
         assert result.max_ratio == Fraction(4, 5)

@@ -127,7 +127,6 @@ def reference_lift(bits_n):
 
 #: "fast path-oracle-corpus" -> (inputs checked, a callable giving them, fast path, oracle)
 ORACLES = {
-    "vc_exact-naive-stream-2024": (300, lambda: seeded(300, 2024, 10, 24), vc_exact, vc_naive),
     "vc_exact-naive-n4-41": (400, n4_sample, vc_exact, vc_naive),
     "vc_exact-naive-stream-77": (200, lambda: seeded(200, 77, 8, 40), vc_exact, vc_naive),
     # the row bound alone stops the search at d = log2 |H|

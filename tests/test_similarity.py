@@ -96,20 +96,6 @@ class TestChains:
         assert [(h >> j) & 1 for j in range(6)] == [0, 0, 1, 0, 1, 0]
         assert bit_string(chain_witness([2, 4], (0,), 1), 6) == "001000"
 
-    def test_soundness_on_sample_chains(self):
-        # restrict(lift(witness), chain pairs) reproduces the labelling
-        for elems in ([0, 1, 2, 3], [5, 2, 7, 0, 4]):
-            length = len(elems)
-            domain = pair_domain(8)
-            for g in range(1 << (length - 1)):
-                labels = tuple((g >> t) & 1 for t in range(length - 1))
-                for start in (0, 1):
-                    h = chain_witness(elems, labels, start)
-                    lifted = lift_hypothesis(h, 8)
-                    for (a, b), want in zip(zip(elems, elems[1:]), labels):
-                        rank = domain.index((min(a, b), max(a, b)))
-                        assert (lifted >> rank) & 1 == want
-
 
 class TestForest:
     def test_triangle_has_certifying_cycle(self):
@@ -146,16 +132,6 @@ class TestForestNecessity:
                         if is_shattered(lifted, ranks):
                             pairs = [domain[r] for r in ranks]
                             assert forest_components(pairs) is not None
-
-    def test_nonforest_sets_never_shattered_in_full_cube_lift(self):
-        # the full cube dominates every space, so this covers all of them
-        for n in (4, 5):
-            domain = pair_domain(n)
-            lifted = lift_space(full_cube(n))
-            for m in (3, 4):
-                for ranks in combinations(range(len(domain)), m):
-                    if forest_components([domain[r] for r in ranks]) is None:
-                        assert not is_shattered(lifted, ranks)
 
 
 class TestCardinalityStep:
