@@ -30,12 +30,10 @@ import csv
 import functools
 import io
 import json
-import multiprocessing
 import os
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .bounds import forest_cap, theorem_bounds, urner_bound
 from .engine import vc_exact
@@ -62,8 +60,7 @@ CSV_COLUMNS = (
 _CHUNK = 128
 
 
-@dataclass(frozen=True, slots=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Everything measured about one space, bound checks included."""
 
     family_spec: Union[FamilySpec, str]
@@ -155,8 +152,7 @@ def verify_theorem(
     return report
 
 
-@dataclass(frozen=True, slots=True)
-class RatioSearchResult:
+class RatioSearchResult(NamedTuple):
     """Outcome of a ratio search over a space stream."""
 
     max_ratio: Optional[Fraction]
@@ -193,6 +189,9 @@ def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
         return map(fn, items)
 
     def pooled() -> Iterator:
+        # imported here, the only place it runs, so a one-job run never loads it
+        import multiprocessing
+
         workers = min(jobs, os.cpu_count() or 1)
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             yield from pool.imap(fn, items, chunksize=_CHUNK)

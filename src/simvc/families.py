@@ -11,11 +11,10 @@ of SplitMix64 run on the base seed.  Seeds are the 64-bit values
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterator, Optional
 
-from .space import DOMAIN_SIZE_CAP, HypothesisSpace, lex_cube
+from .space import DOMAIN_SIZE_CAP, FrozenSlots, HypothesisSpace, lex_cube
 
 #: Full enumeration of 2^(2^n) - 1 nonempty spaces is feasible only here.
 ENUMERATION_CAP = 4
@@ -50,36 +49,47 @@ FAMILY_PARAMS = {
 _KIND_ALIASES = {"ksparse": "k_sparse", "cube": "full_cube"}
 
 
-@dataclass(frozen=True, slots=True)
-class FamilySpec:
+class FamilySpec(FrozenSlots):
     """Description of one generated family instance, kept for provenance."""
+
+    __slots__ = ("kind", "n", "k", "size", "seed")
 
     kind: str
     n: int
-    k: Optional[int] = None
-    size: Optional[int] = None
-    seed: Optional[int] = None
+    k: Optional[int]
+    size: Optional[int]
+    seed: Optional[int]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        kind: str,
+        n: int,
+        k: Optional[int] = None,
+        size: Optional[int] = None,
+        seed: Optional[int] = None,
+    ) -> None:
         # the generators' own range checks, so a bad spec fails before any space is built
-        if self.kind not in FAMILY_PARAMS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        takes = FAMILY_PARAMS[self.kind]
-        for key in ("k", "size", "seed"):
-            if getattr(self, key) is not None and key not in takes:
-                raise ValueError(f"{self.kind} does not take {key}")
-        if self.kind == "exhaustive":
-            _check_enumeration_n(self.n)
+        if kind not in FAMILY_PARAMS:
+            raise ValueError(f"unknown family kind {kind!r}")
+        takes = FAMILY_PARAMS[kind]
+        params = {"k": k, "size": size, "seed": seed}
+        for key, value in params.items():
+            if value is not None and key not in takes:
+                raise ValueError(f"{kind} does not take {key}")
+        if kind == "exhaustive":
+            _check_enumeration_n(n)
         else:
-            _check_n(self.n)
-        if any(getattr(self, key) is None for key in takes):
-            raise ValueError(f"{self.kind} requires {' and '.join(takes)}")
-        if self.k is not None:
-            _check_k(self.n, self.k)
-        if self.size is not None:
-            _check_size(self.n, self.size)
-        if self.seed is not None:
-            _check_seed(self.seed)
+            _check_n(n)
+        if any(params[key] is None for key in takes):
+            raise ValueError(f"{kind} requires {' and '.join(takes)}")
+        if k is not None:
+            _check_k(n, k)
+        if size is not None:
+            _check_size(n, size)
+        if seed is not None:
+            _check_seed(seed)
+        for key, value in zip(self.__slots__, (kind, n, k, size, seed)):
+            object.__setattr__(self, key, value)
 
     def to_dict(self) -> dict:
         doc = {"family": self.kind, "n": self.n}

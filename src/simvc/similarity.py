@@ -112,10 +112,12 @@ def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
     # at most 2^(n-1) rows, so the row bound stops the search at a forest's n - 1 edges
     witness = tuple(pairs[r] for r in _search(pair_cols, _star_blocks(pairs, n), len(rows)))
     # the definition on the base rows: h(a) = h(b) over the witness takes all 2^d patterns
-    patterns = {
-        sum(((h >> a) & 1 == (h >> b) & 1) << t for t, (a, b) in enumerate(witness))
-        for h in space.hypotheses
-    }
+    patterns = set()
+    for h in space.hypotheses:
+        pattern = 0
+        for a, b in witness:
+            pattern = pattern << 1 | ((h >> a) & 1 == (h >> b) & 1)
+        patterns.add(pattern)
     if len(patterns) != 1 << len(witness):
         raise AssertionError(f"lifted_vc witness {witness} is not shattered")
     return len(witness), witness

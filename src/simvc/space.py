@@ -26,8 +26,7 @@ load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 #: Maximum domain size for original spaces, the ones that get lifted.  It
 #: bounds sizes, not search time: exact VC computation is exponential.
@@ -47,8 +46,43 @@ def _bit_string(bits: int, length: int) -> str:
     return format(bits | 1 << length, "b")[:0:-1]
 
 
-@dataclass(frozen=True, slots=True)
-class HypothesisSpace:
+class FrozenSlots:
+    """A value whose ``__slots__`` fields are set once, by ``__init__``.
+
+    The fields, in ``__slots__`` order, are also the constructor's arguments:
+    equality, hashing and the repr go by them, and unpickling (the report
+    pool sends spaces and specs) calls the constructor again, so it re-runs
+    the checks there.  Assigning or deleting a field raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, key) for key in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{key}={value!r}" for key, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class HypothesisSpace(FrozenSlots):
     """A nonempty set of hypotheses, stored as its sorted tuple of distinct ints.
 
     ``hypotheses`` may be passed as any iterable of ints, in any order and
@@ -58,21 +92,24 @@ class HypothesisSpace:
     element.
     """
 
+    __slots__ = ("domain_size", "hypotheses")
+
     domain_size: int
     hypotheses: "tuple[int, ...]"
 
-    def __post_init__(self) -> None:
-        if self.domain_size < 0:
+    def __init__(self, domain_size: int, hypotheses: Iterable[int]) -> None:
+        if domain_size < 0:
             raise ValueError("domain_size must be non-negative")
-        rows = tuple(sorted(set(self.hypotheses)))
+        rows = tuple(sorted(set(hypotheses)))
         if not rows:
             raise ValueError("a hypothesis space must contain at least one hypothesis")
         # sorted, so only the two ends can fall outside [0, 2^n)
         for h in (rows[0], rows[-1]):
-            if not 0 <= h < 1 << self.domain_size:
+            if not 0 <= h < 1 << domain_size:
                 raise ValueError(
-                    f"hypothesis {h} does not fit a space over {self.domain_size} elements"
+                    f"hypothesis {h} does not fit a space over {domain_size} elements"
                 )
+        object.__setattr__(self, "domain_size", domain_size)
         object.__setattr__(self, "hypotheses", rows)
 
     def __len__(self) -> int:

@@ -23,7 +23,7 @@ from simvc.cli import main
 from simvc.experiments import RatioSearchResult
 from simvc.families import splitmix64_stream
 
-from conftest import FIVE_HALVES_SPACE, RATIO_THREE_SPACE, module_env
+from conftest import FIVE_HALVES_SPACE, RATIO_THREE_SPACE, module_env, run_python
 
 
 def write_space(path, space, **extra):
@@ -543,3 +543,18 @@ def test_module_entry_point(tmp_path):
     proc = run_module("compute", "--input", str(path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d"] == 2
+
+
+def test_import_loads_neither_dataclasses_nor_the_pool():
+    # every vc call pays for what ``import simvc.cli`` loads; the pool imports
+    # multiprocessing when it starts.  Site hooks may preload modules, so only
+    # what the import adds counts.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import simvc.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    added = set(run_python(code, timeout=60).split())
+    assert "simvc.cli" in added
+    assert not added & {"dataclasses", "inspect", "multiprocessing"}

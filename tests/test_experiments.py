@@ -160,7 +160,7 @@ class TestRatioSearch:
         class FakeContext:
             Pool = FakePool
 
-        monkeypatch.setattr("simvc.experiments.multiprocessing.get_context", lambda _: FakeContext)
+        monkeypatch.setattr("multiprocessing.get_context", lambda _: FakeContext)
         expected = ratio_search(enumerate_spaces(2))
         monkeypatch.setattr("simvc.experiments.os.cpu_count", lambda: 2)
         assert ratio_search(enumerate_spaces(2), jobs=10**6) == expected

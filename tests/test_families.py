@@ -1,6 +1,7 @@
 """Family generators and seeded streams."""
 
 import math
+import pickle
 
 import pytest
 
@@ -162,6 +163,13 @@ class TestFamilySpec:
     def test_round_trip(self):
         spec = FamilySpec("random", 6, size=10, seed=3)
         assert FamilySpec.from_dict(spec.to_dict()) == spec
+        # the report pool pickles specs
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        assert hash(FamilySpec("random", 6, size=10, seed=3)) == hash(spec)
+        assert spec != FamilySpec("random", 6, size=10, seed=4)
+        with pytest.raises(AttributeError):
+            spec.seed = 4
+        assert spec.seed == 3
 
     def test_aliases(self):
         assert FamilySpec.from_dict({"family": "ksparse", "n": 5, "k": 2}).kind == "k_sparse"

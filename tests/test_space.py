@@ -1,5 +1,6 @@
 """Core space representation: a sorted set of ints, restriction, shattering."""
 
+import pickle
 import re
 
 import pytest
@@ -61,6 +62,9 @@ class TestHypothesisSpace:
             HypothesisSpace(2, (0b00, 0b100))
         with pytest.raises(ValueError, match="hypothesis -1 does not fit a space over 2 elements"):
             HypothesisSpace(2, (-1, 0))
+        with pytest.raises(AttributeError):
+            space.hypotheses = (0b11,)
+        assert space.hypotheses == (0b00, 0b01, 0b10)
 
 
 class TestRestrict:
@@ -201,6 +205,8 @@ class TestSerialization:
 @settings(max_examples=50, deadline=None)
 def test_canonical_form_is_stable(space):
     rebuilt = bit_space(space.domain_size, reversed(space.bit_strings()))
-    assert rebuilt == space
+    assert rebuilt == space and hash(rebuilt) == hash(space)
+    # the report pool pickles spaces
+    assert pickle.loads(pickle.dumps(space)) == space
     strings = space.bit_strings()
     assert strings == sorted(strings) and len(set(strings)) == len(strings)
