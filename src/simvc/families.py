@@ -70,7 +70,7 @@ class FamilySpec(FrozenSlots):
     ) -> None:
         # the generators' own range checks, so a bad spec fails before any space is built
         if kind not in FAMILY_PARAMS:
-            raise ValueError(f"unknown family kind {kind!r}")
+            raise ValueError(f"unknown family {kind!r}")
         takes = FAMILY_PARAMS[kind]
         params = {"k": k, "size": size, "seed": seed}
         for key, value in params.items():

@@ -377,12 +377,20 @@ INPUT_ERRORS = {
     "verify-input-with-n-and-k": (
         {"s.json": CUBE_2}, "verify --input s.json --n 9 --k 4", "--input does not take --n",
     ),
+    "verify-no-target": ({}, "verify", "choose --family ksparse|cube or --input FILE"),
+    "verify-cube-without-n": ({}, "verify --family cube", "--family cube requires --n"),
     "search-jobs-0": (
         {}, "search --mode exhaustive --n 2 --jobs 0", "jobs must be at least 1, got 0",
     ),
     "search-exhaustive-with-random-flags": (
         {}, "search --mode exhaustive --n 2 --size 5 --seed 9 --samples 3",
         "--mode exhaustive does not take --size",
+    ),
+    "search-exhaustive-without-n": (
+        {}, "search --mode exhaustive", "--mode exhaustive requires --n",
+    ),
+    "search-random-without-size": (
+        {}, "search --mode random --n 3", "--mode random requires --n and --size",
     ),
     "search-samples-0": (
         {}, "search --mode random --n 3 --size 2 --samples 0", "samples must be at least 1, got 0",
@@ -395,6 +403,9 @@ INPUT_ERRORS = {
     "report-spec-not-array": (
         {"spec.json": {"family": "cube", "n": 2}}, REPORT,
         "report spec file must contain a JSON array of family specs",
+    ),
+    "report-entry-not-an-object": (
+        {"spec.json": [3]}, REPORT, "spec entry 1: family spec must be an object, got 3",
     ),
     "report-jobs-0": (
         {"spec.json": [{"family": "cube", "n": 2}]}, f"{REPORT} --jobs 0",

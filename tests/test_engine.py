@@ -43,10 +43,6 @@ class TestVcNaive:
         # singletons shattered; no pair realizes pattern 01
         assert vc_naive(bit_space(3, ["000", "111"])) == (1, (0,))
 
-    def test_oracle_domain_cap(self):
-        with pytest.raises(ValueError, match="oracle requires domain_size <= 20, got 21"):
-            vc_naive(bit_space(21, ["0" * 21, "1" * 21]))
-
 
 class TestEngineInvariants:
     @given(spaces())

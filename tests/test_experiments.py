@@ -9,7 +9,6 @@ from simvc import (
     CSV_COLUMNS,
     FamilySpec,
     enumerate_spaces,
-    exhaustive_search,
     forest_cap,
     full_cube,
     k_sparse,
@@ -191,16 +190,6 @@ class TestRatioSearch:
         }
 
 
-class TestExhaustiveSearch:
-    def test_domain_and_jobs_are_checked(self):
-        with pytest.raises(ValueError, match="n must be at least 1, got -1"):
-            exhaustive_search(-1)
-        with pytest.raises(ValueError, match="caps at n = 4, got 5"):
-            exhaustive_search(5, jobs=2)
-        with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
-            exhaustive_search(2, jobs=0)
-
-
 class TestRunReport:
     def test_csv_columns_and_values(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -291,7 +280,3 @@ class TestRunReport:
         monkeypatch.setattr("simvc.experiments.lifted_vc", lambda space: (9, ()))
         with pytest.raises(AssertionError, match="d_sim = 9 exceeds forest_cap = 2 at d = 1"):
             run_report([FamilySpec("k_sparse", 3, k=1)], fmt, tmp_path / f"x.{fmt}", jobs=2)
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown report format 'xml'"):
-            run_report([], "xml", tmp_path / "x")

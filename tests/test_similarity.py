@@ -2,7 +2,6 @@
 
 from itertools import combinations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from simvc import (
@@ -51,10 +50,6 @@ class TestLift:
             for bits in range(1 << n):
                 assert lift_hypothesis(bits, n) == lift_hypothesis(bits ^ top, n)
 
-    def test_lift_hypothesis_range(self):
-        with pytest.raises(ValueError, match="hypothesis 8 does not fit a domain of 3 elements"):
-            lift_hypothesis(8, 3)
-
     def test_lift_space_full_cube_two(self):
         assert lift_space(full_cube(2)).bit_strings() == ["0", "1"]
 
@@ -66,10 +61,6 @@ class TestLift:
         lifted = lift_space(bit_space(3, ["010"]))
         assert len(lifted) == 1
         assert vc_exact(lifted)[0] == 0
-
-    def test_lift_requires_pairs(self):
-        with pytest.raises(ValueError, match="cannot lift a space over 1 element"):
-            lift_space(bit_space(1, ["0", "1"]))
 
     @given(spaces(max_n=6))
     @settings(max_examples=50, deadline=None)
