@@ -26,9 +26,7 @@ stream order, so the outcome does not depend on the worker count.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import os
 import time
@@ -39,7 +37,7 @@ from .bounds import forest_cap, theorem_bounds, urner_bound
 from .engine import vc_exact
 from .families import FamilySpec, exhaustive_orbits, spaces_for
 from .similarity import lifted_vc
-from .space import HypothesisSpace, space_to_dict
+from .space import HypothesisSpace, check_int, space_to_dict
 
 #: Fixed CSV column order of report files.
 CSV_COLUMNS = (
@@ -183,6 +181,7 @@ def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
     and its space, or a finished report line that ``run_report`` writes in
     stream order.
     """
+    check_int("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1:
@@ -252,9 +251,8 @@ def exhaustive_search(n: int, jobs: int = 1) -> RatioSearchResult:
 
 
 def _csv_line(fields: Iterable[str]) -> str:
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow(fields)
-    return buffer.getvalue()
+    # no field needs quoting: kinds, integers, a/b ratios, true/false and float reprs
+    return ",".join(fields) + "\n"
 
 
 def _report_line(

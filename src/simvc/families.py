@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations, islice
 from typing import Iterator, Optional
 
-from .space import DOMAIN_SIZE_CAP, FrozenSlots, HypothesisSpace, lex_cube
+from .space import DOMAIN_SIZE_CAP, FrozenSlots, HypothesisSpace, check_int, lex_cube
 
 #: Full enumeration of 2^(2^n) - 1 nonempty spaces is feasible only here.
 ENUMERATION_CAP = 4
@@ -117,34 +117,36 @@ class FamilySpec(FrozenSlots):
             for key in ("n", "k", "size", "seed")
             if key == "n" or doc.get(key) is not None
         }
-        for key, value in params.items():
-            # exact type: bool is an int subclass, and floats and strings are not coerced
-            if type(value) is not int:
-                raise ValueError(
-                    f"malformed family spec {doc!r}: {key} must be an integer, got {value!r}"
-                )
+        # the constructor checks each value, so a float, bool or string fails there
         return cls(kind, **params)
 
 
+def _check_range(name: str, value: int, low: int, high: int, shown: str) -> None:
+    """An exact int in low..high, which the message shows as ``shown``."""
+    check_int(name, value)
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be in {shown}, got {value}")
+
+
 def _check_n(n: int) -> None:
-    if not 1 <= n <= DOMAIN_SIZE_CAP:
-        raise ValueError(f"n must be in 1..{DOMAIN_SIZE_CAP}, got {n}")
+    _check_range("n", n, 1, DOMAIN_SIZE_CAP, f"1..{DOMAIN_SIZE_CAP}")
 
 
 def _check_k(n: int, k: int) -> None:
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in 0..{n}, got {k}")
+    _check_range("k", k, 0, n, f"0..{n}")
 
 
 def _check_size(n: int, size: int) -> None:
-    if not 1 <= size <= (1 << n):
-        raise ValueError(f"size must be in 1..2^{n}, got {size}")
+    _check_range("size", size, 1, 1 << n, f"1..2^{n}")
 
 
 def _check_seed(seed: int) -> None:
     # SplitMix64 reduces its seed mod 2^64, so a seed outside this range would alias
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
+    _check_range("seed", seed, 0, _MASK64, "0..2^64-1")
+
+
+def _check_enumeration_n(n: int) -> None:
+    _check_range("n", n, 1, ENUMERATION_CAP, f"1..{ENUMERATION_CAP}")
 
 
 def k_sparse(n: int, k: int) -> HypothesisSpace:
@@ -188,18 +190,10 @@ def random_space_stream(n: int, size: int, samples: int, seed: int) -> Iterator[
     _check_n(n)
     _check_size(n, size)
     _check_seed(seed)
+    check_int("samples", samples)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     return (random_space(n, size, s) for s in islice(splitmix64_stream(seed), samples))
-
-
-def _check_enumeration_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if n > ENUMERATION_CAP:
-        raise ValueError(
-            f"exhaustive enumeration caps at n = {ENUMERATION_CAP}, got {n}"
-        )
 
 
 def enumerate_spaces(n: int) -> Iterator[HypothesisSpace]:

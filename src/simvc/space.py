@@ -46,6 +46,12 @@ def _bit_string(bits: int, length: int) -> str:
     return format(bits | 1 << length, "b")[:0:-1]
 
 
+def check_int(name: str, value: object) -> None:
+    """Every integer the library takes passes here: exact ``int``, so no bool, float or string."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class FrozenSlots:
     """A value whose ``__slots__`` fields are set once, by ``__init__``.
 
@@ -98,6 +104,7 @@ class HypothesisSpace(FrozenSlots):
     hypotheses: "tuple[int, ...]"
 
     def __init__(self, domain_size: int, hypotheses: Iterable[int]) -> None:
+        check_int("domain_size", domain_size)
         if domain_size < 0:
             raise ValueError("domain_size must be non-negative")
         rows = tuple(sorted(set(hypotheses)))
@@ -184,8 +191,7 @@ def space_from_dict(doc: dict, max_domain_size: int = LOAD_DOMAIN_SIZE_CAP) -> H
         rows = doc["hypotheses"]
     except KeyError as exc:
         raise ValueError(f"space document is missing key {exc.args[0]!r}") from None
-    if not isinstance(domain_size, int) or isinstance(domain_size, bool):
-        raise ValueError("domain_size must be an integer")
+    check_int("domain_size", domain_size)
     if not isinstance(rows, list) or not all(isinstance(s, str) for s in rows):
         raise ValueError("hypotheses must be a list of bit strings")
     if domain_size < 1:

@@ -22,14 +22,22 @@ from simvc.space import restrict
 from conftest import bit_space
 
 
+def entry(doc, message):
+    """The row of a spec-file entry ``doc`` that ``FamilySpec.from_dict`` rejects."""
+    return lambda: FamilySpec.from_dict(doc), message
+
+
 def malformed(doc, detail):
-    """The row of a spec-file entry ``doc`` that ``FamilySpec.from_dict`` finds malformed."""
-    return lambda: FamilySpec.from_dict(doc), f"malformed family spec {doc!r}: {detail}"
+    """The row of a spec-file entry ``doc`` whose keys ``FamilySpec.from_dict`` rejects."""
+    return entry(doc, f"malformed family spec {doc!r}: {detail}")
 
 
 #: id -> (a call that must raise ValueError, the whole message)
 VALUE_ERRORS = {
     "space-domain--1": (lambda: HypothesisSpace(-1, [0]), "domain_size must be non-negative"),
+    # space_to_dict would write "domain_size": true, which space_from_dict refuses
+    "space-domain-True": (lambda: HypothesisSpace(True, [0, 1]),
+                          "domain_size must be an integer, got True"),
     "space-row-4-on-2": (lambda: HypothesisSpace(2, (0b00, 0b100)),
                          "hypothesis 4 does not fit a space over 2 elements"),
     "space-row--1-on-2": (lambda: HypothesisSpace(2, (-1, 0)),
@@ -39,7 +47,8 @@ VALUE_ERRORS = {
     "file-list": (lambda: space_from_dict([]), "space document must be a JSON object"),
     "file-no-hypotheses": (lambda: space_from_dict({"domain_size": 2}),
                            "space document is missing key 'hypotheses'"),
-    "file-string-domain": (lambda: bit_space("2", ["01"]), "domain_size must be an integer"),
+    "file-string-domain": (lambda: bit_space("2", ["01"]),
+                           "domain_size must be an integer, got '2'"),
     "file-string-rows": (lambda: space_from_dict({"domain_size": 2, "hypotheses": "01"}),
                          "hypotheses must be a list of bit strings"),
     "file-domain-0": (lambda: bit_space(0, [""]), "domain_size must be at least 1"),
@@ -63,11 +72,14 @@ VALUE_ERRORS = {
     # the generators
     "ksparse-k-4-on-3": (lambda: k_sparse(3, 4), "k must be in 0..3, got 4"),
     "ksparse-k--1": (lambda: k_sparse(3, -1), "k must be in 0..3, got -1"),
+    "ksparse-k-1.0": (lambda: k_sparse(3, 1.0), "k must be an integer, got 1.0"),
     "ksparse-n-0": (lambda: k_sparse(0, 0), "n must be in 1..24, got 0"),
     "cube-n-0": (lambda: full_cube(0), "n must be in 1..24, got 0"),
     "cube-n-25": (lambda: full_cube(25), "n must be in 1..24, got 25"),
+    "cube-n-2.0": (lambda: full_cube(2.0), "n must be an integer, got 2.0"),
     "random-size-9-on-3": (lambda: random_space(3, 9, 0), "size must be in 1..2^3, got 9"),
     "random-size-0": (lambda: random_space(3, 0, 0), "size must be in 1..2^3, got 0"),
+    "random-size-2.0": (lambda: random_space(3, 2.0, 1), "size must be an integer, got 2.0"),
     # SplitMix64 reduces its seed mod 2^64, so these would alias seeds 2^64-1 and 0
     "random-seed--1": (lambda: random_space(3, 2, -1), "seed must be in 0..2^64-1, got -1"),
     "random-seed-2^64": (lambda: random_space(3, 2, 2**64),
@@ -78,11 +90,14 @@ VALUE_ERRORS = {
                          f"seed must be in 0..2^64-1, got {2**64}"),
     "stream-samples-0": (lambda: random_space_stream(3, 2, 0, 1),
                          "samples must be at least 1, got 0"),
+    # islice would refuse 2.5 too, but with its own message
+    "stream-samples-2.5": (lambda: random_space_stream(3, 2, 2.5, 1),
+                           "samples must be an integer, got 2.5"),
     "stream-size-9": (lambda: random_space_stream(3, 9, 5, 1), "size must be in 1..2^3, got 9"),
-    "enumerate-n-0": (lambda: enumerate_spaces(0), "n must be at least 1, got 0"),
-    "enumerate-n-5": (lambda: enumerate_spaces(5), "exhaustive enumeration caps at n = 4, got 5"),
-    "orbits-n-0": (lambda: exhaustive_orbits(0), "n must be at least 1, got 0"),
-    "orbits-n-5": (lambda: exhaustive_orbits(5), "exhaustive enumeration caps at n = 4, got 5"),
+    "enumerate-n-0": (lambda: enumerate_spaces(0), "n must be in 1..4, got 0"),
+    "enumerate-n-5": (lambda: enumerate_spaces(5), "n must be in 1..4, got 5"),
+    "orbits-n-0": (lambda: exhaustive_orbits(0), "n must be in 1..4, got 0"),
+    "orbits-n-5": (lambda: exhaustive_orbits(5), "n must be in 1..4, got 5"),
     # a spec runs the generators' checks, so it fails before any space is built
     "spec-unknown-family": (lambda: FamilySpec("nope", 3), "unknown family 'nope'"),
     "spec-k_sparse-without-k": (lambda: FamilySpec("k_sparse", 5), "k_sparse requires k"),
@@ -96,9 +111,10 @@ VALUE_ERRORS = {
                             "seed must be in 0..2^64-1, got -1"),
     "spec-random-seed-2^64": (lambda: FamilySpec("random", 3, size=2, seed=2**64),
                               f"seed must be in 0..2^64-1, got {2**64}"),
-    "spec-exhaustive-n-5": (lambda: FamilySpec("exhaustive", 5),
-                            "exhaustive enumeration caps at n = 4, got 5"),
-    "spec-exhaustive-n-0": (lambda: FamilySpec("exhaustive", 0), "n must be at least 1, got 0"),
+    "spec-random-seed-1.5": (lambda: FamilySpec("random", 3, size=2, seed=1.5),
+                             "seed must be an integer, got 1.5"),
+    "spec-exhaustive-n-5": (lambda: FamilySpec("exhaustive", 5), "n must be in 1..4, got 5"),
+    "spec-exhaustive-n-0": (lambda: FamilySpec("exhaustive", 0), "n must be in 1..4, got 0"),
     # each kind takes only its own parameters
     "spec-full_cube-with-k": (lambda: FamilySpec("full_cube", 3, k=2, seed=5),
                               "full_cube does not take k"),
@@ -109,37 +125,33 @@ VALUE_ERRORS = {
     "spec-exhaustive-with-seed": (lambda: FamilySpec("exhaustive", 2, seed=0),
                                   "exhaustive does not take seed"),
     # spec-file entries
-    "entry-int": (lambda: FamilySpec.from_dict(3), "family spec must be an object, got 3"),
-    "entry-unknown-family": (lambda: FamilySpec.from_dict({"family": "nope", "n": 3}),
-                             "unknown family 'nope'"),
-    "entry-list-family": (lambda: FamilySpec.from_dict({"family": ["cube"], "n": 2}),
-                          "unknown family ['cube']"),
-    "entry-family-{}": (lambda: FamilySpec.from_dict({"family": {}, "n": 2}), "unknown family {}"),
-    "entry-without-n": (lambda: FamilySpec.from_dict({"family": "cube"}), "family spec requires n"),
+    "entry-int": entry(3, "family spec must be an object, got 3"),
+    "entry-unknown-family": entry({"family": "nope", "n": 3}, "unknown family 'nope'"),
+    "entry-list-family": entry({"family": ["cube"], "n": 2}, "unknown family ['cube']"),
+    "entry-family-{}": entry({"family": {}, "n": 2}, "unknown family {}"),
+    "entry-without-n": entry({"family": "cube"}, "family spec requires n"),
     # a parameter check inside the spec keeps its own message
-    "entry-random-no-seed": (lambda: FamilySpec.from_dict({"family": "random", "n": 3, "size": 2}),
-                             "random requires size and seed"),
+    "entry-random-no-seed": entry({"family": "random", "n": 3, "size": 2},
+                                  "random requires size and seed"),
     # a misspelt or undocumented key is an error, not ignored
     "entry-key-kk": malformed({"family": "cube", "n": 4, "kk": 2}, "unknown key 'kk'"),
     "entry-key-sed": malformed({"family": "random", "n": 4, "size": 3, "seed": 1, "sed": 5},
                                "unknown key 'sed'"),
     "entry-key-kind": malformed({"kind": "cube", "n": 4}, "unknown key 'kind'"),
-    # no coercion: floats, booleans and strings (even "3") are malformed
-    "entry-n-three": malformed({"family": "cube", "n": "three"},
-                               "n must be an integer, got 'three'"),
-    "entry-n-2.9": malformed({"family": "cube", "n": 2.9}, "n must be an integer, got 2.9"),
-    "entry-n-2.0": malformed({"family": "cube", "n": 2.0}, "n must be an integer, got 2.0"),
-    "entry-n-True": malformed({"family": "cube", "n": True}, "n must be an integer, got True"),
-    "entry-n-string-3": malformed({"family": "cube", "n": "3"}, "n must be an integer, got '3'"),
-    "entry-n-None": malformed({"family": "cube", "n": None}, "n must be an integer, got None"),
-    "entry-k-1.5": malformed({"family": "random", "n": 4, "k": 1.5, "size": 3, "seed": 5},
-                             "k must be an integer, got 1.5"),
-    "entry-size-1.5": malformed({"family": "random", "n": 4, "k": 1, "size": 1.5, "seed": 5},
-                                "size must be an integer, got 1.5"),
-    "entry-seed-1.5": malformed({"family": "random", "n": 4, "k": 1, "size": 3, "seed": 1.5},
-                                "seed must be an integer, got 1.5"),
-    "entry-k-False": malformed({"family": "ksparse", "n": 3, "k": False},
-                               "k must be an integer, got False"),
+    # no coercion: floats, booleans and strings (even "3") are not integers
+    "entry-n-three": entry({"family": "cube", "n": "three"}, "n must be an integer, got 'three'"),
+    "entry-n-2.9": entry({"family": "cube", "n": 2.9}, "n must be an integer, got 2.9"),
+    "entry-n-2.0": entry({"family": "cube", "n": 2.0}, "n must be an integer, got 2.0"),
+    "entry-n-True": entry({"family": "cube", "n": True}, "n must be an integer, got True"),
+    "entry-n-string-3": entry({"family": "cube", "n": "3"}, "n must be an integer, got '3'"),
+    "entry-n-None": entry({"family": "cube", "n": None}, "n must be an integer, got None"),
+    "entry-k-1.5": entry({"family": "ksparse", "n": 4, "k": 1.5}, "k must be an integer, got 1.5"),
+    "entry-size-1.5": entry({"family": "random", "n": 4, "size": 1.5, "seed": 5},
+                            "size must be an integer, got 1.5"),
+    "entry-seed-1.5": entry({"family": "random", "n": 4, "size": 3, "seed": 1.5},
+                            "seed must be an integer, got 1.5"),
+    "entry-k-False": entry({"family": "ksparse", "n": 3, "k": False},
+                           "k must be an integer, got False"),
     "naive-domain-21": (lambda: vc_naive(bit_space(21, ["0" * 21, "1" * 21])),
                         "oracle requires domain_size <= 20, got 21"),
     "forest_cap-d-4-on-3": (lambda: forest_cap(3, 4),
@@ -159,10 +171,11 @@ VALUE_ERRORS = {
                                "cannot lift a space over 1 element(s): the pair domain is empty"
                                " (treat the lifted VC dimension as 0)"),
     # checked before any worker starts or any file is opened
-    "search-n--1": (lambda: exhaustive_search(-1), "n must be at least 1, got -1"),
-    "search-n-5-jobs-2": (lambda: exhaustive_search(5, jobs=2),
-                          "exhaustive enumeration caps at n = 4, got 5"),
+    "search-n--1": (lambda: exhaustive_search(-1), "n must be in 1..4, got -1"),
+    "search-n-5-jobs-2": (lambda: exhaustive_search(5, jobs=2), "n must be in 1..4, got 5"),
     "search-jobs-0": (lambda: exhaustive_search(2, jobs=0), "jobs must be at least 1, got 0"),
+    "search-jobs-True": (lambda: exhaustive_search(2, jobs=True),
+                         "jobs must be an integer, got True"),
     "report-xml": (lambda: run_report([], "xml", os.devnull), "unknown report format 'xml'"),
 }
 
