@@ -16,12 +16,14 @@ gives the result ``ratio_search`` would give over ``enumerate_spaces(n)``,
 verifying one space per symmetry orbit (``exhaustive_orbits``) and counting
 every space.
 ``run_report`` writes the reports themselves: each job verifies one space
-and renders its CSV row or JSONL line, so a worker sends back a finished
-line and the main process only writes the lines in stream order.  All three
-share one ordered map: the built-in ``map`` at one job, otherwise
-``Pool.imap`` on a fork pool of at most one worker per CPU, which reads a
-stream only as far ahead as its pipe to the workers holds.  Results come in
-stream order, so the outcome does not depend on the worker count.
+(building it, unless an exhaustive spec's stream did) and renders its CSV
+row or JSONL line, so a worker sends back a finished line and the main
+process only writes the lines in stream order.
+All three share one ordered map: the built-in ``map`` at one job, otherwise
+at most one forked worker per CPU, each of which replays the whole stream
+and runs the job on every J-th item.  Nothing is sent to a worker, results
+come back in stream order, and the outcome does not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ import json
 import os
 import time
 from fractions import Fraction
+from itertools import cycle, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .bounds import forest_cap, theorem_bounds, urner_bound
 from .engine import vc_exact
-from .families import FamilySpec, exhaustive_orbits, spaces_for
+from .families import FamilySpec, enumerate_spaces, exhaustive_orbits, spaces_for
 from .similarity import lifted_vc
 from .space import HypothesisSpace, check_int, space_to_dict
 
@@ -54,8 +57,6 @@ CSV_COLUMNS = (
     "urner_value",
     "wall_time_ms",
 )
-
-_CHUNK = 128
 
 
 class BoundReport(NamedTuple):
@@ -172,30 +173,91 @@ class RatioSearchResult(NamedTuple):
 def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
     """``fn(item)`` for each item, in input order.
 
-    One job runs in-process; more run in a fork pool of at most one worker
-    per CPU.  ``jobs`` is checked before any worker starts.  The pool's
-    feeder thread sends chunks of ``_CHUNK`` items and blocks while the pipe
-    to the workers is full, so it reads ahead by what that pipe holds.
-    Each result is pickled back to this process, which shares the CPUs with
-    the workers, so each job returns only what its caller keeps: a ratio
-    and its space, or a finished report line that ``run_report`` writes in
-    stream order.
+    ``jobs`` is checked before any worker starts.  With one job, or one CPU,
+    this is the built-in ``map``.  Otherwise J = min(jobs, CPUs) forked
+    workers each replay ``items`` from its start, and worker w runs ``fn`` on
+    items w, w + J, w + 2J, ...  No item is sent to a worker, so the stream
+    must replay the same in every process: deterministic, and reading no
+    shared state such as an open file.  Each worker pickles its results down
+    its own pipe and this process reads the pipes in turn, so results come in
+    input order, an error (in ``fn`` or in the stream) is raised at its place,
+    and a worker runs ahead by what its pipe and its write buffer hold.
+    Results cross in buffer-sized batches, not one write each, so this
+    process wakes rarely and leaves the CPUs to the workers.  A worker that
+    exits before its end marker makes the map raise ``RuntimeError``.  When
+    the map ends, fails or is closed early, every worker is killed and reaped.
     """
     check_int("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1:
         return map(fn, items)
+    return _striped_map(fn, items, workers)
 
-    def pooled() -> Iterator:
-        # imported here, the only place it runs, so a one-job run never loads it
-        import multiprocessing
 
-        workers = min(jobs, os.cpu_count() or 1)
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            yield from pool.imap(fn, items, chunksize=_CHUNK)
+def _striped_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
+    # imported here, the only place they run, so a one-job run never loads them
+    import pickle
+    import signal
 
-    return pooled()
+    pids: "list[int]" = []
+    pipes: list = []
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # a worker leaves only through os._exit: it never unwinds into the
+                # caller or flushes the buffers (stdout, an open report file) it inherited
+                try:
+                    os.close(read_end)
+                    for pipe in pipes:
+                        pipe.close()
+                    with os.fdopen(write_end, "wb") as out:
+                        _work(fn, islice(items, w, None, workers), out, pickle.dumps)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_end)
+            pids.append(pid)
+            pipes.append(os.fdopen(read_end, "rb"))
+        for pid, pipe in cycle(zip(pids, pipes)):
+            try:
+                result = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"worker {pid} exited before sending all its results") from None
+            if result is None:
+                return
+            ok, value = result
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def _work(fn: Callable, stripe: Iterator, out, dumps: Callable) -> None:
+    """Write ``(True, fn(item))`` for each item of ``stripe``, then the end marker ``None``.
+
+    An error, in ``fn`` or in the stream, is written as ``(False, error)`` and
+    ends the stripe: the map raises it there and reads no further.
+    """
+    while True:
+        try:
+            data = dumps((True, fn(next(stripe))))
+        except StopIteration:
+            out.write(dumps(None))
+            return
+        except Exception as exc:
+            out.write(dumps((False, exc)))
+            return
+        out.write(data)
 
 
 def _ratio_job(
@@ -232,7 +294,11 @@ def ratio_search(spaces: Iterable[HypothesisSpace], jobs: int = 1) -> RatioSearc
     """Maximum d_sim / d over the spaces of the stream with d >= 1.
 
     The argmax is the first space in stream order attaining the maximum;
-    spaces with d = 0 force d_sim = 0 and are excluded from the ratio.
+    spaces with d = 0 force d_sim = 0 and are excluded from the ratio.  With
+    ``jobs`` above 1 every worker replays ``spaces`` from its start (see
+    ``_ordered_map``), so the stream must be deterministic and free of side
+    effects: a list, or a generator such as ``random_space_stream``, but not
+    one that reads an open file.
     """
     return _max_ratio(((space, 1) for space in spaces), jobs)
 
@@ -255,13 +321,32 @@ def _csv_line(fields: Iterable[str]) -> str:
     return ",".join(fields) + "\n"
 
 
+def _report_rows(
+    specs: Iterable[FamilySpec],
+) -> Iterator["tuple[FamilySpec, Optional[HypothesisSpace]]"]:
+    """One ``(spec, space)`` per report row, in stream order.
+
+    Only an exhaustive spec is expanded here, so every worker replaying the
+    rows builds its spaces.  A spec that names one space comes with ``None``,
+    and only the job that verifies it builds the space.
+    """
+    for spec in specs:
+        if spec.kind == "exhaustive":
+            for space in enumerate_spaces(spec.n):
+                yield spec, space
+        else:
+            yield spec, None
+
+
 def _report_line(
     output_format: str,
     include_timing: bool,
-    pair: "tuple[HypothesisSpace, FamilySpec]",
+    row: "tuple[FamilySpec, Optional[HypothesisSpace]]",
 ) -> str:
-    """The finished report line of one space: a CSV row or a compact JSON document."""
-    space, spec = pair
+    """The finished report line of one row: a CSV row or a compact JSON document."""
+    spec, space = row
+    if space is None:
+        space = next(spaces_for(spec))
     report = verify_theorem(space, family_spec=spec)
     if output_format == "csv":
         return _csv_line(report.csv_row(include_timing=include_timing))
@@ -286,9 +371,8 @@ def run_report(
     """
     if output_format not in ("csv", "jsonl"):
         raise ValueError(f"unknown report format {output_format!r}")
-    pairs = ((space, spec) for spec in specs for space in spaces_for(spec))
     lines = _ordered_map(
-        functools.partial(_report_line, output_format, include_timing), pairs, jobs
+        functools.partial(_report_line, output_format, include_timing), _report_rows(specs), jobs
     )
     with open(output_path, "w", encoding="utf-8", newline="") as out:
         if output_format == "csv":

@@ -56,8 +56,8 @@ class FrozenSlots:
     """A value whose ``__slots__`` fields are set once, by ``__init__``.
 
     The fields, in ``__slots__`` order, are also the constructor's arguments:
-    equality, hashing and the repr go by them, and unpickling (the report
-    pool sends spaces and specs) calls the constructor again, so it re-runs
+    equality, hashing and the repr go by them, and unpickling (a ratio search
+    worker sends back its spaces) calls the constructor again, so it re-runs
     the checks there.  Assigning or deleting a field raises ``AttributeError``.
     """
 
@@ -91,11 +91,11 @@ class FrozenSlots:
 class HypothesisSpace(FrozenSlots):
     """A nonempty set of hypotheses, stored as its sorted tuple of distinct ints.
 
-    ``hypotheses`` may be passed as any iterable of ints, in any order and
-    with repeats.  Each hypothesis is an int whose bit j is the label of
-    element j.  ``domain_size`` 0 is permitted only as the degenerate result
-    of an empty restriction; :func:`space_from_dict` requires at least one
-    element.
+    ``hypotheses`` may be passed as any iterable of exact ints (no bool or
+    float), in any order and with repeats.  Each hypothesis is an int whose
+    bit j is the label of element j.  ``domain_size`` 0 is permitted only as
+    the degenerate result of an empty restriction; :func:`space_from_dict`
+    requires at least one element.
     """
 
     __slots__ = ("domain_size", "hypotheses")
@@ -107,7 +107,12 @@ class HypothesisSpace(FrozenSlots):
         check_int("domain_size", domain_size)
         if domain_size < 0:
             raise ValueError("domain_size must be non-negative")
-        rows = tuple(sorted(set(hypotheses)))
+        given = tuple(hypotheses)
+        # one pass over the row types in C; only a space with a non-int row loops
+        if set(map(type, given)) - {int}:
+            for h in given:
+                check_int("hypothesis", h)
+        rows = tuple(sorted(set(given)))
         if not rows:
             raise ValueError("a hypothesis space must contain at least one hypothesis")
         # sorted, so only the two ends can fall outside [0, 2^n)

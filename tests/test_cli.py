@@ -23,7 +23,7 @@ from simvc.cli import main
 from simvc.experiments import RatioSearchResult
 from simvc.families import splitmix64_stream
 
-from conftest import FIVE_HALVES_SPACE, RATIO_THREE_SPACE, module_env, run_python
+from conftest import FIVE_HALVES_SPACE, RATIO_THREE_SPACE, module_env
 
 
 def write_space(path, space, **extra):
@@ -253,7 +253,7 @@ class TestSearch:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_exhaustive_n4_output(self, capsys, jobs):
-        # 401 orbit representatives span four pool chunks at jobs 2
+        # at jobs 2 each worker replays the 401 orbit representatives and verifies half
         code, out, _ = run_cli(
             capsys, "search", "--mode", "exhaustive", "--n", "4", "--jobs", jobs
         )
@@ -551,16 +551,29 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["d"] == 2
 
 
-def test_import_loads_neither_dataclasses_nor_the_pool():
-    # every vc call pays for what ``import simvc.cli`` loads; the pool imports
-    # multiprocessing when it starts, and report lines are joined without csv.
-    # Site hooks may preload modules, so only what the import adds counts.
+def test_import_loads_neither_dataclasses_nor_the_pool(tmp_path):
+    # every vc call pays for what ``import simvc.cli`` loads, and report lines
+    # are joined without csv; the workers of --jobs are forked without
+    # multiprocessing.  Site hooks may preload modules, so only what simvc adds counts.
+    spec = tmp_path / "spec.json"
+    spec.write_text('[{"family": "exhaustive", "n": 2}]')
     code = (
-        "import sys\n"
+        "import os, sys\n"
+        "os.cpu_count = lambda: 2\n"
         "before = set(sys.modules)\n"
         "import simvc.cli\n"
         "print(*sorted(set(sys.modules) - before))\n"
+        "simvc.cli.main(['report', '--spec', sys.argv[1], '--format', 'csv',\n"
+        "                '--out', sys.argv[2], '--jobs', '2', '--no-timing'])\n"
+        "print(*sorted(set(sys.modules) - before))\n"
     )
-    added = set(run_python(code, timeout=60).split())
-    assert "simvc.cli" in added
-    assert not added & {"csv", "dataclasses", "inspect", "multiprocessing"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(spec), str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=module_env(), timeout=60, check=True,
+    )
+    lines = proc.stdout.splitlines()
+    imported, after_report = set(lines[0].split()), set(lines[-1].split())
+    assert "simvc.cli" in imported
+    assert not imported & {"csv", "dataclasses", "inspect", "multiprocessing"}
+    assert json.loads("\n".join(lines[1:-1]))["rows"] == 15
+    assert not after_report & {"csv", "dataclasses", "multiprocessing"}

@@ -42,6 +42,9 @@ VALUE_ERRORS = {
                          "hypothesis 4 does not fit a space over 2 elements"),
     "space-row--1-on-2": (lambda: HypothesisSpace(2, (-1, 0)),
                           "hypothesis -1 does not fit a space over 2 elements"),
+    # 1.0 == 1 would pass the range check and fail later, in the engine's bit operations
+    "space-row-1.0": (lambda: HypothesisSpace(3, [1.0, 2]),
+                      "hypothesis must be an integer, got 1.0"),
     "file-no-rows": (lambda: bit_space(3, []),
                      "a hypothesis space must contain at least one hypothesis"),
     "file-list": (lambda: space_from_dict([]), "space document must be a JSON object"),

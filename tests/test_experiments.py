@@ -1,6 +1,7 @@
 """Bound reports, ratio search, report files."""
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from simvc import (
     vc_naive,
     verify_theorem,
 )
+from simvc.experiments import _ordered_map
 from simvc.families import random_space_stream
 
 from conftest import (
@@ -133,52 +135,97 @@ class TestRatioSearch:
         serial = ratio_search(stream())
         parallel = ratio_search(stream(), jobs=4)
         assert serial == parallel
-        # 255 spaces span two pool chunks; the argmax must still be the first
+        # worker 1's results are read between worker 0's; the argmax must still be the first
         serial = ratio_search(enumerate_spaces(3))
         parallel = ratio_search(enumerate_spaces(3), jobs=2)
         assert serial == parallel
         assert serial.argmax_space is not None
 
     def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch):
-        # no process starts: the fake pool records its size and maps in process
-        sizes = []
+        # real forks, counted; a fork past the second fails the test instead of running away
+        forks = []
+        real_fork = os.fork
 
-        class FakePool:
-            def __init__(self, workers):
-                sizes.append(workers)
+        def fork():
+            forks.append(None)
+            if len(forks) > 2:
+                raise OSError("a third worker was forked")
+            return real_fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, items, chunksize):
-                return map(fn, items)
-
-        class FakeContext:
-            Pool = FakePool
-
-        monkeypatch.setattr("multiprocessing.get_context", lambda _: FakeContext)
-        expected = ratio_search(enumerate_spaces(2))
+        monkeypatch.setattr("simvc.experiments.os.fork", fork)
         monkeypatch.setattr("simvc.experiments.os.cpu_count", lambda: 2)
-        assert ratio_search(enumerate_spaces(2), jobs=10**6) == expected
-        monkeypatch.setattr("simvc.experiments.os.cpu_count", lambda: None)
-        assert ratio_search(enumerate_spaces(2), jobs=3) == expected
-        assert sizes == [2, 1]
+        pids = list(_ordered_map(lambda _: os.getpid(), range(20), 10**6))
+        assert len(forks) == 2
+        # worker w runs items w, w + 2, ...
+        assert len(set(pids)) == 2 and os.getpid() not in pids
+        assert pids == pids[:2] * 10
+        for cpus in (None, 1):
+            monkeypatch.setattr("simvc.experiments.os.cpu_count", lambda: cpus)
+            assert list(_ordered_map(lambda _: os.getpid(), range(5), 3)) == [os.getpid()] * 5
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("where", ["job", "stream"])
+    def test_error_is_raised_at_its_place(self, monkeypatch, where):
+        # the results before it come first, in order, as from the built-in map
+        def job(i):
+            if where == "job" and i == 7:
+                raise KeyError(i)
+            return i
+
+        def stream():
+            for i in range(10):
+                if where == "stream" and i == 7:
+                    raise KeyError(i)
+                yield i
+
+        monkeypatch.setattr("simvc.experiments.os.cpu_count", lambda: 2)
+        results = _ordered_map(job, stream(), 2)
+        assert [next(results) for _ in range(7)] == list(range(7))
+        with pytest.raises(KeyError) as info:
+            next(results)
+        assert info.value.args == (7,)
+
+    def test_dead_worker_fails_the_map(self):
+        # a worker killed mid-stream (the OOM killer, say) must not hang the map,
+        # and no worker may outlive it; the timeout fails the test on a hang
+        code = (
+            "import os, re, signal\n"
+            "from simvc.experiments import _ordered_map\n"
+            "os.cpu_count = lambda: 2\n"
+            "def job(i):\n"
+            "    if i == 300:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return i\n"
+            "try:\n"
+            "    list(_ordered_map(job, range(1000), 2))\n"
+            "except RuntimeError as exc:\n"
+            "    print(re.sub(r'\\d+', 'N', str(exc)))\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+        )
+        expected = "worker N exited before sending all its results\nno child left\n"
+        assert run_python(code, timeout=20) == expected
 
     def test_pooled_map_reads_its_input_lazily(self):
-        # an endless input: a map that reads it whole hangs, and the timeout fails the test
+        # an endless input: a map that reads it whole hangs, and the timeout fails the test;
+        # closing the map early must end its workers
         code = (
+            "import os\n"
             "from itertools import count, islice\n"
             "from operator import neg\n"
             "from simvc.experiments import _ordered_map\n"
+            "os.cpu_count = lambda: 2\n"
             "results = _ordered_map(neg, count(), 2)\n"
             "print(list(islice(results, 5)))\n"
             "results.close()\n"
-            "print('closed')\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
         )
-        assert run_python(code, timeout=60) == "[0, -1, -2, -3, -4]\nclosed\n"
+        assert run_python(code, timeout=60) == "[0, -1, -2, -3, -4]\nno child left\n"
 
     def test_result_dict_shape(self):
         doc = ratio_search(enumerate_spaces(2)).to_dict()
@@ -246,7 +293,7 @@ class TestRunReport:
         assert [(d["d"], d["d_sim"]) for d in docs] == [(2, 1), (1, 2)]
 
     def test_parallel_matches_serial(self, tmp_path):
-        # 255 rows span two pool chunks
+        # 255 rows, striped over four workers where there are four CPUs
         for fmt in ("csv", "jsonl"):
             serial = tmp_path / f"serial.{fmt}"
             parallel = tmp_path / f"parallel.{fmt}"

@@ -113,7 +113,7 @@ class TestFamilySpec:
     def test_round_trip(self):
         spec = FamilySpec("random", 6, size=10, seed=3)
         assert FamilySpec.from_dict(spec.to_dict()) == spec
-        # the report pool pickles specs
+        # unpickling goes through the checking constructor, as for spaces
         assert pickle.loads(pickle.dumps(spec)) == spec
         assert hash(FamilySpec("random", 6, size=10, seed=3)) == hash(spec)
         assert spec != FamilySpec("random", 6, size=10, seed=4)
