@@ -6,6 +6,7 @@ from .experiments import (
     CSV_COLUMNS,
     BoundReport,
     exhaustive_search,
+    random_search,
     ratio_search,
     run_report,
     verify_theorem,
@@ -53,6 +54,7 @@ __all__ = [
     "lift_space",
     "lifted_vc",
     "pair_domain",
+    "random_search",
     "random_space",
     "ratio_search",
     "run_report",

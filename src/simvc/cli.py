@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 from .bounds import binary_entropy, forest_cap, solve_optimal_delta
 from .engine import vc_exact, vc_naive
-from .experiments import exhaustive_search, ratio_search, run_report, verify_theorem
-from .families import FamilySpec, random_space_stream, spaces_for
+from .experiments import exhaustive_search, random_search, run_report, verify_theorem
+from .families import FamilySpec, spaces_for
 from .similarity import lift_space
 from .space import (
     DOMAIN_SIZE_CAP,
@@ -121,8 +121,7 @@ def _cmd_search(args) -> int:
             raise ValueError("--mode random requires --n and --size")
         samples = _SAMPLES if args.samples is None else args.samples
         seed = _SEED if args.seed is None else args.seed
-        stream = random_space_stream(args.n, args.size, samples, seed)
-        result = ratio_search(stream, jobs=args.jobs)
+        result = random_search(args.n, args.size, samples, seed, jobs=args.jobs)
     _emit(result.to_dict())
     return 2 if result.conjecture_violated else 0
 

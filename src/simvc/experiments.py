@@ -14,13 +14,14 @@ flagging a maximum above 2 (one exists: a space on n = 12 reaches 3); the
 stream's own length is the length of the search.  ``exhaustive_search``
 gives the result ``ratio_search`` would give over ``enumerate_spaces(n)``,
 verifying one space per symmetry orbit (``exhaustive_orbits``) and counting
-every space.
-``run_report`` writes the reports themselves: each job verifies one space
-(building it, unless an exhaustive spec's stream did) and renders its CSV
-row or JSONL line, so a worker sends back a finished line and the main
-process only writes the lines in stream order.
-All three share one ordered map: the built-in ``map`` at one job, otherwise
-at most one forked worker per CPU, each of which replays the whole stream
+every space; ``random_search`` gives its result over
+``random_space_stream``, each space built by the job that verifies it.
+``run_report`` writes the reports themselves: each job builds and verifies
+one space of a spec and renders its CSV row or JSONL line, so a worker
+sends back a finished line and the main process only writes the lines in
+stream order.
+All four share one ordered map: the built-in ``map`` at one job, otherwise
+at most one forked worker per CPU, each of which replays the item stream
 and runs the job on every J-th item.  Nothing is sent to a worker, results
 come back in stream order, and the outcome does not depend on the worker
 count.
@@ -38,7 +39,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 
 from .bounds import forest_cap, theorem_bounds, urner_bound
 from .engine import vc_exact
-from .families import FamilySpec, enumerate_spaces, exhaustive_orbits, spaces_for
+from .families import (
+    FamilySpec, exhaustive_orbits, random_space, random_space_seeds, space_at, space_count,
+)
 from .similarity import lifted_vc
 from .space import HypothesisSpace, check_int, space_to_dict
 
@@ -178,7 +181,8 @@ def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
     workers each replay ``items`` from its start, and worker w runs ``fn`` on
     items w, w + J, w + 2J, ...  No item is sent to a worker, so the stream
     must replay the same in every process: deterministic, and reading no
-    shared state such as an open file.  Each worker pickles its results down
+    shared state such as an open file.  Every caller passes one it builds
+    itself from data already in memory.  Each worker pickles its results down
     its own pipe and this process reads the pipes in turn, so results come in
     input order, an error (in ``fn`` or in the stream) is raised at its place,
     and a worker runs ahead by what its pipe and its write buffer hold.
@@ -206,7 +210,12 @@ def _striped_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
     try:
         for w in range(workers):
             read_end, write_end = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
             if pid == 0:
                 # a worker leaves only through os._exit: it never unwinds into the
                 # caller or flushes the buffers (stdout, an open report file) it inherited
@@ -260,28 +269,37 @@ def _work(fn: Callable, stripe: Iterator, out, dumps: Callable) -> None:
         out.write(data)
 
 
-def _ratio_job(
-    weighted: "tuple[HypothesisSpace, int]",
-) -> "tuple[Optional[Fraction], HypothesisSpace, int]":
-    space, count = weighted
-    return verify_theorem(space).ratio, space, count
+def _ratio_job(build: Optional[Callable], weighted: tuple) -> tuple:
+    key, count = weighted
+    space = key if build is None else build(key)
+    return verify_theorem(space).ratio, key, count
 
 
 def _max_ratio(
-    weighted: Iterable["tuple[HypothesisSpace, int]"], jobs: int
+    weighted: Iterable[tuple], jobs: int, build: Optional[Callable] = None
 ) -> RatioSearchResult:
-    """First maximum of the reports' d_sim / d over ``(space, count)`` pairs.
+    """First maximum of the reports' d_sim / d over ``(key, count)`` pairs.
 
+    Each key is a space, or what ``build`` makes one from; the job that
+    verifies the space builds it, and only the argmax is built again here.
     Each space is verified once; ``count`` is how many spaces it stands for.
+    Above one job the pairs are read into a list before any worker starts,
+    so every worker replays the same items whatever the stream reads.
     """
+    check_int("jobs", jobs)
+    if jobs > 1:
+        weighted = list(weighted)
     best: Optional[Fraction] = None
-    argmax: Optional[HypothesisSpace] = None
+    argmax = None
     examined = 0
-    for ratio, space, count in _ordered_map(_ratio_job, weighted, jobs):
+    job = functools.partial(_ratio_job, build)
+    for ratio, key, count in _ordered_map(job, weighted, jobs):
         examined += count
         if ratio is not None and (best is None or ratio > best):
             best = ratio
-            argmax = space
+            argmax = key
+    if argmax is not None and build is not None:
+        argmax = build(argmax)
     return RatioSearchResult(
         max_ratio=best,
         argmax_space=argmax,
@@ -295,12 +313,21 @@ def ratio_search(spaces: Iterable[HypothesisSpace], jobs: int = 1) -> RatioSearc
 
     The argmax is the first space in stream order attaining the maximum;
     spaces with d = 0 force d_sim = 0 and are excluded from the ratio.  With
-    ``jobs`` above 1 every worker replays ``spaces`` from its start (see
-    ``_ordered_map``), so the stream must be deterministic and free of side
-    effects: a list, or a generator such as ``random_space_stream``, but not
-    one that reads an open file.
+    ``jobs`` above 1 this process reads the whole stream before the workers
+    start, so it holds every space at once; ``random_search`` builds its
+    spaces in the workers instead.
     """
     return _max_ratio(((space, 1) for space in spaces), jobs)
+
+
+def random_search(n: int, size: int, samples: int, seed: int, jobs: int = 1) -> RatioSearchResult:
+    """``ratio_search(random_space_stream(n, size, samples, seed), jobs)``.
+
+    The stream is one of seeds, and each space is built by the job that
+    verifies it.  The arguments are checked at the call.
+    """
+    seeds = random_space_seeds(n, size, samples, seed)
+    return _max_ratio(((s, 1) for s in seeds), jobs, functools.partial(random_space, n, size))
 
 
 def exhaustive_search(n: int, jobs: int = 1) -> RatioSearchResult:
@@ -321,33 +348,12 @@ def _csv_line(fields: Iterable[str]) -> str:
     return ",".join(fields) + "\n"
 
 
-def _report_rows(
-    specs: Iterable[FamilySpec],
-) -> Iterator["tuple[FamilySpec, Optional[HypothesisSpace]]"]:
-    """One ``(spec, space)`` per report row, in stream order.
-
-    Only an exhaustive spec is expanded here, so every worker replaying the
-    rows builds its spaces.  A spec that names one space comes with ``None``,
-    and only the job that verifies it builds the space.
-    """
-    for spec in specs:
-        if spec.kind == "exhaustive":
-            for space in enumerate_spaces(spec.n):
-                yield spec, space
-        else:
-            yield spec, None
-
-
 def _report_line(
-    output_format: str,
-    include_timing: bool,
-    row: "tuple[FamilySpec, Optional[HypothesisSpace]]",
+    output_format: str, include_timing: bool, row: "tuple[FamilySpec, int]"
 ) -> str:
-    """The finished report line of one row: a CSV row or a compact JSON document."""
-    spec, space = row
-    if space is None:
-        space = next(spaces_for(spec))
-    report = verify_theorem(space, family_spec=spec)
+    """The finished report line of space i of a spec: a CSV row or a compact JSON document."""
+    spec, i = row
+    report = verify_theorem(space_at(spec, i), family_spec=spec)
     if output_format == "csv":
         return _csv_line(report.csv_row(include_timing=include_timing))
     doc = report.to_dict(include_timing=include_timing)
@@ -364,16 +370,18 @@ def run_report(
 ) -> int:
     """Write one report row per space described by ``specs``; returns the row count.
 
-    The jobs return finished lines, rendered where the space was verified;
-    this process writes the CSV header and then each line in stream order.
+    A row is a spec and the index of one of its spaces, so each job builds
+    and verifies its own space and returns the finished line; this process
+    writes the CSV header and then each line in stream order.
     ``include_timing=False`` drops the wall-time column, leaving output that
     is byte-identical across runs and worker counts.
     """
     if output_format not in ("csv", "jsonl"):
         raise ValueError(f"unknown report format {output_format!r}")
-    lines = _ordered_map(
-        functools.partial(_report_line, output_format, include_timing), _report_rows(specs), jobs
-    )
+    specs = tuple(specs)  # every worker replays the rows, so they come from memory
+    rows = ((spec, i) for spec in specs for i in range(space_count(spec)))
+    job = functools.partial(_report_line, output_format, include_timing)
+    lines = _ordered_map(job, rows, jobs)
     with open(output_path, "w", encoding="utf-8", newline="") as out:
         if output_format == "csv":
             out.write(_csv_line(CSV_COLUMNS if include_timing else CSV_COLUMNS[:-1]))

@@ -11,6 +11,7 @@ of SplitMix64 run on the base seed.  Seeds are the 64-bit values
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, islice
 from typing import Iterator, Optional
 
@@ -187,13 +188,22 @@ def random_space_stream(n: int, size: int, samples: int, seed: int) -> Iterator[
 
     The arguments are checked at the call.
     """
+    return (random_space(n, size, s) for s in random_space_seeds(n, size, samples, seed))
+
+
+def random_space_seeds(n: int, size: int, samples: int, seed: int) -> Iterator[int]:
+    """The seeds of ``random_space_stream(n, size, samples, seed)``, in order.
+
+    ``random_space(n, size, s)`` for each seed s is that stream, so a space
+    can be built apart from the others.  The arguments are checked at the call.
+    """
     _check_n(n)
     _check_size(n, size)
     _check_seed(seed)
     check_int("samples", samples)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    return (random_space(n, size, s) for s in islice(splitmix64_stream(seed), samples))
+    return islice(splitmix64_stream(seed), samples)
 
 
 def enumerate_spaces(n: int) -> Iterator[HypothesisSpace]:
@@ -204,8 +214,14 @@ def enumerate_spaces(n: int) -> Iterator[HypothesisSpace]:
     call.
     """
     _check_enumeration_n(n)
-    cube = lex_cube(n)
+    cube = _cube(n)
     return (_masked_space(n, cube, mask) for mask in range(1, 1 << len(cube)))
+
+
+@lru_cache(maxsize=ENUMERATION_CAP)
+def _cube(n: int) -> "tuple[int, ...]":
+    """``lex_cube(n)``, computed once per n: ``space_at`` needs it for every space."""
+    return lex_cube(n)
 
 
 def _masked_space(n: int, cube: "tuple[int, ...]", mask: int) -> HypothesisSpace:
@@ -236,7 +252,7 @@ def _image_table(targets: "list[int]") -> "list[int]":
 
 
 def _orbit_representatives(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
-    cube = lex_cube(n)
+    cube = _cube(n)
     count = len(cube)
     half = count // 2
     low_bits = (1 << half) - 1
@@ -275,12 +291,24 @@ def _orbit_representatives(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
 
 
 def spaces_for(spec: FamilySpec) -> Iterator[HypothesisSpace]:
-    """Expand a family spec into its space(s)."""
+    """Expand a family spec into its space(s): ``space_at(spec, i)`` for each i."""
+    return (space_at(spec, i) for i in range(space_count(spec)))
+
+
+def space_count(spec: FamilySpec) -> int:
+    """How many spaces ``spec`` names: every nonempty one on [n] if exhaustive, else one."""
+    return (1 << (1 << spec.n)) - 1 if spec.kind == "exhaustive" else 1
+
+
+def space_at(spec: FamilySpec, i: int) -> HypothesisSpace:
+    """Space i of ``spec``, for i in ``range(space_count(spec))``, built alone.
+
+    Space i of an exhaustive spec is space i of ``enumerate_spaces(spec.n)``.
+    """
     if spec.kind == "k_sparse":
-        yield k_sparse(spec.n, spec.k)
-    elif spec.kind == "full_cube":
-        yield full_cube(spec.n)
-    elif spec.kind == "random":
-        yield random_space(spec.n, spec.size, spec.seed)
-    else:
-        yield from enumerate_spaces(spec.n)
+        return k_sparse(spec.n, spec.k)
+    if spec.kind == "full_cube":
+        return full_cube(spec.n)
+    if spec.kind == "random":
+        return random_space(spec.n, spec.size, spec.seed)
+    return _masked_space(spec.n, _cube(spec.n), i + 1)

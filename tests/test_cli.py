@@ -282,7 +282,7 @@ class TestSearch:
 
     def test_random_violation_is_preserved_and_exits_two(self, capsys, monkeypatch):
         self._assert_violation_preserved(
-            capsys, monkeypatch, "simvc.cli.ratio_search",
+            capsys, monkeypatch, "simvc.cli.random_search",
             "--mode", "random", "--n", "3", "--size", "2", "--samples", "3",
         )
 

@@ -13,6 +13,7 @@ from simvc import (
     forest_cap,
     full_cube,
     k_sparse,
+    random_search,
     ratio_search,
     run_report,
     vc_naive,
@@ -141,49 +142,112 @@ class TestRatioSearch:
         assert serial == parallel
         assert serial.argmax_space is not None
 
-    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch):
+    def test_random_search_is_ratio_search_over_the_stream(self):
+        serial = ratio_search(random_space_stream(5, 8, 40, 31337))
+        for jobs in (1, 2):
+            assert random_search(5, 8, 40, 31337, jobs=jobs) == serial
+
+    def test_stream_that_does_not_replay(self):
+        # spaces parsed from an open file: workers that each read the file would share
+        # its offset and split the lines between them; the timeout fails the test on a hang
+        code = (
+            "import json, os, tempfile\n"
+            "from simvc import enumerate_spaces, ratio_search, space_from_dict, space_to_dict\n"
+            "os.cpu_count = lambda: 2\n"
+            "with tempfile.TemporaryFile('w+') as f:\n"
+            "    for space in enumerate_spaces(3):\n"
+            "        f.write(json.dumps(space_to_dict(space)) + '\\n')\n"
+            "    f.seek(0)\n"
+            "    result = ratio_search((space_from_dict(json.loads(line)) for line in f), 2)\n"
+            "print(result == ratio_search(enumerate_spaces(3)), result.spaces_examined)\n"
+        )
+        assert run_python(code, timeout=60) == "True 255\n"
+
+    def test_pool_has_at_most_one_worker_per_cpu(self):
         # real forks, counted; a fork past the second fails the test instead of running away
-        forks = []
-        real_fork = os.fork
-
-        def fork():
-            forks.append(None)
-            if len(forks) > 2:
-                raise OSError("a third worker was forked")
-            return real_fork()
-
-        monkeypatch.setattr("simvc.experiments.os.fork", fork)
-        monkeypatch.setattr("simvc.experiments.os.cpu_count", lambda: 2)
-        pids = list(_ordered_map(lambda _: os.getpid(), range(20), 10**6))
-        assert len(forks) == 2
-        # worker w runs items w, w + 2, ...
-        assert len(set(pids)) == 2 and os.getpid() not in pids
-        assert pids == pids[:2] * 10
-        for cpus in (None, 1):
-            monkeypatch.setattr("simvc.experiments.os.cpu_count", lambda: cpus)
-            assert list(_ordered_map(lambda _: os.getpid(), range(5), 3)) == [os.getpid()] * 5
-        assert len(forks) == 2
+        code = (
+            "import os\n"
+            "from simvc.experiments import _ordered_map\n"
+            "forks = []\n"
+            "real_fork = os.fork\n"
+            "def fork():\n"
+            "    forks.append(None)\n"
+            "    if len(forks) > 2:\n"
+            "        raise OSError('a third worker was forked')\n"
+            "    return real_fork()\n"
+            "os.fork = fork\n"
+            "os.cpu_count = lambda: 2\n"
+            "pids = list(_ordered_map(lambda _: os.getpid(), range(20), 10**6))\n"
+            # worker w runs items w, w + 2, ...
+            "print(len(forks), len(set(pids)), os.getpid() in pids, pids == pids[:2] * 10)\n"
+            "for cpus in (None, 1):\n"
+            "    os.cpu_count = lambda: cpus\n"
+            "    own = list(_ordered_map(lambda _: os.getpid(), range(5), 3))\n"
+            "    print(own == [os.getpid()] * 5)\n"
+            "print(len(forks))\n"
+        )
+        assert run_python(code, timeout=60) == "2 2 False True\nTrue\nTrue\n2\n"
 
     @pytest.mark.parametrize("where", ["job", "stream"])
-    def test_error_is_raised_at_its_place(self, monkeypatch, where):
+    def test_error_is_raised_at_its_place(self, where):
         # the results before it come first, in order, as from the built-in map
-        def job(i):
-            if where == "job" and i == 7:
-                raise KeyError(i)
-            return i
+        code = (
+            "import os\n"
+            "from simvc.experiments import _ordered_map\n"
+            "os.cpu_count = lambda: 2\n"
+            f"where = {where!r}\n"
+            "def job(i):\n"
+            "    if where == 'job' and i == 7:\n"
+            "        raise KeyError(i)\n"
+            "    return i\n"
+            "def stream():\n"
+            "    for i in range(10):\n"
+            "        if where == 'stream' and i == 7:\n"
+            "            raise KeyError(i)\n"
+            "        yield i\n"
+            "results = _ordered_map(job, stream(), 2)\n"
+            "print([next(results) for _ in range(7)])\n"
+            "try:\n"
+            "    next(results)\n"
+            "except KeyError as exc:\n"
+            "    print(exc.args)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+        )
+        expected = "[0, 1, 2, 3, 4, 5, 6]\n(7,)\nno child left\n"
+        assert run_python(code, timeout=60) == expected
 
-        def stream():
-            for i in range(10):
-                if where == "stream" and i == 7:
-                    raise KeyError(i)
-                yield i
-
-        monkeypatch.setattr("simvc.experiments.os.cpu_count", lambda: 2)
-        results = _ordered_map(job, stream(), 2)
-        assert [next(results) for _ in range(7)] == list(range(7))
-        with pytest.raises(KeyError) as info:
-            next(results)
-        assert info.value.args == (7,)
+    def test_failed_fork_leaves_no_pipe_or_worker(self):
+        # the second fork fails: the first worker is reaped and both pipes are closed,
+        # so the next pipe gets the same descriptors as one made before the map
+        code = (
+            "import os\n"
+            "from simvc.experiments import _ordered_map\n"
+            "os.cpu_count = lambda: 2\n"
+            "forks = []\n"
+            "real_fork = os.fork\n"
+            "def fork():\n"
+            "    forks.append(None)\n"
+            "    if len(forks) == 2:\n"
+            "        raise OSError('no second worker')\n"
+            "    return real_fork()\n"
+            "os.fork = fork\n"
+            "before = os.pipe()\n"
+            "for fd in before:\n"
+            "    os.close(fd)\n"
+            "try:\n"
+            "    list(_ordered_map(abs, range(10), 2))\n"
+            "except OSError as exc:\n"
+            "    print(exc)\n"
+            "print(os.pipe() == before)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+        )
+        assert run_python(code, timeout=60) == "no second worker\nTrue\nno child left\n"
 
     def test_dead_worker_fails_the_map(self):
         # a worker killed mid-stream (the OOM killer, say) must not hang the map,

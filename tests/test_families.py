@@ -15,7 +15,9 @@ from simvc import (
     random_space,
     vc_exact,
 )
-from simvc.families import random_space_stream, spaces_for, splitmix64_stream
+from simvc.families import (
+    random_space_seeds, random_space_stream, space_at, space_count, spaces_for, splitmix64_stream,
+)
 
 
 class TestKSparse:
@@ -62,6 +64,10 @@ class TestRandomSpace:
         b = list(random_space_stream(5, 6, 10, 99))
         assert a == b
         assert len({tuple(s.bit_strings()) for s in a}) > 1
+
+    def test_stream_is_its_seeds_spaces(self):
+        seeds = random_space_seeds(5, 6, 10, 99)
+        assert [random_space(5, 6, s) for s in seeds] == list(random_space_stream(5, 6, 10, 99))
 
 
 class TestSplitMix:
@@ -139,6 +145,14 @@ class TestFamilySpec:
         assert list(spaces_for(FamilySpec("random", 4, size=5, seed=8))) == [
             random_space(4, 5, 8)
         ]
+
+    def test_exhaustive_space_i_is_enumeration_space_i(self):
+        for n in (1, 2, 3):
+            spec = FamilySpec("exhaustive", n)
+            spaces = [space_at(spec, i) for i in range(space_count(spec))]
+            assert spaces == list(spaces_for(spec)) == list(enumerate_spaces(n))
+        assert space_count(FamilySpec("exhaustive", 4)) == 65535
+        assert space_count(FamilySpec("full_cube", 4)) == 1
 
 
 def test_boundary_probe_n_equals_2k(capsys):
