@@ -13,6 +13,9 @@ delta = 1/(2 epsilon).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+
+from .space import check_int
 
 
 def _sauer_sum(n: int, d: int) -> int:
@@ -28,8 +31,16 @@ def forest_cap(n: int, d: int) -> int:
     """max{t <= n - 1 : 2^t <= Phi_d(min(n, 2t))}: the lifted VC bound on [n] at VC d.
 
     The scan stops at the first t that fails, so it costs O(d^2) whatever n
-    is and never builds 2^n.
+    is and never builds 2^n.  Each (n, d) is scanned once; the types are
+    checked first, as the cache would take 3.0 or True for the key 3 or 1.
     """
+    check_int("n", n)
+    check_int("d", d)
+    return _forest_cap(n, d)
+
+
+@lru_cache(maxsize=1024)
+def _forest_cap(n: int, d: int) -> int:
     if n < 1 or not 0 <= d <= n:
         raise ValueError(f"forest_cap needs n >= 1 and 0 <= d <= n, got n = {n}, d = {d}")
     t = 0
@@ -53,6 +64,7 @@ def theorem_bounds(d: int) -> "tuple[int, int]":
     lower = max(d - 1, 0); upper = floor(4.55 * d), computed as floor(91*d/20)
     since the lifted dimension is an integer.
     """
+    check_int("d", d)
     if d < 0:
         raise ValueError("d must be non-negative")
     # 4.55 as the exact rational 91/20

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import functools
 import json
+import marshal
 import os
 import time
 from fractions import Fraction
-from itertools import cycle, islice
+from itertools import cycle, islice, tee
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .bounds import forest_cap, theorem_bounds, urner_bound
@@ -182,14 +183,16 @@ def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
     items w, w + J, w + 2J, ...  No item is sent to a worker, so the stream
     must replay the same in every process: deterministic, and reading no
     shared state such as an open file.  Every caller passes one it builds
-    itself from data already in memory.  Each worker pickles its results down
-    its own pipe and this process reads the pipes in turn, so results come in
+    itself from data already in memory.  Each worker writes its results down
+    its own pipe with ``marshal``, so a result must be plain data (see
+    ``_work``), and this process reads the pipes in turn, so results come in
     input order, an error (in ``fn`` or in the stream) is raised at its place,
     and a worker runs ahead by what its pipe and its write buffer hold.
     Results cross in buffer-sized batches, not one write each, so this
     process wakes rarely and leaves the CPUs to the workers.  A worker that
     exits before its end marker makes the map raise ``RuntimeError``.  When
-    the map ends, fails or is closed early, every worker is killed and reaped.
+    the map ends every worker is reaped; when it fails or is closed early,
+    every worker is killed first.
     """
     check_int("jobs", jobs)
     if jobs < 1:
@@ -201,12 +204,9 @@ def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
 
 
 def _striped_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
-    # imported here, the only place they run, so a one-job run never loads them
-    import pickle
-    import signal
-
     pids: "list[int]" = []
     pipes: list = []
+    finished = False
     try:
         for w in range(workers):
             read_end, write_end = os.pipe()
@@ -224,7 +224,7 @@ def _striped_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
                     for pipe in pipes:
                         pipe.close()
                     with os.fdopen(write_end, "wb") as out:
-                        _work(fn, islice(items, w, None, workers), out, pickle.dumps)
+                        _work(fn, islice(items, w, None, workers), out)
                     os._exit(0)
                 finally:
                     os._exit(1)
@@ -233,46 +233,58 @@ def _striped_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
             pipes.append(os.fdopen(read_end, "rb"))
         for pid, pipe in cycle(zip(pids, pipes)):
             try:
-                result = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
+                result = marshal.load(pipe)
+            except (EOFError, ValueError):
                 raise RuntimeError(f"worker {pid} exited before sending all its results") from None
             if result is None:
+                # the stream has ended in every stripe, so every worker is ending too
+                finished = True
                 return
             ok, value = result
             if not ok:
-                raise value
+                import pickle  # only an error is pickled
+
+                raise pickle.loads(value)
             yield value
     finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
+        if not finished:
+            import signal  # only a worker that may still be running is killed
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
         for pid in pids:
             os.waitpid(pid, 0)
         for pipe in pipes:
             pipe.close()
 
 
-def _work(fn: Callable, stripe: Iterator, out, dumps: Callable) -> None:
+def _work(fn: Callable, stripe: Iterator, out) -> None:
     """Write ``(True, fn(item))`` for each item of ``stripe``, then the end marker ``None``.
 
-    An error, in ``fn`` or in the stream, is written as ``(False, error)`` and
-    ends the stripe: the map raises it there and reads no further.
+    Each record is one ``marshal`` value, so a result must be plain data:
+    None, a bool, int, float, str or bytes, or a tuple, list or dict of them.
+    An error, in ``fn``, in the stream or in writing a result marshal cannot
+    carry, is written as ``(False, the pickled error)`` and ends the stripe:
+    the map raises it there and reads no further.
     """
     while True:
         try:
-            data = dumps((True, fn(next(stripe))))
+            data = marshal.dumps((True, fn(next(stripe))))
         except StopIteration:
-            out.write(dumps(None))
+            out.write(marshal.dumps(None))
             return
         except Exception as exc:
-            out.write(dumps((False, exc)))
+            import pickle
+
+            out.write(marshal.dumps((False, pickle.dumps(exc))))
             return
         out.write(data)
 
 
-def _ratio_job(build: Optional[Callable], weighted: tuple) -> tuple:
-    key, count = weighted
-    space = key if build is None else build(key)
-    return verify_theorem(space).ratio, key, count
+def _ratio_job(build: Optional[Callable], weighted: tuple) -> "tuple[int, int]":
+    key, _ = weighted
+    report = verify_theorem(key if build is None else build(key))
+    return report.d_sim, report.d
 
 
 def _max_ratio(
@@ -283,18 +295,24 @@ def _max_ratio(
     Each key is a space, or what ``build`` makes one from; the job that
     verifies the space builds it, and only the argmax is built again here.
     Each space is verified once; ``count`` is how many spaces it stands for.
-    Above one job the pairs are read into a list before any worker starts,
-    so every worker replays the same items whatever the stream reads.
+    A job sends back only (d_sim, d), which this process pairs with the
+    ``(key, count)`` it holds, so no space crosses a pipe.  Above one job the
+    pairs are read into a list before any worker starts, so every worker
+    replays the same items whatever the stream reads; at one job they are
+    read as the map needs them.
     """
     check_int("jobs", jobs)
     if jobs > 1:
         weighted = list(weighted)
+    # at one job the map and this loop read the stream in step, so tee holds one pair
+    items, pairs = tee(weighted)
     best: Optional[Fraction] = None
     argmax = None
     examined = 0
     job = functools.partial(_ratio_job, build)
-    for ratio, key, count in _ordered_map(job, weighted, jobs):
+    for (d_sim, d), (key, count) in zip(_ordered_map(job, items, jobs), pairs):
         examined += count
+        ratio = Fraction(d_sim, d) if d > 0 else None
         if ratio is not None and (best is None or ratio > best):
             best = ratio
             argmax = key

@@ -49,6 +49,9 @@ FAMILY_PARAMS = {
 #: Spec-file spellings of a kind besides its name in ``FAMILY_PARAMS``.
 _KIND_ALIASES = {"ksparse": "k_sparse", "cube": "full_cube"}
 
+#: The keys a spec-file entry may have.
+_SPEC_KEYS = frozenset(("family", "n", "k", "size", "seed"))
+
 
 class FamilySpec(FrozenSlots):
     """Description of one generated family instance, kept for provenance."""
@@ -73,15 +76,15 @@ class FamilySpec(FrozenSlots):
         if kind not in FAMILY_PARAMS:
             raise ValueError(f"unknown family {kind!r}")
         takes = FAMILY_PARAMS[kind]
-        params = {"k": k, "size": size, "seed": seed}
-        for key, value in params.items():
+        for key, value in zip(("k", "size", "seed"), (k, size, seed)):
             if value is not None and key not in takes:
                 raise ValueError(f"{kind} does not take {key}")
         if kind == "exhaustive":
             _check_enumeration_n(n)
         else:
             _check_n(n)
-        if any(params[key] is None for key in takes):
+        # every parameter given is one the kind takes, so one is missing iff fewer are given
+        if (k is not None) + (size is not None) + (seed is not None) < len(takes):
             raise ValueError(f"{kind} requires {' and '.join(takes)}")
         if k is not None:
             _check_k(n, k)
@@ -89,8 +92,11 @@ class FamilySpec(FrozenSlots):
             _check_size(n, size)
         if seed is not None:
             _check_seed(seed)
-        for key, value in zip(self.__slots__, (kind, n, k, size, seed)):
-            object.__setattr__(self, key, value)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "seed", seed)
 
     def to_dict(self) -> dict:
         doc = {"family": self.kind, "n": self.n}
@@ -104,22 +110,18 @@ class FamilySpec(FrozenSlots):
     def from_dict(cls, doc: dict) -> "FamilySpec":
         if not isinstance(doc, dict):
             raise ValueError(f"family spec must be an object, got {doc!r}")
-        for key in doc:
-            if key not in ("family", "n", "k", "size", "seed"):
-                raise ValueError(f"malformed family spec {doc!r}: unknown key {key!r}")
+        if not doc.keys() <= _SPEC_KEYS:
+            key = next(key for key in doc if key not in _SPEC_KEYS)
+            raise ValueError(f"malformed family spec {doc!r}: unknown key {key!r}")
         raw_kind = doc.get("family")
         kind = _KIND_ALIASES.get(raw_kind, raw_kind) if isinstance(raw_kind, str) else None
         if kind not in FAMILY_PARAMS:
             raise ValueError(f"unknown family {raw_kind!r}")
         if "n" not in doc:
             raise ValueError("family spec requires n")
-        params = {
-            key: doc[key]
-            for key in ("n", "k", "size", "seed")
-            if key == "n" or doc.get(key) is not None
-        }
-        # the constructor checks each value, so a float, bool or string fails there
-        return cls(kind, **params)
+        # a null parameter is an absent one; the constructor checks each value,
+        # so a float, bool or string fails there
+        return cls(kind, doc["n"], doc.get("k"), doc.get("size"), doc.get("seed"))
 
 
 def _check_range(name: str, value: int, low: int, high: int, shown: str) -> None:

@@ -13,13 +13,17 @@ only on how its vertices split into trees, so ``lifted_vc`` runs the
 engine's depth-first search over one forest per vertex partition, the
 min-centred star forest.  It re-checks its witness from the definition on
 the base rows: the witness pairs' agreement patterns must number 2^d.  No
-lifted space is built for that, and nothing here is cached between calls.
+lifted space is built for that.  The one thing kept between calls is each
+n's search layout, its pairs and their star-forest blocks, which depends on
+n alone.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .engine import _columns, _search
-from .space import HypothesisSpace
+from .space import HypothesisSpace, check_int
 
 #: A canonical pair (i, j) with i < j, and a sorted, deduplicated set of them.
 Pair = tuple[int, int]
@@ -34,6 +38,7 @@ def pair_domain(n: int) -> PairSet:
     with j > i hold the n - 1 - i consecutive ranks after those of every
     smaller i; ``lift_hypothesis`` relies on that.
     """
+    check_int("n", n)
     if n < 0:
         raise ValueError(f"the base domain cannot have {n} elements")
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
@@ -46,6 +51,8 @@ def lift_hypothesis(bits: int, n: int) -> int:
     same label.  Each left endpoint i writes its run of ranks (see
     ``pair_domain``) as one shifted mask.
     """
+    check_int("hypothesis", bits)
+    check_int("n", n)
     if not 0 <= bits < 1 << n:
         raise ValueError(f"hypothesis {bits} does not fit a domain of {n} elements")
     top = (1 << n) - 1
@@ -74,7 +81,7 @@ def lift_space(space: HypothesisSpace) -> HypothesisSpace:
     return HypothesisSpace(m, (lift_hypothesis(h, n) for h in space.hypotheses))
 
 
-def _star_blocks(pairs: PairSet, n: int) -> "list[int]":
+def _star_blocks(pairs: PairSet, n: int) -> "tuple[int, ...]":
     """Per pair rank, the ranks choosing it rules out of a min-centred star forest."""
     # Every centre so far is at most a < b, as ranks are lexicographic, so
     # choosing (a, b) makes b a leaf, and no later pair may touch b.
@@ -82,7 +89,14 @@ def _star_blocks(pairs: PairSet, n: int) -> "list[int]":
     for r, (a, b) in enumerate(pairs):
         touching[a] |= 1 << r
         touching[b] |= 1 << r
-    return [touching[b] for _, b in pairs]
+    return tuple(touching[b] for _, b in pairs)
+
+
+@lru_cache(maxsize=32)
+def _layout(n: int) -> "tuple[PairSet, tuple[int, ...]]":
+    """``pair_domain(n)`` and its ``_star_blocks``, built once per n."""
+    pairs = pair_domain(n)
+    return pairs, _star_blocks(pairs, n)
 
 
 def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
@@ -106,11 +120,11 @@ def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
     top = (1 << n) - 1
     rows = {h ^ top if h & 1 else h for h in space.hypotheses}
     cols = _columns(rows, n)
-    pairs = pair_domain(n)
+    pairs, blocks = _layout(n)
     # the column of pair (a, b) flipped: 1 where a and b differ
     pair_cols = [cols[a] ^ cols[b] for a, b in pairs]
     # at most 2^(n-1) rows, so the row bound stops the search at a forest's n - 1 edges
-    witness = tuple(pairs[r] for r in _search(pair_cols, _star_blocks(pairs, n), len(rows)))
+    witness = tuple(pairs[r] for r in _search(pair_cols, blocks, len(rows)))
     # the definition on the base rows: h(a) = h(b) over the witness takes all 2^d patterns
     patterns = set()
     for h in space.hypotheses:

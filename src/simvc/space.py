@@ -56,9 +56,9 @@ class FrozenSlots:
     """A value whose ``__slots__`` fields are set once, by ``__init__``.
 
     The fields, in ``__slots__`` order, are also the constructor's arguments:
-    equality, hashing and the repr go by them, and unpickling (a ratio search
-    worker sends back its spaces) calls the constructor again, so it re-runs
-    the checks there.  Assigning or deleting a field raises ``AttributeError``.
+    equality, hashing and the repr go by them, and unpickling calls the
+    constructor again, so it re-runs the checks there.  Assigning or deleting
+    a field raises ``AttributeError``.
     """
 
     __slots__ = ()

@@ -92,6 +92,20 @@ class TestSauer:
             for d in range(min(n, 5) + 1):
                 assert forest_cap(n, d) == capped_by_shape(n, d), (n, d)
 
+    def test_cache_keeps_the_checks(self):
+        # the cache holds (3, 1) -> 2, and 3.0 or True would hit that key
+        assert forest_cap(3, 1) == forest_cap(3, 1) == 2
+        for n, d in ((3.0, 1), (3, True)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                forest_cap(n, d)
+        # a failed scan is not cached: each call raises the same error
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ValueError) as info:
+                forest_cap(3, 4)
+            messages.append(str(info.value))
+        assert messages == ["forest_cap needs n >= 1 and 0 <= d <= n, got n = 3, d = 4"] * 3
+
     def test_sharper_than_the_linear_bound(self):
         # 2 * floor(4.55 d) + 2 vertices hold a forest of floor(4.55 d) + 1 pairs
         for d in range(101):

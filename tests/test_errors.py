@@ -163,13 +163,20 @@ VALUE_ERRORS = {
                         "forest_cap needs n >= 1 and 0 <= d <= n, got n = 3, d = -1"),
     "forest_cap-n-0": (lambda: forest_cap(0, 0),
                        "forest_cap needs n >= 1 and 0 <= d <= n, got n = 0, d = 0"),
+    # its cache would take 3.0 for the key 3 and return forest_cap(3, 1) = 2
+    "forest_cap-n-3.0": (lambda: forest_cap(3.0, 1), "n must be an integer, got 3.0"),
     "entropy--0.1": (lambda: binary_entropy(-0.1), "entropy argument -0.1 outside [0, 1]"),
     "entropy-1.1": (lambda: binary_entropy(1.1), "entropy argument 1.1 outside [0, 1]"),
     "bracket-d--1": (lambda: theorem_bounds(-1), "d must be non-negative"),
+    # 91 * 1.5 // 20 would give the float bracket (0.5, 6.0)
+    "bracket-d-1.5": (lambda: theorem_bounds(1.5), "d must be an integer, got 1.5"),
     "urner-d-0": (lambda: urner_bound(0), "d must be at least 1"),
     "pairs-n--1": (lambda: pair_domain(-1), "the base domain cannot have -1 elements"),
+    # range(2.0) would raise TypeError
+    "pairs-n-2.0": (lambda: pair_domain(2.0), "n must be an integer, got 2.0"),
     "lift-row-8-on-3": (lambda: lift_hypothesis(8, 3),
                         "hypothesis 8 does not fit a domain of 3 elements"),
+    "lift-row-True": (lambda: lift_hypothesis(True, 2), "hypothesis must be an integer, got True"),
     "lift-space-one-element": (lambda: lift_space(bit_space(1, ["0", "1"])),
                                "cannot lift a space over 1 element(s): the pair domain is empty"
                                " (treat the lifted VC dimension as 0)"),

@@ -219,6 +219,40 @@ class TestRatioSearch:
         expected = "[0, 1, 2, 3, 4, 5, 6]\n(7,)\nno child left\n"
         assert run_python(code, timeout=60) == expected
 
+    def test_unmarshallable_result_is_raised_at_its_place(self):
+        # results cross as marshal data; a Fraction cannot, so its job fails there
+        code = (
+            "import os\n"
+            "from fractions import Fraction\n"
+            "from simvc.experiments import _ordered_map\n"
+            "os.cpu_count = lambda: 2\n"
+            "results = _ordered_map(lambda i: Fraction(i) if i == 7 else i, range(10), 2)\n"
+            "print([next(results) for _ in range(7)])\n"
+            "try:\n"
+            "    next(results)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+        )
+        expected = "[0, 1, 2, 3, 4, 5, 6]\nunmarshallable object\nno child left\n"
+        assert run_python(code, timeout=60) == expected
+
+    def test_successful_map_imports_neither_pickle_nor_signal(self):
+        # only an error is pickled, and only a worker still running is killed
+        code = (
+            "import os, sys\n"
+            "from simvc import FamilySpec, exhaustive_search, run_report\n"
+            "os.cpu_count = lambda: 2\n"
+            "specs = [FamilySpec('exhaustive', 3), FamilySpec('k_sparse', 5, k=2)]\n"
+            "print(run_report(specs, 'csv', os.devnull, jobs=2))\n"
+            "print(exhaustive_search(3, jobs=2).spaces_examined)\n"
+            "print(sorted({'pickle', 'signal'} & set(sys.modules)))\n"
+        )
+        assert run_python(code, timeout=60) == "256\n255\n[]\n"
+
     def test_failed_fork_leaves_no_pipe_or_worker(self):
         # the second fork fails: the first worker is reaped and both pipes are closed,
         # so the next pipe gets the same descriptors as one made before the map

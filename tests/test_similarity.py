@@ -16,7 +16,7 @@ from simvc import (
     random_space,
     vc_exact,
 )
-from simvc.similarity import _star_blocks
+from simvc.similarity import _layout, _star_blocks
 from simvc.space import restrict
 
 from conftest import bit_space, chain_witness, forest_components, spaces
@@ -145,6 +145,16 @@ class TestLiftedVcOracle:
             d_sim, witness = lifted_vc(full_cube(n))
             assert d_sim == n - 1
             assert witness == tuple((0, j) for j in range(1, n))
+
+
+def test_cached_layout_is_the_rebuilt_one():
+    # lifted_vc shares one layout per n between calls, so it must be immutable
+    for n in range(2, 13):
+        pairs, blocks = _layout(n)
+        assert type(pairs) is tuple and type(blocks) is tuple
+        assert all(type(pair) is tuple for pair in pairs)
+        assert (pairs, blocks) == (pair_domain(n), _star_blocks(pair_domain(n), n))
+        assert _layout(n) is _layout(n)
 
 
 def test_star_forests_are_one_per_vertex_partition():

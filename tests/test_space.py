@@ -168,7 +168,7 @@ class TestSerialization:
 def test_canonical_form_is_stable(space):
     rebuilt = bit_space(space.domain_size, reversed(space.bit_strings()))
     assert rebuilt == space and hash(rebuilt) == hash(space)
-    # a ratio search worker sends its spaces back pickled
+    # a pickled space is rebuilt through its checked constructor
     assert pickle.loads(pickle.dumps(space)) == space
     strings = space.bit_strings()
     assert strings == sorted(strings) and len(set(strings)) == len(strings)
