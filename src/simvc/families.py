@@ -238,7 +238,10 @@ def exhaustive_orbits(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
     every hypothesis with a fixed mask; d and d_sim are invariant under
     them.  Each space is the first member of its orbit in
     ``enumerate_spaces(n)`` order, representatives come out in that order,
-    and the orbit sizes sum to 2^(2^n) - 1.  ``n`` is checked at the call.
+    and the orbit sizes sum to 2^(2^n) - 1.  Only the spaces holding at most
+    half the cube are closed into orbits; the others are the complements of
+    those.  ``n`` is checked at the call, and every representative is found
+    before the first is yielded.
     """
     _check_enumeration_n(n)
     return _orbit_representatives(n)
@@ -258,6 +261,7 @@ def _orbit_representatives(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
     count = len(cube)
     half = count // 2
     low_bits = (1 << half) - 1
+    full = (1 << count) - 1
     index = {h: i for i, h in enumerate(cube)}
     top = (1 << n) - 1
     # two maps generate all n! * 2^n symmetries: the n-cycle followed by the
@@ -271,9 +275,21 @@ def _orbit_representatives(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
         (_image_table(targets[:half]), _image_table(targets[half:]))
         for targets in (cycle_flip, swap)
     ]
-    # each space is visited once: a closure marks its orbit, and the next
-    # representative is the next unmarked mask
+    # every symmetry permutes the cube, so complementing a space (m -> full ^ m)
+    # maps each orbit onto one of the same size, and it reverses mask order.
+    # The spaces holding more than half the cube are therefore marked as seen
+    # up front: row ``high`` of the marks is the popcount of each low half,
+    # translated to 1 where it and the weight of ``high`` exceed half the cube.
+    weight = bytes(m.bit_count() for m in range(1 << half))
+    heavy = [bytes(w + v > half for w in range(256)) for v in range(half + 1)]
     seen = bytearray(1 << count)
+    for high in range(1 << half):
+        seen[high << half:(high + 1) << half] = weight.translate(heavy[weight[high]])
+    # each lighter space is visited once: a closure marks its orbit, and the
+    # next representative is the next unmarked mask.  An orbit lighter than
+    # half the cube also stands for its complement, whose first mask is the
+    # complement of the orbit's last; the empty space's complement is the cube.
+    representatives = [(full, 1)]
     mask = seen.find(0, 1)
     while mask != -1:
         seen[mask] = 1
@@ -288,8 +304,13 @@ def _orbit_representatives(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
             if not seen[image]:
                 seen[image] = 1
                 orbit.append(image)
-        yield _masked_space(n, cube, mask), len(orbit)
+        representatives.append((mask, len(orbit)))
+        if mask.bit_count() < half:
+            representatives.append((full ^ max(orbit), len(orbit)))
         mask = seen.find(0, mask + 1)
+    representatives.sort()
+    for mask, size in representatives:
+        yield _masked_space(n, cube, mask), size
 
 
 def spaces_for(spec: FamilySpec) -> Iterator[HypothesisSpace]:

@@ -85,7 +85,12 @@ def orbit_masks(n):
 
 
 def brute_force_orbits(n):
-    """(smallest mask, size) of every orbit of nonempty spaces on [n], as ``orbit_masks``.
+    """(smallest mask, size) of every orbit of nonempty spaces on [n], as ``orbit_masks``."""
+    return [(min(orbit), len(orbit)) for orbit in brute_force_orbit_sets(n)]
+
+
+def brute_force_orbit_sets(n):
+    """Every orbit of nonempty spaces on [n] as a set of masks, by smallest mask.
 
     Each mask is imaged by all n! * 2^n maps, every permutation of the domain
     with every XOR mask, not by a generating set.
@@ -101,9 +106,9 @@ def brute_force_orbits(n):
     for mask in range(1, 1 << len(strings)):
         if mask not in seen:
             members = [i for i in range(len(strings)) if mask >> i & 1]
-            orbit = {sum(1 << table[i] for i in members) for table in tables}
+            orbit = frozenset(sum(1 << table[i] for i in members) for table in tables)
             seen |= orbit
-            orbits.append((mask, len(orbit)))
+            orbits.append(orbit)
     return orbits
 
 
@@ -186,3 +191,22 @@ def test_fast_path_matches_oracle(count, inputs, fast, oracle):
         checked += 1
     # an empty or truncated corpus would otherwise pass with nothing checked
     assert checked == count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exhaustive_orbits_complement_duality(n):
+    """The oracle's orbits, not ``exhaustive_orbits``: complementing every space maps each
+    orbit onto one of the same size, and reverses mask order, so the orbits heavier than
+    half the cube are the complements of the lighter ones, and of the empty space."""
+    full, half = (1 << (1 << n)) - 1, 1 << (n - 1)
+    orbits = brute_force_orbit_sets(n)
+    # the cube's complement is the empty space, which no orbit holds
+    assert {frozenset(full ^ m for m in orbit) for orbit in orbits} == set(orbits) ^ {
+        frozenset([0]), frozenset([full]),
+    }
+    # every mask of an orbit holds as many rows as its smallest
+    weight = [min(orbit).bit_count() for orbit in orbits]
+    assert all(m.bit_count() == w for orbit, w in zip(orbits, weight) for m in orbit)
+    heavier = [(min(orbit), len(orbit)) for orbit, w in zip(orbits, weight) if w > half]
+    lighter = [(full ^ max(orbit), len(orbit)) for orbit, w in zip(orbits, weight) if w < half]
+    assert heavier == sorted([*lighter, (full, 1)])
