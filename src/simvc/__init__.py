@@ -7,7 +7,6 @@ from .experiments import (
     BoundReport,
     exhaustive_search,
     random_search,
-    ratio_search,
     run_report,
     verify_theorem,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "pair_domain",
     "random_search",
     "random_space",
-    "ratio_search",
     "run_report",
     "solve_optimal_delta",
     "space_from_dict",

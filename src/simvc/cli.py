@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .bounds import binary_entropy, forest_cap, solve_optimal_delta
 from .engine import vc_exact, vc_naive
 from .experiments import exhaustive_search, random_search, run_report, verify_theorem
-from .families import FamilySpec, spaces_for
+from .families import FamilySpec, space_at
 from .similarity import lift_space
 from .space import (
     DOMAIN_SIZE_CAP,
@@ -98,7 +98,7 @@ def _build_verify_target(args):
         raise ValueError(f"--family {args.family} requires --n")
     # FamilySpec knows which parameters each family takes
     spec = FamilySpec.from_dict({"family": args.family, "n": args.n, "k": args.k})
-    return spec, next(spaces_for(spec))
+    return spec, space_at(spec, 0)
 
 
 def _cmd_verify(args) -> int:

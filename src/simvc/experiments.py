@@ -8,23 +8,21 @@ rather than asserts, so a hypothetical counterexample is captured instead of
 crashed on.  The exact ``forest_cap(n, d)`` is the one bound it asserts: a
 d_sim above it is a fault of the search, not a finding.
 
-``verify_theorem`` is the only per-space job.  ``ratio_search`` maps it over
-a space stream and keeps the first maximum of the reports' d_sim / d,
-flagging a maximum above 2 (one exists: a space on n = 12 reaches 3); the
-stream's own length is the length of the search.  ``exhaustive_search``
-gives the result ``ratio_search`` would give over ``enumerate_spaces(n)``,
-verifying one space per symmetry orbit (``exhaustive_orbits``) and counting
-every space; ``random_search`` gives its result over
-``random_space_stream``, each space built by the job that verifies it.
-``run_report`` writes the reports themselves: each job builds and verifies
-one space of a spec and renders its CSV row or JSONL line, so a worker
-sends back a finished line and the main process only writes the lines in
-stream order.
-All four share one ordered map: the built-in ``map`` at one job, otherwise
-at most one forked worker per CPU, each of which replays the item stream
-and runs the job on every J-th item.  Nothing is sent to a worker, results
-come back in stream order, and the outcome does not depend on the worker
-count.
+``verify_theorem`` is the only per-space job.  The searches keep the first
+maximum of its reports' d_sim / d over a stream of spaces, flagging a
+maximum above 2 (one exists: a space on n = 12 reaches 3).
+``exhaustive_search`` gives that maximum over ``enumerate_spaces(n)``,
+verifying one space per symmetry orbit and counting every space;
+``random_search`` gives it over a seeded stream of random spaces.
+``run_report`` writes the reports themselves, rendering each as its CSV
+row or JSONL line.  Every job names its space as ``(spec, i)``, space i of
+a ``FamilySpec``, and builds it with ``space_at``, so a search sends back
+(d_sim, d), a report a finished line, and the main process only pairs or
+writes them in stream order.  All three share one ordered map: the
+built-in ``map`` at one job, otherwise at most one forked worker per CPU,
+each of which replays the stream of rows and runs the job on every J-th
+row.  Nothing is sent to a worker, results come back in stream order, and
+the outcome does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -40,9 +38,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 
 from .bounds import forest_cap, theorem_bounds, urner_bound
 from .engine import vc_exact
-from .families import (
-    FamilySpec, exhaustive_orbits, random_space, random_space_seeds, space_at, space_count,
-)
+from .families import FamilySpec, _orbit_masks, random_space_seeds, space_at, space_count
 from .similarity import lifted_vc
 from .space import HypothesisSpace, check_int, space_to_dict
 
@@ -281,82 +277,62 @@ def _work(fn: Callable, stripe: Iterator, out) -> None:
         out.write(data)
 
 
-def _ratio_job(build: Optional[Callable], weighted: tuple) -> "tuple[int, int]":
-    key, _ = weighted
-    report = verify_theorem(key if build is None else build(key))
+def _ratio_job(row: "tuple[FamilySpec, int, int]") -> "tuple[int, int]":
+    spec, i, _ = row
+    report = verify_theorem(space_at(spec, i))
     return report.d_sim, report.d
 
 
-def _max_ratio(
-    weighted: Iterable[tuple], jobs: int, build: Optional[Callable] = None
-) -> RatioSearchResult:
-    """First maximum of the reports' d_sim / d over ``(key, count)`` pairs.
+def _max_ratio(rows: Iterable["tuple[FamilySpec, int, int]"], jobs: int) -> RatioSearchResult:
+    """First maximum of the reports' d_sim / d over ``(spec, i, count)`` rows.
 
-    Each key is a space, or what ``build`` makes one from; the job that
-    verifies the space builds it, and only the argmax is built again here.
-    Each space is verified once; ``count`` is how many spaces it stands for.
-    A job sends back only (d_sim, d), which this process pairs with the
-    ``(key, count)`` it holds, so no space crosses a pipe.  Above one job the
-    pairs are read into a list before any worker starts, so every worker
-    replays the same items whatever the stream reads; at one job they are
-    read as the map needs them.
+    A row names space i of ``spec``, which the job that verifies it builds
+    with ``space_at``; ``count`` is how many spaces it stands for.  A job
+    sends back only (d_sim, d), which this process pairs with the row it
+    holds, so no space crosses a pipe, and only the argmax is built again
+    here.  Every caller builds its rows from data already in memory, so they
+    replay the same in every worker.
     """
-    check_int("jobs", jobs)
-    if jobs > 1:
-        weighted = list(weighted)
-    # at one job the map and this loop read the stream in step, so tee holds one pair
-    items, pairs = tee(weighted)
+    # at one job the map and this loop read the rows in step, so tee holds one row
+    items, rows = tee(rows)
     best: Optional[Fraction] = None
     argmax = None
     examined = 0
-    job = functools.partial(_ratio_job, build)
-    for (d_sim, d), (key, count) in zip(_ordered_map(job, items, jobs), pairs):
+    for (d_sim, d), (spec, i, count) in zip(_ordered_map(_ratio_job, items, jobs), rows):
         examined += count
-        ratio = Fraction(d_sim, d) if d > 0 else None
-        if ratio is not None and (best is None or ratio > best):
-            best = ratio
-            argmax = key
-    if argmax is not None and build is not None:
-        argmax = build(argmax)
+        if d > 0 and (best is None or Fraction(d_sim, d) > best):
+            best = Fraction(d_sim, d)
+            argmax = spec, i
     return RatioSearchResult(
         max_ratio=best,
-        argmax_space=argmax,
+        argmax_space=None if argmax is None else space_at(*argmax),
         spaces_examined=examined,
         conjecture_violated=best is not None and best > 2,
     )
 
 
-def ratio_search(spaces: Iterable[HypothesisSpace], jobs: int = 1) -> RatioSearchResult:
-    """Maximum d_sim / d over the spaces of the stream with d >= 1.
-
-    The argmax is the first space in stream order attaining the maximum;
-    spaces with d = 0 force d_sim = 0 and are excluded from the ratio.  With
-    ``jobs`` above 1 this process reads the whole stream before the workers
-    start, so it holds every space at once; ``random_search`` builds its
-    spaces in the workers instead.
-    """
-    return _max_ratio(((space, 1) for space in spaces), jobs)
-
-
 def random_search(n: int, size: int, samples: int, seed: int, jobs: int = 1) -> RatioSearchResult:
-    """``ratio_search(random_space_stream(n, size, samples, seed), jobs)``.
+    """Maximum d_sim / d over ``samples`` random spaces, seeded by ``random_space_seeds``.
 
-    The stream is one of seeds, and each space is built by the job that
-    verifies it.  The arguments are checked at the call.
+    Space i is ``random_space(n, size, s)`` for the i-th seed s.  The argmax
+    is the first space in stream order attaining the maximum; spaces with
+    d = 0 force d_sim = 0 and are excluded from the ratio.  The arguments are
+    checked at the call.
     """
     seeds = random_space_seeds(n, size, samples, seed)
-    return _max_ratio(((s, 1) for s in seeds), jobs, functools.partial(random_space, n, size))
+    return _max_ratio(((FamilySpec("random", n, size=size, seed=s), 0, 1) for s in seeds), jobs)
 
 
 def exhaustive_search(n: int, jobs: int = 1) -> RatioSearchResult:
-    """``ratio_search`` over every nonempty space on [n], one measurement per orbit.
+    """Maximum d_sim / d over every nonempty space on [n], one measurement per orbit.
 
     Representatives are the smallest members of their orbits and come in
-    ``enumerate_spaces`` order, so the argmax is the same first space the
-    full stream would give; ``spaces_examined`` counts every space.
+    ``enumerate_spaces`` order, so the argmax is the first space of that
+    order attaining the maximum; ``spaces_examined`` counts every space.
     """
-    result = _max_ratio(exhaustive_orbits(n), jobs)
-    if result.spaces_examined != (1 << (1 << n)) - 1:
+    spec = FamilySpec("exhaustive", n)
+    result = _max_ratio(((spec, mask - 1, size) for mask, size in _orbit_masks(n)), jobs)
+    if result.spaces_examined != space_count(spec):
         raise AssertionError(f"orbit sizes on n = {n} sum to {result.spaces_examined}")
     return result
 

@@ -185,19 +185,11 @@ def random_space(n: int, size: int, seed: int) -> HypothesisSpace:
     return HypothesisSpace(n, chosen)
 
 
-def random_space_stream(n: int, size: int, samples: int, seed: int) -> Iterator[HypothesisSpace]:
-    """``samples`` random spaces; the i-th uses the i-th SplitMix64 output of ``seed``.
-
-    The arguments are checked at the call.
-    """
-    return (random_space(n, size, s) for s in random_space_seeds(n, size, samples, seed))
-
-
 def random_space_seeds(n: int, size: int, samples: int, seed: int) -> Iterator[int]:
-    """The seeds of ``random_space_stream(n, size, samples, seed)``, in order.
+    """The first ``samples`` SplitMix64 outputs of ``seed``: one seed per space of a stream.
 
-    ``random_space(n, size, s)`` for each seed s is that stream, so a space
-    can be built apart from the others.  The arguments are checked at the call.
+    Space i of the stream is ``random_space(n, size, s)`` for its i-th seed s,
+    built apart from the others.  The arguments are checked at the call.
     """
     _check_n(n)
     _check_size(n, size)
@@ -238,13 +230,11 @@ def exhaustive_orbits(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
     every hypothesis with a fixed mask; d and d_sim are invariant under
     them.  Each space is the first member of its orbit in
     ``enumerate_spaces(n)`` order, representatives come out in that order,
-    and the orbit sizes sum to 2^(2^n) - 1.  Only the spaces holding at most
-    half the cube are closed into orbits; the others are the complements of
-    those.  ``n`` is checked at the call, and every representative is found
-    before the first is yielded.
+    and the orbit sizes sum to 2^(2^n) - 1.  ``n`` is checked, and every
+    representative found, at the call.
     """
     _check_enumeration_n(n)
-    return _orbit_representatives(n)
+    return ((_masked_space(n, _cube(n), mask), size) for mask, size in _orbit_masks(n))
 
 
 def _image_table(targets: "list[int]") -> "list[int]":
@@ -256,7 +246,14 @@ def _image_table(targets: "list[int]") -> "list[int]":
     return table
 
 
-def _orbit_representatives(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
+def _orbit_masks(n: int) -> "list[tuple[int, int]]":
+    """``(mask, orbit_size)`` of each representative of ``exhaustive_orbits(n)``, in order.
+
+    The mask selects cube rows as in ``enumerate_spaces``, so the space is
+    ``space_at(FamilySpec("exhaustive", n), mask - 1)``.  Only the spaces
+    holding at most half the cube are closed into orbits; the others are the
+    complements of those.  ``n`` is not checked.
+    """
     cube = _cube(n)
     count = len(cube)
     half = count // 2
@@ -309,13 +306,7 @@ def _orbit_representatives(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
             representatives.append((full ^ max(orbit), len(orbit)))
         mask = seen.find(0, mask + 1)
     representatives.sort()
-    for mask, size in representatives:
-        yield _masked_space(n, cube, mask), size
-
-
-def spaces_for(spec: FamilySpec) -> Iterator[HypothesisSpace]:
-    """Expand a family spec into its space(s): ``space_at(spec, i)`` for each i."""
-    return (space_at(spec, i) for i in range(space_count(spec)))
+    return representatives
 
 
 def space_count(spec: FamilySpec) -> int:

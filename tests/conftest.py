@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from hypothesis import strategies as st
 
-from simvc import HypothesisSpace, space_from_dict
+from simvc import HypothesisSpace, random_space, space_from_dict, verify_theorem
 from simvc.bounds import binary_entropy
+from simvc.experiments import RatioSearchResult
 from simvc.families import splitmix64_stream
 
 
@@ -31,6 +33,28 @@ def stream_params(count, seed, max_n, max_size):
 def bound_stream_params(count):
     """The bound stream's first ``count`` triples: n = 2..8, size <= 48, as random_report's."""
     return stream_params(count, BOUNDS_STREAM_SEED, 8, 48)
+
+
+def random_space_stream(n, size, samples, seed):
+    """The reference random stream: ``samples`` spaces, the i-th seeded by the i-th
+    SplitMix64 output of ``seed``."""
+    return (random_space(n, size, s) for s in islice(splitmix64_stream(seed), samples))
+
+
+def ratio_search(spaces):
+    """The searches' serial reference: the first maximum of d_sim / d over ``spaces``.
+
+    A plain loop over ``verify_theorem``, sharing no map or argmax code with
+    ``simvc.experiments``; spaces with d = 0 are left out of the ratio, and
+    every space is counted.
+    """
+    best, argmax, examined = None, None, 0
+    for space in spaces:
+        examined += 1
+        ratio = verify_theorem(space).ratio
+        if ratio is not None and (best is None or ratio > best):
+            best, argmax = ratio, space
+    return RatioSearchResult(best, argmax, examined, best is not None and best > 2)
 
 
 def bit_space(n, rows):

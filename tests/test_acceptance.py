@@ -24,7 +24,6 @@ from simvc import (
     lift_space,
     pair_domain,
     random_space,
-    ratio_search,
     run_report,
     solve_optimal_delta,
     space_to_dict,
@@ -36,7 +35,8 @@ from simvc.bounds import binary_entropy
 from simvc.families import splitmix64_stream
 
 from conftest import (
-    bound_stream_params, chain_witness, entropy_sum, forest_components, stream_params,
+    bound_stream_params, chain_witness, entropy_sum, forest_components, ratio_search,
+    stream_params,
 )
 
 JOBS = 4

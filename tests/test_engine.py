@@ -90,7 +90,7 @@ class TestWitnessRecheck:
             ("simvc.similarity._search = lambda *args: (0, 1, 2)", "lifted_vc(full_cube(3))"),
             # one orbit of one space, where n = 2 has 15 spaces
             (
-                "simvc.experiments.exhaustive_orbits = lambda n: [(full_cube(n), 1)]",
+                "simvc.experiments._orbit_masks = lambda n: [(1, 1)]",
                 "exhaustive_search(2)",
             ),
             # d = 1 on n = 3 caps d_sim at forest_cap(3, 1) = 2

@@ -16,7 +16,7 @@ from simvc import (
     pair_domain, random_space, run_report, space_from_dict, theorem_bounds, vc_naive,
 )
 from simvc.bounds import binary_entropy, urner_bound
-from simvc.families import random_space_stream
+from simvc.families import random_space_seeds
 from simvc.space import restrict
 
 from conftest import bit_space
@@ -87,16 +87,16 @@ VALUE_ERRORS = {
     "random-seed--1": (lambda: random_space(3, 2, -1), "seed must be in 0..2^64-1, got -1"),
     "random-seed-2^64": (lambda: random_space(3, 2, 2**64),
                          f"seed must be in 0..2^64-1, got {2**64}"),
-    "stream-seed--1": (lambda: random_space_stream(3, 2, 1, -1),
+    "stream-seed--1": (lambda: random_space_seeds(3, 2, 1, -1),
                        "seed must be in 0..2^64-1, got -1"),
-    "stream-seed-2^64": (lambda: random_space_stream(3, 2, 1, 2**64),
+    "stream-seed-2^64": (lambda: random_space_seeds(3, 2, 1, 2**64),
                          f"seed must be in 0..2^64-1, got {2**64}"),
-    "stream-samples-0": (lambda: random_space_stream(3, 2, 0, 1),
+    "stream-samples-0": (lambda: random_space_seeds(3, 2, 0, 1),
                          "samples must be at least 1, got 0"),
     # islice would refuse 2.5 too, but with its own message
-    "stream-samples-2.5": (lambda: random_space_stream(3, 2, 2.5, 1),
+    "stream-samples-2.5": (lambda: random_space_seeds(3, 2, 2.5, 1),
                            "samples must be an integer, got 2.5"),
-    "stream-size-9": (lambda: random_space_stream(3, 9, 5, 1), "size must be in 1..2^3, got 9"),
+    "stream-size-9": (lambda: random_space_seeds(3, 9, 5, 1), "size must be in 1..2^3, got 9"),
     "enumerate-n-0": (lambda: enumerate_spaces(0), "n must be in 1..4, got 0"),
     "enumerate-n-5": (lambda: enumerate_spaces(5), "n must be in 1..4, got 5"),
     "orbits-n-0": (lambda: exhaustive_orbits(0), "n must be in 1..4, got 0"),

@@ -10,20 +10,20 @@ from simvc import (
     CSV_COLUMNS,
     FamilySpec,
     enumerate_spaces,
+    exhaustive_search,
     forest_cap,
     full_cube,
     k_sparse,
     random_search,
-    ratio_search,
     run_report,
     vc_naive,
     verify_theorem,
 )
 from simvc.experiments import _ordered_map
-from simvc.families import random_space_stream
 
 from conftest import (
-    FIVE_HALVES_SPACE, RATIO_THREE_SPACE, bit_space, forest_components, run_python,
+    FIVE_HALVES_SPACE, RATIO_THREE_SPACE, bit_space, forest_components, random_space_stream,
+    ratio_search, run_python,
 )
 
 
@@ -109,10 +109,11 @@ class TestRatioSearch:
     def test_exhaustive_n2(self):
         # by hand: no pair of pair-columns exists over n=2, so d_sim <= 1;
         # {00, 01} attains d = 1, d_sim = 1
-        result = ratio_search(enumerate_spaces(2))
+        result = exhaustive_search(2)
         assert result.max_ratio == Fraction(1)
         assert result.spaces_examined == 15
         assert not result.conjecture_violated
+        assert result == ratio_search(enumerate_spaces(2))
 
     def test_full_cube_stream(self):
         result = ratio_search(full_cube(n) for n in range(2, 6))
@@ -125,43 +126,29 @@ class TestRatioSearch:
         assert result.max_ratio == Fraction(2)
         assert result.argmax_space == k_sparse(5, 2)
 
-    def test_ratio_above_two_is_flagged(self):
+    def test_ratio_above_two_is_flagged(self, monkeypatch):
         result = ratio_search([FIVE_HALVES_SPACE])
         assert result.max_ratio == Fraction(5, 2)
         assert result.argmax_space == FIVE_HALVES_SPACE
         assert result.conjecture_violated is True
+        # no seed is known to draw a ratio above 2, so every row builds the five-halves space
+        monkeypatch.setattr("simvc.experiments.space_at", lambda spec, i: FIVE_HALVES_SPACE)
+        assert random_search(8, 32, 3, 0) == result._replace(spaces_examined=3)
 
     def test_jobs_do_not_change_result(self):
-        stream = lambda: random_space_stream(5, 8, 40, 31337)
-        serial = ratio_search(stream())
-        parallel = ratio_search(stream(), jobs=4)
-        assert serial == parallel
-        # worker 1's results are read between worker 0's; the argmax must still be the first
-        serial = ratio_search(enumerate_spaces(3))
-        parallel = ratio_search(enumerate_spaces(3), jobs=2)
-        assert serial == parallel
-        assert serial.argmax_space is not None
+        # worker 1's results are read between worker 0's; the argmax must still be the first,
+        # and on n = 2 several orbits reach the maximum
+        for n in (2, 3):
+            serial = ratio_search(enumerate_spaces(n))
+            assert serial.argmax_space is not None
+            for jobs in (1, 2, 4):
+                assert exhaustive_search(n, jobs=jobs) == serial
 
     def test_random_search_is_ratio_search_over_the_stream(self):
         serial = ratio_search(random_space_stream(5, 8, 40, 31337))
-        for jobs in (1, 2):
+        assert serial.argmax_space is not None
+        for jobs in (1, 2, 4):
             assert random_search(5, 8, 40, 31337, jobs=jobs) == serial
-
-    def test_stream_that_does_not_replay(self):
-        # spaces parsed from an open file: workers that each read the file would share
-        # its offset and split the lines between them; the timeout fails the test on a hang
-        code = (
-            "import json, os, tempfile\n"
-            "from simvc import enumerate_spaces, ratio_search, space_from_dict, space_to_dict\n"
-            "os.cpu_count = lambda: 2\n"
-            "with tempfile.TemporaryFile('w+') as f:\n"
-            "    for space in enumerate_spaces(3):\n"
-            "        f.write(json.dumps(space_to_dict(space)) + '\\n')\n"
-            "    f.seek(0)\n"
-            "    result = ratio_search((space_from_dict(json.loads(line)) for line in f), 2)\n"
-            "print(result == ratio_search(enumerate_spaces(3)), result.spaces_examined)\n"
-        )
-        assert run_python(code, timeout=60) == "True 255\n"
 
     def test_pool_has_at_most_one_worker_per_cpu(self):
         # real forks, counted; a fork past the second fails the test instead of running away
@@ -326,7 +313,7 @@ class TestRatioSearch:
         assert run_python(code, timeout=60) == "[0, -1, -2, -3, -4]\nno child left\n"
 
     def test_result_dict_shape(self):
-        doc = ratio_search(enumerate_spaces(2)).to_dict()
+        doc = exhaustive_search(2).to_dict()
         assert set(doc) == {
             "max_ratio",
             "argmax_space",

@@ -15,9 +15,9 @@ from simvc import (
     random_space,
     vc_exact,
 )
-from simvc.families import (
-    random_space_seeds, random_space_stream, space_at, space_count, spaces_for, splitmix64_stream,
-)
+from simvc.families import random_space_seeds, space_at, space_count, splitmix64_stream
+
+from conftest import random_space_stream
 
 
 class TestKSparse:
@@ -138,21 +138,21 @@ class TestFamilySpec:
         doc = {"family": "random", "n": 4, "size": 3, "seed": 2**64 - 1}
         assert FamilySpec.from_dict(doc).seed == 2**64 - 1
 
-    def test_spaces_for(self):
-        assert list(spaces_for(FamilySpec("k_sparse", 3, k=1))) == [k_sparse(3, 1)]
-        assert list(spaces_for(FamilySpec("full_cube", 2))) == [full_cube(2)]
-        assert len(list(spaces_for(FamilySpec("exhaustive", 2)))) == 15
-        assert list(spaces_for(FamilySpec("random", 4, size=5, seed=8))) == [
-            random_space(4, 5, 8)
-        ]
-
     def test_exhaustive_space_i_is_enumeration_space_i(self):
         for n in (1, 2, 3):
             spec = FamilySpec("exhaustive", n)
             spaces = [space_at(spec, i) for i in range(space_count(spec))]
-            assert spaces == list(spaces_for(spec)) == list(enumerate_spaces(n))
+            assert spaces == list(enumerate_spaces(n))
+        assert space_count(FamilySpec("exhaustive", 2)) == 15
         assert space_count(FamilySpec("exhaustive", 4)) == 65535
-        assert space_count(FamilySpec("full_cube", 4)) == 1
+        # every other kind names one space, its generator's
+        for spec, space in (
+            (FamilySpec("k_sparse", 3, k=1), k_sparse(3, 1)),
+            (FamilySpec("full_cube", 2), full_cube(2)),
+            (FamilySpec("random", 4, size=5, seed=8), random_space(4, 5, 8)),
+        ):
+            assert space_count(spec) == 1
+            assert space_at(spec, 0) == space
 
 
 def test_boundary_probe_n_equals_2k(capsys):

@@ -16,14 +16,14 @@ from simvc import (
     lifted_vc,
     pair_domain,
     random_space,
-    ratio_search,
     vc_exact,
     vc_naive,
 )
 from simvc.families import splitmix64_stream
 
 from conftest import (
-    FIVE_HALVES_SPACE, RATIO_THREE_SPACE, bit_space, bound_stream_params, stream_params,
+    FIVE_HALVES_SPACE, RATIO_THREE_SPACE, bit_space, bound_stream_params, ratio_search,
+    stream_params,
 )
 
 
@@ -124,11 +124,13 @@ def reference_lift(bits_n):
 # vc_naive tries every subset, so it reaches n <= 20 on a base space
 # (ORACLE_DOMAIN_CAP) and n <= 6 on a lift (C(6, 2) = 15 pair columns);
 # brute_force_orbits images every mask by all n! * 2^n maps, n <= 4; and
-# reference_lift evaluates the definition at any n, here n <= 8.  The other
-# oracles -- vc_exact on the lifted space, the ordered n*n lift, and
-# ratio_search over every space -- run the same search, so they check what
-# the fast path adds around it (pair ranks, star-forest blocks, orbits) and
-# cannot catch a fault inside it.
+# reference_lift evaluates the definition at any n, here n <= 8.  Two more
+# oracles -- vc_exact on the lifted space and the ordered n*n lift -- run the
+# same search, so they check what the fast path adds around it (pair ranks,
+# star-forest blocks) and cannot catch a fault inside it.  The searches'
+# reference, conftest.ratio_search over every space, is a serial loop that
+# keeps the first maximum, so it checks the orbits, the ordered map and the
+# argmax, but measures each space with the same verify_theorem.
 
 #: "fast path-oracle-corpus" -> (inputs checked, a callable giving them, fast path, oracle)
 ORACLES = {
