@@ -13,7 +13,6 @@ from .experiments import (
 from .families import (
     FamilySpec,
     enumerate_spaces,
-    exhaustive_orbits,
     full_cube,
     k_sparse,
     random_space,
@@ -43,7 +42,6 @@ __all__ = [
     "HypothesisSpace",
     "LOAD_DOMAIN_SIZE_CAP",
     "enumerate_spaces",
-    "exhaustive_orbits",
     "exhaustive_search",
     "forest_cap",
     "full_cube",

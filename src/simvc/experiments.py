@@ -17,12 +17,13 @@ verifying one space per symmetry orbit and counting every space;
 ``run_report`` writes the reports themselves, rendering each as its CSV
 row or JSONL line.  Every job names its space as ``(spec, i)``, space i of
 a ``FamilySpec``, and builds it with ``space_at``, so a search sends back
-(d_sim, d), a report a finished line, and the main process only pairs or
-writes them in stream order.  All three share one ordered map: the
-built-in ``map`` at one job, otherwise at most one forked worker per CPU,
-each of which replays the stream of rows and runs the job on every J-th
-row.  Nothing is sent to a worker, results come back in stream order, and
-the outcome does not depend on the worker count.
+(d_sim, d) and the count of spaces its row stands for, a report a finished
+line, and the main process only folds or writes them in stream order.  All
+three share one ordered map: the built-in ``map`` at one job, otherwise at
+most one forked worker per CPU, each of which replays the stream of rows
+and runs the job on every J-th row.  Nothing is sent to a worker, results
+come back in stream order, and the outcome does not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import marshal
 import os
 import time
 from fractions import Fraction
-from itertools import cycle, islice, tee
+from itertools import cycle, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .bounds import forest_cap, theorem_bounds, urner_bound
@@ -277,35 +278,40 @@ def _work(fn: Callable, stripe: Iterator, out) -> None:
         out.write(data)
 
 
-def _ratio_job(row: "tuple[FamilySpec, int, int]") -> "tuple[int, int]":
-    spec, i, _ = row
+def _ratio_job(row: "tuple[FamilySpec, int, int]") -> "tuple[int, int, int]":
+    spec, i, count = row
     report = verify_theorem(space_at(spec, i))
-    return report.d_sim, report.d
+    return report.d_sim, report.d, count
 
 
-def _max_ratio(rows: Iterable["tuple[FamilySpec, int, int]"], jobs: int) -> RatioSearchResult:
-    """First maximum of the reports' d_sim / d over ``(spec, i, count)`` rows.
+def _max_ratio(
+    rows: Callable[[], Iterable["tuple[FamilySpec, int, int]"]], jobs: int
+) -> RatioSearchResult:
+    """First maximum of the reports' d_sim / d over the ``(spec, i, count)`` rows of ``rows()``.
 
     A row names space i of ``spec``, which the job that verifies it builds
     with ``space_at``; ``count`` is how many spaces it stands for.  A job
-    sends back only (d_sim, d), which this process pairs with the row it
-    holds, so no space crosses a pipe, and only the argmax is built again
-    here.  Every caller builds its rows from data already in memory, so they
-    replay the same in every worker.
+    sends back only (d_sim, d, count), so no space crosses a pipe and this
+    process keeps no row past its job, at any length and worker count.
+    ``rows`` is called again only to find the argmax's row, whose space is
+    built again here.  Every caller builds its rows from data already in
+    memory, so both calls, and every worker, see the same rows.
     """
-    # at one job the map and this loop read the rows in step, so tee holds one row
-    items, rows = tee(rows)
     best: Optional[Fraction] = None
     argmax = None
     examined = 0
-    for (d_sim, d), (spec, i, count) in zip(_ordered_map(_ratio_job, items, jobs), rows):
+    for index, (d_sim, d, count) in enumerate(_ordered_map(_ratio_job, rows(), jobs)):
         examined += count
         if d > 0 and (best is None or Fraction(d_sim, d) > best):
             best = Fraction(d_sim, d)
-            argmax = spec, i
+            argmax = index
+    argmax_space = None
+    if argmax is not None:
+        spec, i, _ = next(islice(rows(), argmax, None))
+        argmax_space = space_at(spec, i)
     return RatioSearchResult(
         max_ratio=best,
-        argmax_space=None if argmax is None else space_at(*argmax),
+        argmax_space=argmax_space,
         spaces_examined=examined,
         conjecture_violated=best is not None and best > 2,
     )
@@ -319,8 +325,13 @@ def random_search(n: int, size: int, samples: int, seed: int, jobs: int = 1) -> 
     d = 0 force d_sim = 0 and are excluded from the ratio.  The arguments are
     checked at the call.
     """
-    seeds = random_space_seeds(n, size, samples, seed)
-    return _max_ratio(((FamilySpec("random", n, size=size, seed=s), 0, 1) for s in seeds), jobs)
+    return _max_ratio(
+        lambda: (
+            (FamilySpec("random", n, size=size, seed=s), 0, 1)
+            for s in random_space_seeds(n, size, samples, seed)
+        ),
+        jobs,
+    )
 
 
 def exhaustive_search(n: int, jobs: int = 1) -> RatioSearchResult:
@@ -331,7 +342,8 @@ def exhaustive_search(n: int, jobs: int = 1) -> RatioSearchResult:
     order attaining the maximum; ``spaces_examined`` counts every space.
     """
     spec = FamilySpec("exhaustive", n)
-    result = _max_ratio(((spec, mask - 1, size) for mask, size in _orbit_masks(n)), jobs)
+    masks = _orbit_masks(n)
+    result = _max_ratio(lambda: ((spec, mask - 1, size) for mask, size in masks), jobs)
     if result.spaces_examined != space_count(spec):
         raise AssertionError(f"orbit sizes on n = {n} sum to {result.spaces_examined}")
     return result

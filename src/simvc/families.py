@@ -223,20 +223,6 @@ def _masked_space(n: int, cube: "tuple[int, ...]", mask: int) -> HypothesisSpace
     return HypothesisSpace(n, (h for i, h in enumerate(cube) if (mask >> i) & 1))
 
 
-def exhaustive_orbits(n: int) -> Iterator["tuple[HypothesisSpace, int]"]:
-    """One ``(space, orbit_size)`` per orbit of the domain symmetries on spaces over [n].
-
-    The symmetries are the n! * 2^n maps that permute the domain and XOR
-    every hypothesis with a fixed mask; d and d_sim are invariant under
-    them.  Each space is the first member of its orbit in
-    ``enumerate_spaces(n)`` order, representatives come out in that order,
-    and the orbit sizes sum to 2^(2^n) - 1.  ``n`` is checked, and every
-    representative found, at the call.
-    """
-    _check_enumeration_n(n)
-    return ((_masked_space(n, _cube(n), mask), size) for mask, size in _orbit_masks(n))
-
-
 def _image_table(targets: "list[int]") -> "list[int]":
     """Entry m is the mask whose bits are ``targets[i]`` for each bit i of m."""
     table = [0] * (1 << len(targets))
@@ -247,10 +233,14 @@ def _image_table(targets: "list[int]") -> "list[int]":
 
 
 def _orbit_masks(n: int) -> "list[tuple[int, int]]":
-    """``(mask, orbit_size)`` of each representative of ``exhaustive_orbits(n)``, in order.
+    """``(mask, orbit_size)`` of one space per orbit of the domain symmetries on spaces over [n].
 
-    The mask selects cube rows as in ``enumerate_spaces``, so the space is
-    ``space_at(FamilySpec("exhaustive", n), mask - 1)``.  Only the spaces
+    The symmetries are the n! * 2^n maps that permute the domain and XOR
+    every hypothesis with a fixed mask; d and d_sim are invariant under
+    them.  The mask selects cube rows as in ``enumerate_spaces``, so the
+    space is ``space_at(FamilySpec("exhaustive", n), mask - 1)``.  Each is
+    the first member of its orbit in that order, representatives come in
+    that order, and the orbit sizes sum to 2^(2^n) - 1.  Only the spaces
     holding at most half the cube are closed into orbits; the others are the
     complements of those.  ``n`` is not checked.
     """

@@ -11,7 +11,7 @@ import pytest
 
 import simvc
 from simvc import (
-    FamilySpec, HypothesisSpace, enumerate_spaces, exhaustive_orbits,
+    FamilySpec, HypothesisSpace, enumerate_spaces,
     exhaustive_search, forest_cap, full_cube, is_shattered, k_sparse, lift_hypothesis, lift_space,
     pair_domain, random_space, run_report, space_from_dict, theorem_bounds, vc_naive,
 )
@@ -99,8 +99,6 @@ VALUE_ERRORS = {
     "stream-size-9": (lambda: random_space_seeds(3, 9, 5, 1), "size must be in 1..2^3, got 9"),
     "enumerate-n-0": (lambda: enumerate_spaces(0), "n must be in 1..4, got 0"),
     "enumerate-n-5": (lambda: enumerate_spaces(5), "n must be in 1..4, got 5"),
-    "orbits-n-0": (lambda: exhaustive_orbits(0), "n must be in 1..4, got 0"),
-    "orbits-n-5": (lambda: exhaustive_orbits(5), "n must be in 1..4, got 5"),
     # a spec runs the generators' checks, so it fails before any space is built
     "spec-unknown-family": (lambda: FamilySpec("nope", 3), "unknown family 'nope'"),
     "spec-k_sparse-without-k": (lambda: FamilySpec("k_sparse", 5), "k_sparse requires k"),

@@ -19,7 +19,7 @@ from simvc import (
     vc_naive,
     verify_theorem,
 )
-from simvc.experiments import _ordered_map
+from simvc.experiments import _max_ratio, _ordered_map
 
 from conftest import (
     FIVE_HALVES_SPACE, RATIO_THREE_SPACE, bit_space, forest_components, random_space_stream,
@@ -149,6 +149,29 @@ class TestRatioSearch:
         assert serial.argmax_space is not None
         for jobs in (1, 2, 4):
             assert random_search(5, 8, 40, 31337, jobs=jobs) == serial
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_live_rows_stay_bounded(self, jobs):
+        """This process holds a bounded number of rows however long the search is, also when
+        only the workers run the jobs; rows that count themselves show the peak."""
+        if jobs > 1 and (os.cpu_count() or 1) < 2:
+            pytest.skip("the striped map runs only on two or more CPUs")
+
+        class Row(tuple):
+            live = peak = 0
+
+            def __new__(cls, *fields):
+                cls.live += 1
+                cls.peak = max(cls.peak, cls.live)
+                return super().__new__(cls, fields)
+
+            def __del__(self):
+                type(self).live -= 1
+
+        spec = FamilySpec("full_cube", 1)
+        result = _max_ratio(lambda: (Row(spec, 0, 1) for _ in range(1000)), jobs)
+        assert result.spaces_examined == 1000
+        assert Row.peak <= 4
 
     def test_pool_has_at_most_one_worker_per_cpu(self):
         # real forks, counted; a fork past the second fails the test instead of running away

@@ -6,9 +6,9 @@ from itertools import chain, permutations, product
 import pytest
 
 from simvc import (
+    FamilySpec,
     HypothesisSpace,
     enumerate_spaces,
-    exhaustive_orbits,
     exhaustive_search,
     full_cube,
     lift_hypothesis,
@@ -19,7 +19,7 @@ from simvc import (
     vc_exact,
     vc_naive,
 )
-from simvc.families import splitmix64_stream
+from simvc.families import _orbit_masks, space_at, splitmix64_stream
 
 from conftest import (
     FIVE_HALVES_SPACE, RATIO_THREE_SPACE, bit_space, bound_stream_params, ratio_search,
@@ -76,11 +76,12 @@ def naive_max_ratio(n):
 
 
 def orbit_masks(n):
-    """``exhaustive_orbits(n)`` as (mask, orbit size); mask bit i is the i-th bit string in
-    lexicographic order, the order of ``enumerate_spaces``."""
+    """``_orbit_masks(n)`` with each mask read back from the space ``space_at`` builds for it;
+    mask bit i is the i-th bit string in lexicographic order, the order of ``enumerate_spaces``."""
+    spec = FamilySpec("exhaustive", n)
     return [
-        (sum(1 << int(text, 2) for text in space.bit_strings()), size)
-        for space, size in exhaustive_orbits(n)
+        (sum(1 << int(text, 2) for text in space_at(spec, mask - 1).bit_strings()), size)
+        for mask, size in _orbit_masks(n)
     ]
 
 
@@ -197,7 +198,7 @@ def test_fast_path_matches_oracle(count, inputs, fast, oracle):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_exhaustive_orbits_complement_duality(n):
-    """The oracle's orbits, not ``exhaustive_orbits``: complementing every space maps each
+    """The oracle's orbits, not ``_orbit_masks``: complementing every space maps each
     orbit onto one of the same size, and reverses mask order, so the orbits heavier than
     half the cube are the complements of the lighter ones, and of the empty space."""
     full, half = (1 << (1 << n)) - 1, 1 << (n - 1)
