@@ -308,7 +308,10 @@ def space_at(spec: FamilySpec, i: int) -> HypothesisSpace:
     """Space i of ``spec``, for i in ``range(space_count(spec))``, built alone.
 
     Space i of an exhaustive spec is space i of ``enumerate_spaces(spec.n)``.
+    Any other i is an input error, not an alias of a space in range.
     """
+    last = space_count(spec) - 1
+    _check_range("i", i, 0, last, f"0..{last}")
     if spec.kind == "k_sparse":
         return k_sparse(spec.n, spec.k)
     if spec.kind == "full_cube":

@@ -19,10 +19,12 @@ ORBITS = "tests/test_oracles.py tests/test_families.py::TestExhaustiveOrbits" \
 #: name: (file under src/simvc, old, new, pytest selections)
 MUTANTS = {
     # a row floor one power of two too high makes the search miss maximum sets: the vc_naive
-    # rows, the extremal row alone (its one-row witness pattern) and criterion 5 must each fail
+    # rows, the extremal row alone (its one-row witness pattern), criterion 5 and the partition
+    # rows on lifts up to n = 9 must each fail; the lifted_vc-exact rows run the same search
     "floor": ("engine.py", "floor = 1 << (need - 1)", "floor = 1 << need", ["tests/test_oracles.py",
         "'tests/test_oracles.py::test_fast_path_matches_oracle[vc_exact-naive-extremal]'",
-        "tests/test_acceptance.py::test_criterion_5_oracle_equivalence"]),
+        "tests/test_acceptance.py::test_criterion_5_oracle_equivalence",
+        "tests/test_oracles.py -k partition"]),
     # a complement orbit's first mask is the complement of the orbit's largest, not smallest
     "smallest": ("families.py", "full ^ max(orbit)", "full ^ min(orbit)", [ORBITS]),
     # marking the half-weight masks too drops the 74 orbits that hold exactly half the cube

@@ -168,13 +168,21 @@ class TestCompute:
         assert out == LIFTED_K_SPARSE_5_2_COMPUTE
 
     def test_naive(self, tmp_path, capsys):
-        # each singleton is a maximum; the oracle returns the engine's first one,
-        # so the two documents are the same bytes
+        # each singleton is a maximum, and each pair of the lifted file; the oracle
+        # returns the engine's first one, so the two documents are the same bytes
         path = write_space(tmp_path / "s.json", k_sparse(3, 1))
-        code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--naive")
-        assert code == 0
-        assert json.loads(out) == {"d": 1, "witness": {"subset": [0], "patterns": ["0", "1"]}}
-        assert out == run_cli(capsys, "compute", "--input", str(path))[1]
+        lifted = tmp_path / "lifted.json"
+        assert run_cli(capsys, "lift", "--input", str(path), "--output", str(lifted))[0] == 0
+        docs = []
+        for src in (path, lifted):
+            code, out, _ = run_cli(capsys, "compute", "--input", str(src), "--naive")
+            assert code == 0
+            assert out == run_cli(capsys, "compute", "--input", str(src))[1]
+            docs.append(json.loads(out))
+        assert docs == [
+            {"d": 1, "witness": {"subset": [0], "patterns": ["0", "1"]}},
+            {"d": 2, "witness": {"subset": [0, 1], "patterns": ["00", "01", "10", "11"]}},
+        ]
 
 
 class TestLift:
@@ -453,6 +461,11 @@ INPUT_ERRORS = {
         {"spec.json": [{"family": "cube", "n": 2}, {"family": "cube", "n": 99}]},
         f"{REPORT} --jobs 2", "spec entry 2: n must be in 1..24, got 99",
     ),
+    # int("0_1", 2) parses; the reader's 0/1 check rejects the row
+    "lift-bit-underscore": (
+        {"s.json": {"domain_size": 3, "hypotheses": ["0_1"]}},
+        "lift --input s.json --output lifted.json", "invalid bit character '_' in '0_1'",
+    ),
     # the cap is checked once, before any row is parsed, so the bad row is never read
     "lift-wide-file": (
         {"wide.json": WIDE}, "lift --input wide.json --output lifted.json",
@@ -554,7 +567,9 @@ def test_module_entry_point(tmp_path):
 def test_import_loads_neither_dataclasses_nor_the_pool(tmp_path):
     # every vc call pays for what ``import simvc.cli`` loads, and report lines
     # are joined without csv; the workers of --jobs are forked without
-    # multiprocessing.  Site hooks may preload modules, so only what simvc adds counts.
+    # multiprocessing and send plain data, so a run without an error imports
+    # neither pickle, which carries only an error, nor signal, which kills only
+    # a worker still running.  Site hooks may preload modules, so only what simvc adds counts.
     spec = tmp_path / "spec.json"
     spec.write_text('[{"family": "exhaustive", "n": 2}]')
     code = (
@@ -576,4 +591,4 @@ def test_import_loads_neither_dataclasses_nor_the_pool(tmp_path):
     assert "simvc.cli" in imported
     assert not imported & {"csv", "dataclasses", "inspect", "multiprocessing"}
     assert json.loads("\n".join(lines[1:-1]))["rows"] == 15
-    assert not after_report & {"csv", "dataclasses", "multiprocessing"}
+    assert not after_report & {"csv", "dataclasses", "multiprocessing", "pickle", "signal"}

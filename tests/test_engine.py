@@ -136,14 +136,16 @@ class TestSearchBound:
     def test_wide_random_spaces_finish(self):
         # values from the search without the counting bound, which took 37 s
         # at (16, 64) and did not finish (24, 64) in 90 s; the two 128-row
-        # cells are from the search that tested the bound only on entry
+        # cells are from the search that tested the bound only on entry; (24, 64)
+        # runs as `vc verify --input` runs it, bracket checks included
         code = (
-            "from simvc import lifted_vc, random_space, vc_exact\n"
+            "from simvc import lifted_vc, random_space, vc_exact, verify_theorem\n"
             "for n, size in ((12, 64), (16, 32), (16, 64), (16, 128), (20, 128)):\n"
             "    space = random_space(n, size, 7)\n"
             "    print(vc_exact(space))\n"
             "    print(lifted_vc(space))\n"
-            "print(lifted_vc(random_space(24, 64, 7))[0])\n"
+            "report = verify_theorem(random_space(24, 64, 7))\n"
+            "print(report.lower_ok and report.upper_ok)\n"
         )
         lines = run_python(code, timeout=60).splitlines()
         assert lines[:-1] == [
@@ -158,4 +160,4 @@ class TestSearchBound:
             repr((6, (2, 5, 9, 11, 13, 18))),
             repr((6, ((0, 1), (0, 2), (0, 3), (0, 9), (4, 12), (13, 18)))),
         ]
-        assert lines[-1].isdigit()
+        assert lines[-1] == "True"

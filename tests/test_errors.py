@@ -16,7 +16,7 @@ from simvc import (
     pair_domain, random_space, run_report, space_from_dict, theorem_bounds, vc_naive,
 )
 from simvc.bounds import binary_entropy, urner_bound
-from simvc.families import random_space_seeds
+from simvc.families import random_space_seeds, space_at
 from simvc.space import restrict
 
 from conftest import bit_space
@@ -97,6 +97,15 @@ VALUE_ERRORS = {
     "stream-samples-2.5": (lambda: random_space_seeds(3, 2, 2.5, 1),
                            "samples must be an integer, got 2.5"),
     "stream-size-9": (lambda: random_space_seeds(3, 9, 5, 1), "size must be in 1..2^3, got 9"),
+    # index 16 on n = 2 would build space 0, -2 the full cube and 15 an empty space
+    "space_at-exhaustive-15-on-2": (lambda: space_at(FamilySpec("exhaustive", 2), 15),
+                                    "i must be in 0..14, got 15"),
+    "space_at-exhaustive--1-on-2": (lambda: space_at(FamilySpec("exhaustive", 2), -1),
+                                    "i must be in 0..14, got -1"),
+    "space_at-full_cube-1": (lambda: space_at(FamilySpec("full_cube", 2), 1),
+                             "i must be in 0..0, got 1"),
+    "space_at-True": (lambda: space_at(FamilySpec("exhaustive", 2), True),
+                      "i must be an integer, got True"),
     "enumerate-n-0": (lambda: enumerate_spaces(0), "n must be in 1..4, got 0"),
     "enumerate-n-5": (lambda: enumerate_spaces(5), "n must be in 1..4, got 5"),
     # a spec runs the generators' checks, so it fails before any space is built

@@ -27,6 +27,24 @@ from conftest import (
 )
 
 
+def run_map(body, timeout):
+    """Stdout of ``body`` in a child Python with ``os`` and ``_ordered_map`` imported and two
+    CPUs, which must leave no child process behind; the check's own line is cut off."""
+    code = (
+        "import os\n"
+        "from simvc.experiments import _ordered_map\n"
+        "os.cpu_count = lambda: 2\n"
+        f"{body}"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no child left')\n"
+    )
+    out = run_python(code, timeout)
+    assert out.endswith("no child left\n"), out
+    return out.removesuffix("no child left\n")
+
+
 class TestVerifyTheorem:
     def test_k_sparse_example(self):
         report = verify_theorem(k_sparse(5, 2))
@@ -176,8 +194,6 @@ class TestRatioSearch:
     def test_pool_has_at_most_one_worker_per_cpu(self):
         # real forks, counted; a fork past the second fails the test instead of running away
         code = (
-            "import os\n"
-            "from simvc.experiments import _ordered_map\n"
             "forks = []\n"
             "real_fork = os.fork\n"
             "def fork():\n"
@@ -186,7 +202,6 @@ class TestRatioSearch:
             "        raise OSError('a third worker was forked')\n"
             "    return real_fork()\n"
             "os.fork = fork\n"
-            "os.cpu_count = lambda: 2\n"
             "pids = list(_ordered_map(lambda _: os.getpid(), range(20), 10**6))\n"
             # worker w runs items w, w + 2, ...
             "print(len(forks), len(set(pids)), os.getpid() in pids, pids == pids[:2] * 10)\n"
@@ -196,15 +211,12 @@ class TestRatioSearch:
             "    print(own == [os.getpid()] * 5)\n"
             "print(len(forks))\n"
         )
-        assert run_python(code, timeout=60) == "2 2 False True\nTrue\nTrue\n2\n"
+        assert run_map(code, timeout=60) == "2 2 False True\nTrue\nTrue\n2\n"
 
     @pytest.mark.parametrize("where", ["job", "stream"])
     def test_error_is_raised_at_its_place(self, where):
         # the results before it come first, in order, as from the built-in map
         code = (
-            "import os\n"
-            "from simvc.experiments import _ordered_map\n"
-            "os.cpu_count = lambda: 2\n"
             f"where = {where!r}\n"
             "def job(i):\n"
             "    if where == 'job' and i == 7:\n"
@@ -221,55 +233,39 @@ class TestRatioSearch:
             "    next(results)\n"
             "except KeyError as exc:\n"
             "    print(exc.args)\n"
-            "try:\n"
-            "    os.waitpid(-1, os.WNOHANG)\n"
-            "except ChildProcessError:\n"
-            "    print('no child left')\n"
         )
-        expected = "[0, 1, 2, 3, 4, 5, 6]\n(7,)\nno child left\n"
-        assert run_python(code, timeout=60) == expected
+        assert run_map(code, timeout=60) == "[0, 1, 2, 3, 4, 5, 6]\n(7,)\n"
 
     def test_unmarshallable_result_is_raised_at_its_place(self):
         # results cross as marshal data; a Fraction cannot, so its job fails there
         code = (
-            "import os\n"
             "from fractions import Fraction\n"
-            "from simvc.experiments import _ordered_map\n"
-            "os.cpu_count = lambda: 2\n"
             "results = _ordered_map(lambda i: Fraction(i) if i == 7 else i, range(10), 2)\n"
             "print([next(results) for _ in range(7)])\n"
             "try:\n"
             "    next(results)\n"
             "except ValueError as exc:\n"
             "    print(exc)\n"
-            "try:\n"
-            "    os.waitpid(-1, os.WNOHANG)\n"
-            "except ChildProcessError:\n"
-            "    print('no child left')\n"
         )
-        expected = "[0, 1, 2, 3, 4, 5, 6]\nunmarshallable object\nno child left\n"
-        assert run_python(code, timeout=60) == expected
+        expected = "[0, 1, 2, 3, 4, 5, 6]\nunmarshallable object\n"
+        assert run_map(code, timeout=60) == expected
 
     def test_successful_map_imports_neither_pickle_nor_signal(self):
         # only an error is pickled, and only a worker still running is killed
         code = (
-            "import os, sys\n"
+            "import sys\n"
             "from simvc import FamilySpec, exhaustive_search, run_report\n"
-            "os.cpu_count = lambda: 2\n"
             "specs = [FamilySpec('exhaustive', 3), FamilySpec('k_sparse', 5, k=2)]\n"
             "print(run_report(specs, 'csv', os.devnull, jobs=2))\n"
             "print(exhaustive_search(3, jobs=2).spaces_examined)\n"
             "print(sorted({'pickle', 'signal'} & set(sys.modules)))\n"
         )
-        assert run_python(code, timeout=60) == "256\n255\n[]\n"
+        assert run_map(code, timeout=60) == "256\n255\n[]\n"
 
     def test_failed_fork_leaves_no_pipe_or_worker(self):
         # the second fork fails: the first worker is reaped and both pipes are closed,
         # so the next pipe gets the same descriptors as one made before the map
         code = (
-            "import os\n"
-            "from simvc.experiments import _ordered_map\n"
-            "os.cpu_count = lambda: 2\n"
             "forks = []\n"
             "real_fork = os.fork\n"
             "def fork():\n"
@@ -286,20 +282,14 @@ class TestRatioSearch:
             "except OSError as exc:\n"
             "    print(exc)\n"
             "print(os.pipe() == before)\n"
-            "try:\n"
-            "    os.waitpid(-1, os.WNOHANG)\n"
-            "except ChildProcessError:\n"
-            "    print('no child left')\n"
         )
-        assert run_python(code, timeout=60) == "no second worker\nTrue\nno child left\n"
+        assert run_map(code, timeout=60) == "no second worker\nTrue\n"
 
     def test_dead_worker_fails_the_map(self):
         # a worker killed mid-stream (the OOM killer, say) must not hang the map,
         # and no worker may outlive it; the timeout fails the test on a hang
         code = (
-            "import os, re, signal\n"
-            "from simvc.experiments import _ordered_map\n"
-            "os.cpu_count = lambda: 2\n"
+            "import re, signal\n"
             "def job(i):\n"
             "    if i == 300:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
@@ -308,32 +298,21 @@ class TestRatioSearch:
             "    list(_ordered_map(job, range(1000), 2))\n"
             "except RuntimeError as exc:\n"
             "    print(re.sub(r'\\d+', 'N', str(exc)))\n"
-            "try:\n"
-            "    os.waitpid(-1, os.WNOHANG)\n"
-            "except ChildProcessError:\n"
-            "    print('no child left')\n"
         )
-        expected = "worker N exited before sending all its results\nno child left\n"
-        assert run_python(code, timeout=20) == expected
+        expected = "worker N exited before sending all its results\n"
+        assert run_map(code, timeout=20) == expected
 
     def test_pooled_map_reads_its_input_lazily(self):
         # an endless input: a map that reads it whole hangs, and the timeout fails the test;
         # closing the map early must end its workers
         code = (
-            "import os\n"
             "from itertools import count, islice\n"
             "from operator import neg\n"
-            "from simvc.experiments import _ordered_map\n"
-            "os.cpu_count = lambda: 2\n"
             "results = _ordered_map(neg, count(), 2)\n"
             "print(list(islice(results, 5)))\n"
             "results.close()\n"
-            "try:\n"
-            "    os.waitpid(-1, os.WNOHANG)\n"
-            "except ChildProcessError:\n"
-            "    print('no child left')\n"
         )
-        assert run_python(code, timeout=60) == "[0, -1, -2, -3, -4]\nno child left\n"
+        assert run_map(code, timeout=60) == "[0, -1, -2, -3, -4]\n"
 
     def test_result_dict_shape(self):
         doc = exhaustive_search(2).to_dict()
@@ -401,15 +380,21 @@ class TestRunReport:
         assert [(d["d"], d["d_sim"]) for d in docs] == [(2, 1), (1, 2)]
 
     def test_parallel_matches_serial(self, tmp_path):
-        # 255 rows, striped over four workers where there are four CPUs
+        # one row each, then the 255 of exhaustive n = 3, striped over two and over
+        # four workers where there are that many CPUs
+        specs = [
+            FamilySpec("k_sparse", 7, k=2), FamilySpec("full_cube", 4),
+            FamilySpec("random", 6, size=20, seed=1), FamilySpec("exhaustive", 3),
+        ]
         for fmt in ("csv", "jsonl"):
             serial = tmp_path / f"serial.{fmt}"
-            parallel = tmp_path / f"parallel.{fmt}"
-            run_report([FamilySpec("exhaustive", 3)], fmt, serial, include_timing=False)
-            run_report(
-                [FamilySpec("exhaustive", 3)], fmt, parallel, jobs=4, include_timing=False
-            )
-            assert serial.read_bytes() == parallel.read_bytes()
+            assert run_report(specs, fmt, serial, include_timing=False) == 258
+            # the CSV header is one more line
+            assert len(serial.read_text().splitlines()) == 258 + (fmt == "csv")
+            for jobs in (2, 4):
+                parallel = tmp_path / f"parallel{jobs}.{fmt}"
+                run_report(specs, fmt, parallel, jobs=jobs, include_timing=False)
+                assert serial.read_bytes() == parallel.read_bytes()
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_parallel_rows_carry_timing(self, tmp_path, fmt):

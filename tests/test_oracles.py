@@ -11,6 +11,7 @@ from simvc import (
     enumerate_spaces,
     exhaustive_search,
     full_cube,
+    k_sparse,
     lift_hypothesis,
     lift_space,
     lifted_vc,
@@ -121,17 +122,50 @@ def reference_lift(bits_n):
     return sum(((bits >> i) & 1 == (bits >> j) & 1) << r for r, (i, j) in enumerate(pairs))
 
 
+def partition_lifted_vc(space):
+    """d_sim with its witness, from every vertex partition of [n]; (0, ()) when n < 2.
+
+    The partitions are the restricted growth strings: vertex v joins one of
+    the blocks opened before it or opens a new one.  Joining block b adds the
+    pair (centre of b, v), the centre being b's smallest vertex, so each
+    partition builds its min-centred star forest.  A forest is shattered when
+    the rows' patterns of h(a) = h(b) over its pairs number 2^edges; whether
+    one is depends only on its partition, and within a partition the star
+    forest is the lexicographically smallest spanning forest.  So the witness
+    is the lexicographically smallest among the largest shattered star forests.
+    """
+    n, rows = space.domain_size, space.hypotheses
+    best = (0, ())  # (-edges, sorted pairs) of the best forest so far
+
+    def place(v, centres, forest, patterns):
+        nonlocal best
+        if v == n:
+            if len(set(patterns)) == 1 << len(forest):
+                best = min(best, (-len(forest), tuple(sorted(forest))))
+            return
+        for c in centres:
+            place(v + 1, centres, forest + ((c, v),),
+                  [p << 1 | (h >> c ^ h >> v) & 1 for p, h in zip(patterns, rows)])
+        place(v + 1, centres + (v,), forest, patterns)
+
+    if n >= 2:
+        place(1, (0,), (), [0] * len(rows))
+    return -best[0], best[1]
+
+
 # Oracles that share no code with engine._search, and how far each reaches:
 # vc_naive tries every subset, so it reaches n <= 20 on a base space
 # (ORACLE_DOMAIN_CAP) and n <= 6 on a lift (C(6, 2) = 15 pair columns);
-# brute_force_orbits images every mask by all n! * 2^n maps, n <= 4; and
-# reference_lift evaluates the definition at any n, here n <= 8.  Two more
-# oracles -- vc_exact on the lifted space and the ordered n*n lift -- run the
-# same search, so they check what the fast path adds around it (pair ranks,
-# star-forest blocks) and cannot catch a fault inside it.  The searches'
-# reference, conftest.ratio_search over every space, is a serial loop that
-# keeps the first maximum, so it checks the orbits, the ordered map and the
-# argmax, but measures each space with the same verify_theorem.
+# partition_lifted_vc lists the Bell(n) vertex partitions, here n <= 9
+# (21 147 of them); brute_force_orbits images every mask by all n! * 2^n
+# maps, n <= 4; and reference_lift evaluates the definition at any n, here
+# n <= 8.  Two more oracles -- vc_exact on the lifted space and the ordered
+# n*n lift -- run the same search, so they check what the fast path adds
+# around it (pair ranks, star-forest blocks) and cannot catch a fault inside
+# it.  The searches' reference, conftest.ratio_search over every space, is a
+# serial loop that keeps the first maximum, so it checks the orbits, the
+# ordered map and the argmax, but measures each space with the same
+# verify_theorem.
 
 #: "fast path-oracle-corpus" -> (inputs checked, a callable giving them, fast path, oracle)
 ORACLES = {
@@ -148,6 +182,18 @@ ORACLES = {
     "lifted_vc-naive-all-n1-3": (273, lambda: all_spaces(1, 2, 3), lifted_vc, lifted_naive),
     "lifted_vc-naive-stream-78": (200, lambda: seeded(200, 78, 5, 40), lifted_vc, lifted_naive),
     "lifted_vc-naive-cubes-4-5": (2, lambda: map(full_cube, (4, 5)), lifted_vc, lifted_naive),
+    # the lifted search beyond n = 6, against an oracle that does not run it
+    "lifted_vc-partition-ksparse-grid": (
+        15, lambda: (k_sparse(n, k) for k in (1, 2, 3) for n in range(2 * k + 1, 10)),
+        lifted_vc, partition_lifted_vc,
+    ),
+    "lifted_vc-partition-five-halves": (
+        1, lambda: [FIVE_HALVES_SPACE], lifted_vc, partition_lifted_vc,
+    ),
+    "lifted_vc-partition-n7-9-seeds-1-2": (
+        6, lambda: (random_space(n, 64, seed) for n in (7, 8, 9) for seed in (1, 2)),
+        lifted_vc, partition_lifted_vc,
+    ),
     "lifted_vc-exact-stream-0x5117": (
         200, lambda: seeded(200, 0x5117, 7, 32), lifted_vc, lifted_exact,
     ),
