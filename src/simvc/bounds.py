@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .space import check_int
+from .space import check_range
 
 
 def _sauer_sum(n: int, d: int) -> int:
@@ -31,18 +31,17 @@ def forest_cap(n: int, d: int) -> int:
     """max{t <= n - 1 : 2^t <= Phi_d(min(n, 2t))}: the lifted VC bound on [n] at VC d.
 
     The scan stops at the first t that fails, so it costs O(d^2) whatever n
-    is and never builds 2^n.  Each (n, d) is scanned once; the types are
-    checked first, as the cache would take 3.0 or True for the key 3 or 1.
+    is and never builds 2^n.  Each (n, d) is scanned once; the arguments are
+    checked first, so the cache holds only valid keys and never takes 3.0 or
+    True for the key 3 or 1.
     """
-    check_int("n", n)
-    check_int("d", d)
+    check_range("n", n, 1)
+    check_range("d", d, 0, n)
     return _forest_cap(n, d)
 
 
 @lru_cache(maxsize=1024)
 def _forest_cap(n: int, d: int) -> int:
-    if n < 1 or not 0 <= d <= n:
-        raise ValueError(f"forest_cap needs n >= 1 and 0 <= d <= n, got n = {n}, d = {d}")
     t = 0
     while t < n - 1 and 1 << (t + 1) <= _sauer_sum(min(n, 2 * t + 2), d):
         t += 1
@@ -64,9 +63,7 @@ def theorem_bounds(d: int) -> "tuple[int, int]":
     lower = max(d - 1, 0); upper = floor(4.55 * d), computed as floor(91*d/20)
     since the lifted dimension is an integer.
     """
-    check_int("d", d)
-    if d < 0:
-        raise ValueError("d must be non-negative")
+    check_range("d", d, 0)
     # 4.55 as the exact rational 91/20
     return max(d - 1, 0), 91 * d // 20
 
@@ -90,6 +87,5 @@ def solve_optimal_delta() -> "tuple[float, float]":
 
 def urner_bound(d: int) -> float:
     """Comparison curve 2d*log2(2d); smaller than floor(4.55d) only for d <= 2."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    check_range("d", d, 1)
     return 2.0 * d * math.log2(2.0 * d)

@@ -26,6 +26,7 @@ from .similarity import lift_space
 from .space import (
     DOMAIN_SIZE_CAP,
     LOAD_DOMAIN_SIZE_CAP,
+    check_range,
     restrict,
     space_from_dict,
     space_to_dict,
@@ -133,10 +134,8 @@ def _cmd_bounds(args) -> int:
         args.usage_error("one of the arguments --cap --solve-delta is required")
     if args.cap is not None:
         n, d = args.cap
-        if not 1 <= n <= DOMAIN_SIZE_CAP:
-            raise ValueError(f"--cap N must be in 1..{DOMAIN_SIZE_CAP}, got {n}")
-        if not 0 <= d <= n:
-            raise ValueError(f"--cap D must be in 0..{n}, got {d}")
+        check_range("--cap N", n, 1, DOMAIN_SIZE_CAP)
+        check_range("--cap D", d, 0, n)
         _emit({"domain_size": n, "d": d, "cap": forest_cap(n, d)})
         return 0
     epsilon, delta = solve_optimal_delta()

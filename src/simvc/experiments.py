@@ -41,7 +41,7 @@ from .bounds import forest_cap, theorem_bounds, urner_bound
 from .engine import vc_exact
 from .families import FamilySpec, _orbit_masks, random_space_seeds, space_at, space_count
 from .similarity import lifted_vc
-from .space import HypothesisSpace, check_int, space_to_dict
+from .space import HypothesisSpace, check_range, space_to_dict
 
 #: Fixed CSV column order of report files.
 CSV_COLUMNS = (
@@ -191,9 +191,7 @@ def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
     the map ends every worker is reaped; when it fails or is closed early,
     every worker is killed first.
     """
-    check_int("jobs", jobs)
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    check_range("jobs", jobs, 1)
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
         return map(fn, items)

@@ -11,11 +11,11 @@ of SplitMix64 run on the base seed.  Seeds are the 64-bit values
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, islice
 from typing import Iterator, Optional
 
-from .space import DOMAIN_SIZE_CAP, FrozenSlots, HypothesisSpace, check_int, lex_cube
+from .space import DOMAIN_SIZE_CAP, FrozenSlots, HypothesisSpace, check_range, lex_cube
 
 #: Full enumeration of 2^(2^n) - 1 nonempty spaces is feasible only here.
 ENUMERATION_CAP = 4
@@ -54,7 +54,12 @@ _SPEC_KEYS = frozenset(("family", "n", "k", "size", "seed"))
 
 
 class FamilySpec(FrozenSlots):
-    """Description of one generated family instance, kept for provenance."""
+    """Description of one generated family instance, kept for provenance.
+
+    The constructor is the one place a family's parameters are checked, so
+    a bad spec fails before any space is built, and ``space_at`` builds
+    every space from a spec without checking it again.
+    """
 
     __slots__ = ("kind", "n", "k", "size", "seed")
 
@@ -72,26 +77,23 @@ class FamilySpec(FrozenSlots):
         size: Optional[int] = None,
         seed: Optional[int] = None,
     ) -> None:
-        # the generators' own range checks, so a bad spec fails before any space is built
         if kind not in FAMILY_PARAMS:
             raise ValueError(f"unknown family {kind!r}")
         takes = FAMILY_PARAMS[kind]
         for key, value in zip(("k", "size", "seed"), (k, size, seed)):
             if value is not None and key not in takes:
                 raise ValueError(f"{kind} does not take {key}")
-        if kind == "exhaustive":
-            _check_enumeration_n(n)
-        else:
-            _check_n(n)
+        check_range("n", n, 1, ENUMERATION_CAP if kind == "exhaustive" else DOMAIN_SIZE_CAP)
         # every parameter given is one the kind takes, so one is missing iff fewer are given
         if (k is not None) + (size is not None) + (seed is not None) < len(takes):
             raise ValueError(f"{kind} requires {' and '.join(takes)}")
         if k is not None:
-            _check_k(n, k)
+            check_range("k", k, 0, n)
         if size is not None:
-            _check_size(n, size)
+            check_range("size", size, 1, 1 << n, f"1..2^{n}")
         if seed is not None:
-            _check_seed(seed)
+            # SplitMix64 reduces its seed mod 2^64, so a seed outside this range would alias
+            check_range("seed", seed, 0, _MASK64, "0..2^64-1")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
@@ -124,65 +126,19 @@ class FamilySpec(FrozenSlots):
         return cls(kind, doc["n"], doc.get("k"), doc.get("size"), doc.get("seed"))
 
 
-def _check_range(name: str, value: int, low: int, high: int, shown: str) -> None:
-    """An exact int in low..high, which the message shows as ``shown``."""
-    check_int(name, value)
-    if not low <= value <= high:
-        raise ValueError(f"{name} must be in {shown}, got {value}")
-
-
-def _check_n(n: int) -> None:
-    _check_range("n", n, 1, DOMAIN_SIZE_CAP, f"1..{DOMAIN_SIZE_CAP}")
-
-
-def _check_k(n: int, k: int) -> None:
-    _check_range("k", k, 0, n, f"0..{n}")
-
-
-def _check_size(n: int, size: int) -> None:
-    _check_range("size", size, 1, 1 << n, f"1..2^{n}")
-
-
-def _check_seed(seed: int) -> None:
-    # SplitMix64 reduces its seed mod 2^64, so a seed outside this range would alias
-    _check_range("seed", seed, 0, _MASK64, "0..2^64-1")
-
-
-def _check_enumeration_n(n: int) -> None:
-    _check_range("n", n, 1, ENUMERATION_CAP, f"1..{ENUMERATION_CAP}")
-
-
 def k_sparse(n: int, k: int) -> HypothesisSpace:
     """All labellings of [n] with at most k ones; |H| = sum_{w<=k} C(n, w)."""
-    _check_n(n)
-    _check_k(n, k)
-    bits = []
-    for weight in range(k + 1):
-        for positions in combinations(range(n), weight):
-            b = 0
-            for p in positions:
-                b |= 1 << p
-            bits.append(b)
-    return HypothesisSpace(n, bits)
+    return space_at(FamilySpec("k_sparse", n, k=k), 0)
 
 
 def full_cube(n: int) -> HypothesisSpace:
     """All 2^n labellings of [n]."""
-    _check_n(n)
-    return HypothesisSpace(n, range(1 << n))
+    return space_at(FamilySpec("full_cube", n), 0)
 
 
 def random_space(n: int, size: int, seed: int) -> HypothesisSpace:
     """Uniformly sampled space of ``size`` distinct hypotheses, reproducible from seed."""
-    _check_n(n)
-    _check_size(n, size)
-    _check_seed(seed)
-    mask = (1 << n) - 1
-    stream = splitmix64_stream(seed)
-    chosen: set = set()
-    while len(chosen) < size:
-        chosen.add(next(stream) & mask)
-    return HypothesisSpace(n, chosen)
+    return space_at(FamilySpec("random", n, size=size, seed=seed), 0)
 
 
 def random_space_seeds(n: int, size: int, samples: int, seed: int) -> Iterator[int]:
@@ -191,36 +147,25 @@ def random_space_seeds(n: int, size: int, samples: int, seed: int) -> Iterator[i
     Space i of the stream is ``random_space(n, size, s)`` for its i-th seed s,
     built apart from the others.  The arguments are checked at the call.
     """
-    _check_n(n)
-    _check_size(n, size)
-    _check_seed(seed)
-    check_int("samples", samples)
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    FamilySpec("random", n, size=size, seed=seed)
+    check_range("samples", samples, 1)
     return islice(splitmix64_stream(seed), samples)
 
 
 def enumerate_spaces(n: int) -> Iterator[HypothesisSpace]:
     """Every nonempty space over [n] exactly once, in a deterministic order.
 
-    Spaces are subsets of the lexicographically sorted cube, counted in
-    binary: mask bit i selects cube hypothesis i.  ``n`` is checked at the
-    call.
+    Space i is ``space_at(FamilySpec("exhaustive", n), i)``.  ``n`` is
+    checked at the call.
     """
-    _check_enumeration_n(n)
-    cube = _cube(n)
-    return (_masked_space(n, cube, mask) for mask in range(1, 1 << len(cube)))
+    spec = FamilySpec("exhaustive", n)
+    return map(partial(space_at, spec), range(space_count(spec)))
 
 
 @lru_cache(maxsize=ENUMERATION_CAP)
 def _cube(n: int) -> "tuple[int, ...]":
     """``lex_cube(n)``, computed once per n: ``space_at`` needs it for every space."""
     return lex_cube(n)
-
-
-def _masked_space(n: int, cube: "tuple[int, ...]", mask: int) -> HypothesisSpace:
-    """The space over [n] that keeps ``cube[i]`` for each bit i of ``mask``."""
-    return HypothesisSpace(n, (h for i, h in enumerate(cube) if (mask >> i) & 1))
 
 
 def _image_table(targets: "list[int]") -> "list[int]":
@@ -237,12 +182,12 @@ def _orbit_masks(n: int) -> "list[tuple[int, int]]":
 
     The symmetries are the n! * 2^n maps that permute the domain and XOR
     every hypothesis with a fixed mask; d and d_sim are invariant under
-    them.  The mask selects cube rows as in ``enumerate_spaces``, so the
-    space is ``space_at(FamilySpec("exhaustive", n), mask - 1)``.  Each is
-    the first member of its orbit in that order, representatives come in
-    that order, and the orbit sizes sum to 2^(2^n) - 1.  Only the spaces
-    holding at most half the cube are closed into orbits; the others are the
-    complements of those.  ``n`` is not checked.
+    them.  The mask selects cube rows as in ``space_at``, so the space is
+    ``space_at(FamilySpec("exhaustive", n), mask - 1)``.  Each is the first
+    member of its orbit in mask order, representatives come in that order,
+    and the orbit sizes sum to 2^(2^n) - 1.  Only the spaces holding at most
+    half the cube are closed into orbits; the others are the complements of
+    those.  ``n`` is not checked.
     """
     cube = _cube(n)
     count = len(cube)
@@ -307,15 +252,31 @@ def space_count(spec: FamilySpec) -> int:
 def space_at(spec: FamilySpec, i: int) -> HypothesisSpace:
     """Space i of ``spec``, for i in ``range(space_count(spec))``, built alone.
 
-    Space i of an exhaustive spec is space i of ``enumerate_spaces(spec.n)``.
-    Any other i is an input error, not an alias of a space in range.
+    This is the one builder of every family; ``enumerate_spaces(spec.n)``
+    is ``space_at`` over every index of an exhaustive spec.  Exhaustive
+    spaces are subsets of the lexicographically sorted cube, counted in
+    binary: bit j of i + 1 selects cube hypothesis j.  Any other i is an
+    input error, not an alias of a space in range.
     """
-    last = space_count(spec) - 1
-    _check_range("i", i, 0, last, f"0..{last}")
+    check_range("i", i, 0, space_count(spec) - 1)
+    n = spec.n
     if spec.kind == "k_sparse":
-        return k_sparse(spec.n, spec.k)
+        bits = []
+        for weight in range(spec.k + 1):
+            for positions in combinations(range(n), weight):
+                b = 0
+                for p in positions:
+                    b |= 1 << p
+                bits.append(b)
+        return HypothesisSpace(n, bits)
     if spec.kind == "full_cube":
-        return full_cube(spec.n)
+        return HypothesisSpace(n, range(1 << n))
     if spec.kind == "random":
-        return random_space(spec.n, spec.size, spec.seed)
-    return _masked_space(spec.n, _cube(spec.n), i + 1)
+        mask = (1 << n) - 1
+        stream = splitmix64_stream(spec.seed)
+        chosen: set = set()
+        while len(chosen) < spec.size:
+            chosen.add(next(stream) & mask)
+        return HypothesisSpace(n, chosen)
+    mask = i + 1
+    return HypothesisSpace(n, (h for j, h in enumerate(_cube(n)) if (mask >> j) & 1))

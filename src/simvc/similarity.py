@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .engine import _columns, _search
-from .space import HypothesisSpace, check_int
+from .space import HypothesisSpace, check_int, check_range
 
 #: A canonical pair (i, j) with i < j, and a sorted, deduplicated set of them.
 Pair = tuple[int, int]
@@ -38,9 +38,7 @@ def pair_domain(n: int) -> PairSet:
     with j > i hold the n - 1 - i consecutive ranks after those of every
     smaller i; ``lift_hypothesis`` relies on that.
     """
-    check_int("n", n)
-    if n < 0:
-        raise ValueError(f"the base domain cannot have {n} elements")
+    check_range("n", n, 0)
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
@@ -52,7 +50,7 @@ def lift_hypothesis(bits: int, n: int) -> int:
     ``pair_domain``) as one shifted mask.
     """
     check_int("hypothesis", bits)
-    check_int("n", n)
+    check_range("n", n, 0)
     if not 0 <= bits < 1 << n:
         raise ValueError(f"hypothesis {bits} does not fit a domain of {n} elements")
     top = (1 << n) - 1

@@ -52,6 +52,21 @@ def check_int(name: str, value: object) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_range(
+    name: str, value: object, low: int, high: "int | None" = None, shown: "str | None" = None
+) -> None:
+    """Every range the library takes passes here: an exact int in low..high, or at least low.
+
+    The message shows the range as ``shown`` when given, else as ``low..high``.
+    """
+    check_int(name, value)
+    if high is None:
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+    elif not low <= value <= high:
+        raise ValueError(f"{name} must be in {shown or f'{low}..{high}'}, got {value}")
+
+
 class FrozenSlots:
     """A value whose ``__slots__`` fields are set once, by ``__init__``.
 
@@ -104,9 +119,7 @@ class HypothesisSpace(FrozenSlots):
     hypotheses: "tuple[int, ...]"
 
     def __init__(self, domain_size: int, hypotheses: Iterable[int]) -> None:
-        check_int("domain_size", domain_size)
-        if domain_size < 0:
-            raise ValueError("domain_size must be non-negative")
+        check_range("domain_size", domain_size, 0)
         given = tuple(hypotheses)
         # one pass over the row types in C; only a space with a non-int row loops
         if set(map(type, given)) - {int}:
@@ -199,12 +212,7 @@ def space_from_dict(doc: dict, max_domain_size: int = LOAD_DOMAIN_SIZE_CAP) -> H
     check_int("domain_size", domain_size)
     if not isinstance(rows, list) or not all(isinstance(s, str) for s in rows):
         raise ValueError("hypotheses must be a list of bit strings")
-    if domain_size < 1:
-        raise ValueError("domain_size must be at least 1")
-    if domain_size > max_domain_size:
-        raise ValueError(
-            f"domain_size {domain_size} exceeds the supported maximum {max_domain_size}"
-        )
+    check_range("domain_size", domain_size, 1, max_domain_size)
     for row in rows:
         if len(row) != domain_size:
             raise ValueError(f"hypothesis {row!r} has length {len(row)}, expected {domain_size}")

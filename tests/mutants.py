@@ -19,12 +19,13 @@ ORBITS = "tests/test_oracles.py tests/test_families.py::TestExhaustiveOrbits" \
 #: name: (file under src/simvc, old, new, pytest selections)
 MUTANTS = {
     # a row floor one power of two too high makes the search miss maximum sets: the vc_naive
-    # rows, the extremal row alone (its one-row witness pattern), criterion 5 and the partition
-    # rows on lifts up to n = 9 must each fail; the lifted_vc-exact rows run the same search
+    # rows, the extremal row alone (its one-row witness pattern), criterion 5, the partition
+    # rows on lifts up to n = 9 and the closure row on n = 21..24 must each fail; the
+    # lifted_vc-exact rows run the same search
     "floor": ("engine.py", "floor = 1 << (need - 1)", "floor = 1 << need", ["tests/test_oracles.py",
         "'tests/test_oracles.py::test_fast_path_matches_oracle[vc_exact-naive-extremal]'",
         "tests/test_acceptance.py::test_criterion_5_oracle_equivalence",
-        "tests/test_oracles.py -k partition"]),
+        "tests/test_oracles.py -k partition", "tests/test_oracles.py -k closure"]),
     # a complement orbit's first mask is the complement of the orbit's largest, not smallest
     "smallest": ("families.py", "full ^ max(orbit)", "full ^ min(orbit)", [ORBITS]),
     # marking the half-weight masks too drops the 74 orbits that hold exactly half the cube
@@ -33,11 +34,15 @@ MUTANTS = {
     # serial reference at jobs 1, 2 and 4
     "last-maximum": ("experiments.py", "Fraction(d_sim, d) > best", "Fraction(d_sim, d) >= best",
                      ["tests/test_oracles.py tests/test_experiments.py"]),
-    # without _check_range a seed outside 0..2^64-1 is accepted; only the seed rows run, since
-    # unchecked n, k and size rows would loop forever drawing a ninth distinct row on n = 3
-    # or enumerate the 2^32 spaces on n = 5
-    "no-range-check": ("families.py", "if not low <= value <= high:", "if False:",
+    # without check_range's two-sided test a seed outside 0..2^64-1 is accepted; only the seed
+    # rows run, since unchecked n, k and size rows would loop forever drawing a ninth distinct
+    # row on n = 3 or enumerate the 2^32 spaces on n = 5
+    "no-range-check": ("space.py", "elif not low <= value <= high:", "elif False:",
                        ["tests/test_errors.py -k seed"]),
+    # without check_range's one-sided test a negative count is accepted; none of these rows can
+    # hang: jobs = 0 starts no worker and fails the orbit count, the others return at once
+    "no-lower-bound": ("space.py", "if value < low:", "if False:",
+                       ["tests/test_errors.py -k 'jobs or samples or bracket or pairs'"]),
     # without check_int a float or bool is accepted: the rows and the raise-site check fail
     "no-int-check": ("space.py", "if type(value) is not int:", "if False:",
                      ["tests/test_errors.py"]),

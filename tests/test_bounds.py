@@ -98,13 +98,13 @@ class TestSauer:
         for n, d in ((3.0, 1), (3, True)):
             with pytest.raises(ValueError, match="must be an integer"):
                 forest_cap(n, d)
-        # a failed scan is not cached: each call raises the same error
+        # an invalid key never reaches the cache: each call raises the same error
         messages = []
         for _ in range(3):
             with pytest.raises(ValueError) as info:
                 forest_cap(3, 4)
             messages.append(str(info.value))
-        assert messages == ["forest_cap needs n >= 1 and 0 <= d <= n, got n = 3, d = 4"] * 3
+        assert messages == ["d must be in 0..3, got 4"] * 3
 
     def test_sharper_than_the_linear_bound(self):
         # 2 * floor(4.55 d) + 2 vertices hold a forest of floor(4.55 d) + 1 pairs

@@ -237,7 +237,7 @@ class TestVerify:
         path = write_wide_space(tmp_path / "s.json", 60, 16)
         proc = run_module("verify", "--input", str(path), timeout=30)
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == "vc: error: domain_size 60 exceeds the supported maximum 24\n"
+        assert proc.stderr == "vc: error: domain_size must be in 1..24, got 60\n"
 
 
 class TestSearch:
@@ -374,7 +374,7 @@ INPUT_ERRORS = {
     "lift-above-original-cap": (
         {"s.json": {"domain_size": 25, "hypotheses": ["0" * 25]}},
         "lift --input s.json --output lifted.json",
-        "domain_size 25 exceeds the supported maximum 24",
+        "domain_size must be in 1..24, got 25",
     ),
     "verify-family-and-input": (
         {"s.json": CUBE_2}, "verify --family cube --n 2 --input s.json",
@@ -469,15 +469,15 @@ INPUT_ERRORS = {
     # the cap is checked once, before any row is parsed, so the bad row is never read
     "lift-wide-file": (
         {"wide.json": WIDE}, "lift --input wide.json --output lifted.json",
-        f"domain_size 300 exceeds the supported maximum {DOMAIN_SIZE_CAP}",
+        f"domain_size must be in 1..{DOMAIN_SIZE_CAP}, got 300",
     ),
     "verify-wide-file": (
         {"wide.json": WIDE}, "verify --input wide.json",
-        f"domain_size 300 exceeds the supported maximum {DOMAIN_SIZE_CAP}",
+        f"domain_size must be in 1..{DOMAIN_SIZE_CAP}, got 300",
     ),
     "compute-wide-file": (
         {"wide.json": WIDE}, "compute --input wide.json",
-        f"domain_size 300 exceeds the supported maximum {LOAD_DOMAIN_SIZE_CAP}",
+        f"domain_size must be in 1..{LOAD_DOMAIN_SIZE_CAP}, got 300",
     ),
     "search-exhaustive-n--1": ({}, "search --mode exhaustive --n -1", "n must be in 1..4, got -1"),
     "search-exhaustive-n-0": ({}, "search --mode exhaustive --n 0", "n must be in 1..4, got 0"),

@@ -3,6 +3,7 @@
 A generator checked at the call is called, never advanced.  ``vc``'s own errors are in test_cli.py.
 """
 
+import inspect
 import os
 import traceback
 from pathlib import Path
@@ -17,7 +18,7 @@ from simvc import (
 )
 from simvc.bounds import binary_entropy, urner_bound
 from simvc.families import random_space_seeds, space_at
-from simvc.space import restrict
+from simvc.space import check_int, check_range, restrict
 
 from conftest import bit_space
 
@@ -34,7 +35,8 @@ def malformed(doc, detail):
 
 #: id -> (a call that must raise ValueError, the whole message)
 VALUE_ERRORS = {
-    "space-domain--1": (lambda: HypothesisSpace(-1, [0]), "domain_size must be non-negative"),
+    "space-domain--1": (lambda: HypothesisSpace(-1, [0]),
+                        "domain_size must be at least 0, got -1"),
     # space_to_dict would write "domain_size": true, which space_from_dict refuses
     "space-domain-True": (lambda: HypothesisSpace(True, [0, 1]),
                           "domain_size must be an integer, got True"),
@@ -54,9 +56,9 @@ VALUE_ERRORS = {
                            "domain_size must be an integer, got '2'"),
     "file-string-rows": (lambda: space_from_dict({"domain_size": 2, "hypotheses": "01"}),
                          "hypotheses must be a list of bit strings"),
-    "file-domain-0": (lambda: bit_space(0, [""]), "domain_size must be at least 1"),
+    "file-domain-0": (lambda: bit_space(0, [""]), "domain_size must be in 1..276, got 0"),
     "file-domain-25": (lambda: space_from_dict({"domain_size": 25, "hypotheses": ["0" * 25]}, 24),
-                       "domain_size 25 exceeds the supported maximum 24"),
+                       "domain_size must be in 1..24, got 25"),
     "file-long-row": (lambda: bit_space(2, ["011"]), "hypothesis '011' has length 3, expected 2"),
     # int(row, 2) parses every row here but "0x"; only the 0/1 check rejects them
     "file-bit-x": (lambda: bit_space(2, ["0x"]), "invalid bit character 'x' in '0x'"),
@@ -164,26 +166,27 @@ VALUE_ERRORS = {
                            "k must be an integer, got False"),
     "naive-domain-21": (lambda: vc_naive(bit_space(21, ["0" * 21, "1" * 21])),
                         "oracle requires domain_size <= 20, got 21"),
-    "forest_cap-d-4-on-3": (lambda: forest_cap(3, 4),
-                            "forest_cap needs n >= 1 and 0 <= d <= n, got n = 3, d = 4"),
-    "forest_cap-d--1": (lambda: forest_cap(3, -1),
-                        "forest_cap needs n >= 1 and 0 <= d <= n, got n = 3, d = -1"),
-    "forest_cap-n-0": (lambda: forest_cap(0, 0),
-                       "forest_cap needs n >= 1 and 0 <= d <= n, got n = 0, d = 0"),
+    "forest_cap-d-4-on-3": (lambda: forest_cap(3, 4), "d must be in 0..3, got 4"),
+    "forest_cap-d--1": (lambda: forest_cap(3, -1), "d must be in 0..3, got -1"),
+    "forest_cap-n-0": (lambda: forest_cap(0, 0), "n must be at least 1, got 0"),
     # its cache would take 3.0 for the key 3 and return forest_cap(3, 1) = 2
     "forest_cap-n-3.0": (lambda: forest_cap(3.0, 1), "n must be an integer, got 3.0"),
+    "forest_cap-d-1.0": (lambda: forest_cap(3, 1.0), "d must be an integer, got 1.0"),
     "entropy--0.1": (lambda: binary_entropy(-0.1), "entropy argument -0.1 outside [0, 1]"),
     "entropy-1.1": (lambda: binary_entropy(1.1), "entropy argument 1.1 outside [0, 1]"),
-    "bracket-d--1": (lambda: theorem_bounds(-1), "d must be non-negative"),
+    "bracket-d--1": (lambda: theorem_bounds(-1), "d must be at least 0, got -1"),
     # 91 * 1.5 // 20 would give the float bracket (0.5, 6.0)
     "bracket-d-1.5": (lambda: theorem_bounds(1.5), "d must be an integer, got 1.5"),
-    "urner-d-0": (lambda: urner_bound(0), "d must be at least 1"),
-    "pairs-n--1": (lambda: pair_domain(-1), "the base domain cannot have -1 elements"),
+    "urner-d-0": (lambda: urner_bound(0), "d must be at least 1, got 0"),
+    "pairs-n--1": (lambda: pair_domain(-1), "n must be at least 0, got -1"),
     # range(2.0) would raise TypeError
     "pairs-n-2.0": (lambda: pair_domain(2.0), "n must be an integer, got 2.0"),
     "lift-row-8-on-3": (lambda: lift_hypothesis(8, 3),
                         "hypothesis 8 does not fit a domain of 3 elements"),
     "lift-row-True": (lambda: lift_hypothesis(True, 2), "hypothesis must be an integer, got True"),
+    "lift-n-2.0": (lambda: lift_hypothesis(0, 2.0), "n must be an integer, got 2.0"),
+    # 1 << -1 would raise its own ValueError
+    "lift-n--1": (lambda: lift_hypothesis(0, -1), "n must be at least 0, got -1"),
     "lift-space-one-element": (lambda: lift_space(bit_space(1, ["0", "1"])),
                                "cannot lift a space over 1 element(s): the pair domain is empty"
                                " (treat the lifted VC dimension as 0)"),
@@ -205,17 +208,23 @@ def test_value_error(call, message):
 
 
 def test_every_library_check_has_a_row():
+    # a site is a raise or a call of a checker; a checker's own lines are not sites, and an
+    # error raised in a checker is credited to the innermost frame outside the checkers
+    checkers = [inspect.getsourcelines(check) for check in (check_int, check_range)]
+    inside = {n for lines, start in checkers for n in range(start, start + len(lines))}
     sites = {
         (path.name, number) for path in Path(simvc.__file__).parent.glob("*.py")
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if path.name != "cli.py" and "raise ValueError(" in line
+        if path.name != "cli.py" and not (path.name == "space.py" and number in inside)
+        and any(call in line for call in ("raise ValueError(", "check_int(", "check_range("))
     }
     reached = set()
     for call, _ in VALUE_ERRORS.values():
         try:
             call()
         except ValueError as exc:
-            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            frame = next(f for f in reversed(traceback.extract_tb(exc.__traceback__))
+                         if f.name not in ("check_int", "check_range"))
             # a raise spread over several lines may report a later one of them
             below = [s for s in sites if s[0] == Path(frame.filename).name and s[1] <= frame.lineno]
             reached.add(max(below, default=(frame.filename, frame.lineno)))

@@ -153,9 +153,31 @@ def partition_lifted_vc(space):
     return -best[0], best[1]
 
 
+def closure_vc(space):
+    """vc with its witness, from the shattered sets listed level by level.
+
+    Shattered sets are closed under subsets, so level k + 1 is every shattered
+    extension of a level-k set by a larger element; a set is shattered when the
+    rows masked to it take 2^|set| values.  Each level is in lexicographic
+    order, so the witness is the first set of the last nonempty level.
+    """
+    n, rows = space.domain_size, space.hypotheses
+    level = [((), 0)]  # (set, its mask)
+    while True:
+        following = [
+            (subset + (e,), mask | 1 << e)
+            for subset, mask in level for e in range(subset[-1] + 1 if subset else 0, n)
+            if len({h & (mask | 1 << e) for h in rows}) == 2 << len(subset)
+        ]
+        if not following:
+            return len(level[0][0]), level[0][0]
+        level = following
+
+
 # Oracles that share no code with engine._search, and how far each reaches:
 # vc_naive tries every subset, so it reaches n <= 20 on a base space
 # (ORACLE_DOMAIN_CAP) and n <= 6 on a lift (C(6, 2) = 15 pair columns);
+# closure_vc lists the shattered sets level by level, here n <= 24;
 # partition_lifted_vc lists the Bell(n) vertex partitions, here n <= 9
 # (21 147 of them); brute_force_orbits images every mask by all n! * 2^n
 # maps, n <= 4; and reference_lift evaluates the definition at any n, here
@@ -178,6 +200,11 @@ ORACLES = {
     "vc_exact-naive-extremal": (
         3, lambda: (*EXTREMAL, HypothesisSpace(8, FIVE_HALVES_SPACE.hypotheses[1:])),
         vc_exact, vc_naive,
+    ),
+    # above vc_naive's cap, against an oracle that lists shattered sets rather than searching
+    "vc_exact-closure-n21-24": (
+        4, lambda: (random_space(n, s, 7) for n, s in ((21, 32), (22, 48), (23, 64), (24, 64))),
+        vc_exact, closure_vc,
     ),
     "lifted_vc-naive-all-n1-3": (273, lambda: all_spaces(1, 2, 3), lifted_vc, lifted_naive),
     "lifted_vc-naive-stream-78": (200, lambda: seeded(200, 78, 5, 40), lifted_vc, lifted_naive),
