@@ -29,8 +29,14 @@ once L = floor(log2 |H|), so the search ends there without a cap of its own.
 ``python -O``.
 
 Candidates are one bitmask, taken lowest bit first; choosing element e drops
-``blocks[e]`` from it.  ``vc_exact`` blocks nothing; ``similarity.lifted_vc``
-searches pair columns and blocks pairs that would break a star forest.
+``blocks[e]`` from it.  The rows are one bitmask too, the search's starting
+group.  ``vc_exact`` blocks nothing and starts from every row;
+``similarity.lifted_vc`` searches pair columns, blocks pairs that would break
+a star forest and leaves out rows the lift cannot tell apart.
+
+Each space is transposed once.  ``_columns`` turns the rows into column
+bitmasks with one ``bytes.translate`` per column, and keeps its last result,
+so the ``vc_exact`` and ``lifted_vc`` calls on one space share it.
 
 ``vc_naive`` is the independent brute-force oracle, kept to cross-check the
 engine: the first subset ``is_shattered`` accepts, largest size first and
@@ -39,28 +45,42 @@ lexicographic within a size, is by definition ``vc_exact``'s witness.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .space import HypothesisSpace, Subset, is_shattered
+from .space import HypothesisSpace, Subset, check_range, is_shattered
 
 #: vc_naive enumerates 2^n subsets; beyond this it is no longer an oracle.
 ORACLE_DOMAIN_CAP = 20
 
-
-def _columns(rows: Iterable[int], width: int) -> "list[int]":
-    """Column bitmasks: bit i of cols[j] is row i's label of element j."""
-    cols = [0] * width
-    for i, b in enumerate(rows):
-        while b:
-            low = b & -b
-            cols[low.bit_length() - 1] |= 1 << i
-            b ^= low
-    return cols
+#: Byte-to-digit tables: _BIT_TABLES[j] spells a byte as b"1" when its bit j is set, else b"0".
+#: Over the bytes 0..255, bit j runs 2^j zeros, then 2^j ones, and repeats.
+_BIT_TABLES = tuple((b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8))
 
 
-def _search(cols: Sequence[int], blocks: Sequence[int], count: int) -> "tuple[int, ...]":
-    """The first longest shattered set, in preorder, of the ``count`` rows' columns.
+@lru_cache(maxsize=1)
+def _columns(rows: "tuple[int, ...]", width: int) -> "tuple[int, ...]":
+    """Column bitmasks: bit i of cols[j] is row i's label of element j.
+
+    Each row becomes its little-endian bytes, last row first, so the lane of
+    columns 8k..8k+7 is every byte k; translating a lane by bit j's table
+    spells column 8k + j in binary with row 0 as the lowest digit.
+    """
+    lanes = (width + 7) // 8
+    if lanes == 1:
+        data = bytes(rows[::-1])  # the common case, packed in C
+    else:
+        data = b"".join([h.to_bytes(lanes, "little") for h in reversed(rows)])
+    return tuple(
+        int(data[k::lanes].translate(table), 2)
+        for k in range(lanes)
+        for table in _BIT_TABLES[: width - 8 * k]
+    )
+
+
+def _search(cols: Sequence[int], blocks: Sequence[int], row_mask: int) -> "tuple[int, ...]":
+    """The first longest shattered set, in preorder, of the columns on the rows of ``row_mask``.
 
     ``grow`` extends a shattered set ``chosen``: ``groups`` are the row
     groups its columns cut the rows into, ``smallest`` is the popcount of
@@ -112,7 +132,7 @@ def _search(cols: Sequence[int], blocks: Sequence[int], count: int) -> "tuple[in
             else:
                 grow(split, low, chosen + (e,), rest)
 
-    grow([(1 << count) - 1], count, (), (1 << len(cols)) - 1)
+    grow([row_mask], row_mask.bit_count(), (), (1 << len(cols)) - 1)
     return best
 
 
@@ -126,7 +146,7 @@ def vc_exact(space: HypothesisSpace) -> "tuple[int, Subset]":
     best = _search(
         _columns(space.hypotheses, space.domain_size),
         [0] * space.domain_size,
-        len(space.hypotheses),
+        (1 << len(space.hypotheses)) - 1,
     )
     if not is_shattered(space, best):
         raise AssertionError(f"vc_exact witness {best} is not shattered")
@@ -135,10 +155,7 @@ def vc_exact(space: HypothesisSpace) -> "tuple[int, Subset]":
 
 def vc_naive(space: HypothesisSpace) -> "tuple[int, Subset]":
     """Brute-force oracle: the first shattered subset, largest first, lexicographic in a size."""
-    if space.domain_size > ORACLE_DOMAIN_CAP:
-        raise ValueError(
-            f"oracle requires domain_size <= {ORACLE_DOMAIN_CAP}, got {space.domain_size}"
-        )
+    check_range("domain_size", space.domain_size, 0, ORACLE_DOMAIN_CAP)
     for m in range(space.domain_size, -1, -1):
         for subset in combinations(range(space.domain_size), m):
             if is_shattered(space, subset):

@@ -295,16 +295,18 @@ def _max_ratio(
     built again here.  Every caller builds its rows from data already in
     memory, so both calls, and every worker, see the same rows.
     """
-    best: Optional[Fraction] = None
+    # the best ratio so far is best_sim / best_d, compared on ints and built once at the end
+    best_sim, best_d = 0, 0
     argmax = None
     examined = 0
     for index, (d_sim, d, count) in enumerate(_ordered_map(_ratio_job, rows(), jobs)):
         examined += count
-        if d > 0 and (best is None or Fraction(d_sim, d) > best):
-            best = Fraction(d_sim, d)
+        if d > 0 and (argmax is None or d_sim * best_d > best_sim * d):
+            best_sim, best_d = d_sim, d
             argmax = index
-    argmax_space = None
+    best = argmax_space = None
     if argmax is not None:
+        best = Fraction(best_sim, best_d)
         spec, i, _ = next(islice(rows(), argmax, None))
         argmax_space = space_at(spec, i)
     return RatioSearchResult(

@@ -16,6 +16,12 @@ the base rows: the witness pairs' agreement patterns must number 2^d.  No
 lifted space is built for that.  The one thing kept between calls is each
 n's search layout, its pairs and their star-forest blocks, which depends on
 n alone.
+
+The pair columns come from the base columns, the ones ``vc_exact`` builds
+for the same space: pair (a, b)'s is the XOR of a's and b's.  That XOR is
+the same for h and its complement, so the search leaves out each twin, a
+row labelling element 0 with 1 whose complement is also a row, through its
+row mask, and no complemented copy of the rows is built.
 """
 
 from __future__ import annotations
@@ -114,15 +120,22 @@ def lifted_vc(space: HypothesisSpace) -> "tuple[int, PairSet]":
     n = space.domain_size
     if n < 2:
         return 0, ()
-    # h and its complement lift alike; keep the one labelling element 0 with 0
+    rows = space.hypotheses
+    # h and its complement lift alike, so a twin -- a row labelling element 0
+    # with 1 whose complement is also a row -- is left out of the search
     top = (1 << n) - 1
-    rows = {h ^ top if h & 1 else h for h in space.hypotheses}
+    present = set(rows)
+    twins = 0
+    for i, h in enumerate(rows):
+        if h & 1 and h ^ top in present:
+            twins |= 1 << i
     cols = _columns(rows, n)
     pairs, blocks = _layout(n)
-    # the column of pair (a, b) flipped: 1 where a and b differ
+    # the column of pair (a, b) flipped: 1 where a and b differ, the same for h and its complement
     pair_cols = [cols[a] ^ cols[b] for a, b in pairs]
     # at most 2^(n-1) rows, so the row bound stops the search at a forest's n - 1 edges
-    witness = tuple(pairs[r] for r in _search(pair_cols, blocks, len(rows)))
+    row_mask = ((1 << len(rows)) - 1) ^ twins
+    witness = tuple(pairs[r] for r in _search(pair_cols, blocks, row_mask))
     # the definition on the base rows: h(a) = h(b) over the witness takes all 2^d patterns
     patterns = set()
     for h in space.hypotheses:

@@ -26,13 +26,23 @@ MUTANTS = {
         "'tests/test_oracles.py::test_fast_path_matches_oracle[vc_exact-naive-extremal]'",
         "tests/test_acceptance.py::test_criterion_5_oracle_equivalence",
         "tests/test_oracles.py -k partition", "tests/test_oracles.py -k closure"]),
+    # big-endian rows put columns 8k..8k+7 in the wrong lane once a space is wider than 8
+    # elements, which only the k-sparse grid's n = 9 and wider inputs reach; the kernel test's
+    # wide rows must fail
+    "big-endian-lanes": ("engine.py", 'h.to_bytes(lanes, "little")', 'h.to_bytes(lanes, "big")',
+                         ["tests/test_engine.py -k columns"]),
+    # a lifted search that drops every row labelling element 0 with 1, twin or not, loses the
+    # patterns of those whose complement is not a row, so the partition oracle rows must fail
+    "twin-mask": ("similarity.py", "if h & 1 and h ^ top in present", "if h & 1",
+                  ["tests/test_oracles.py -k partition"]),
     # a complement orbit's first mask is the complement of the orbit's largest, not smallest
     "smallest": ("families.py", "full ^ max(orbit)", "full ^ min(orbit)", [ORBITS]),
     # marking the half-weight masks too drops the 74 orbits that hold exactly half the cube
     "half": ("families.py", "w + v > half", "w + v >= half", [ORBITS]),
     # the searches keep the first maximum; keeping the last must fail against conftest's
     # serial reference at jobs 1, 2 and 4
-    "last-maximum": ("experiments.py", "Fraction(d_sim, d) > best", "Fraction(d_sim, d) >= best",
+    "last-maximum": ("experiments.py", "d_sim * best_d > best_sim * d",
+                     "d_sim * best_d >= best_sim * d",
                      ["tests/test_oracles.py tests/test_experiments.py"]),
     # without check_range's two-sided test a seed outside 0..2^64-1 is accepted; only the seed
     # rows run, since unchecked n, k and size rows would loop forever drawing a ninth distinct

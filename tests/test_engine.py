@@ -1,15 +1,36 @@
 """Exact engine vs the brute-force oracle."""
 
 import math
+import random
 import subprocess
 import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from simvc import full_cube, is_shattered, k_sparse, lifted_vc, vc_exact, vc_naive
-from simvc.space import restrict
+from simvc.engine import _columns
+from simvc.space import LOAD_DOMAIN_SIZE_CAP, restrict
 
 from conftest import bit_space, module_env, run_python, spaces, subsets_of
+
+
+def reference_columns(rows, width):
+    """The plain transpose, one bit at a time: bit i of column j is bit j of rows[i]."""
+    return tuple(
+        sum(((h >> j) & 1) << i for i, h in enumerate(rows)) for j in range(width)
+    )
+
+
+class TestColumns:
+    # widths on both sides of each 8-column lane, up to the widest file a space loads from;
+    # 256 rows fill one byte of a column exactly, and 255 and 257 miss it by one
+    @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 24, LOAD_DOMAIN_SIZE_CAP])
+    def test_columns_match_the_bit_by_bit_transpose(self, width):
+        rng = random.Random(width)
+        for count in (1, 255, 256, 257):
+            # the all-ones row sets every lane's top bit; the rest are random, repeats allowed
+            rows = ((1 << width) - 1,) + tuple(rng.getrandbits(width) for _ in range(count - 1))
+            assert _columns(rows, width) == reference_columns(rows, width)
 
 
 class TestVcExact:

@@ -165,7 +165,7 @@ VALUE_ERRORS = {
     "entry-k-False": entry({"family": "ksparse", "n": 3, "k": False},
                            "k must be an integer, got False"),
     "naive-domain-21": (lambda: vc_naive(bit_space(21, ["0" * 21, "1" * 21])),
-                        "oracle requires domain_size <= 20, got 21"),
+                        "domain_size must be in 0..20, got 21"),
     "forest_cap-d-4-on-3": (lambda: forest_cap(3, 4), "d must be in 0..3, got 4"),
     "forest_cap-d--1": (lambda: forest_cap(3, -1), "d must be in 0..3, got -1"),
     "forest_cap-n-0": (lambda: forest_cap(0, 0), "n must be at least 1, got 0"),
