@@ -16,14 +16,16 @@ verifying one space per symmetry orbit and counting every space;
 ``random_search`` gives it over a seeded stream of random spaces.
 ``run_report`` writes the reports themselves, rendering each as its CSV
 row or JSONL line.  Every job names its space as ``(spec, i)``, space i of
-a ``FamilySpec``, and builds it with ``space_at``, so a search sends back
-(d_sim, d) and the count of spaces its row stands for, a report a finished
-line, and the main process only folds or writes them in stream order.  All
-three share one ordered map: the built-in ``map`` at one job, otherwise at
-most one forked worker per CPU, each of which replays the stream of rows
-and runs the job on every J-th row.  Nothing is sent to a worker, results
-come back in stream order, and the outcome does not depend on the worker
-count.
+a ``FamilySpec``, and builds it with ``space_at``, so a search's job
+returns (d_sim, d) and the count of spaces its row stands for, a report's a
+finished line, and the main process folds or writes them in stream order.
+All three share one ordered map over J = min(jobs, CPUs) stripes: the main
+process runs the job on rows 0, J, 2J, ... itself, and J - 1 forked
+workers each replay the stream of rows and run it on their own stripe, so
+one job, or one CPU, forks nothing.  Nothing is sent to a worker, results
+come back in stream order, and no error crosses a pipe: a row whose
+worker stopped early is run again in the main process, which raises its
+error there.  The outcome does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import marshal
 import os
 import time
 from fractions import Fraction
-from itertools import cycle, islice
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .bounds import forest_cap, theorem_bounds, urner_bound
@@ -174,36 +176,38 @@ class RatioSearchResult(NamedTuple):
 def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
     """``fn(item)`` for each item, in input order.
 
-    ``jobs`` is checked before any worker starts.  With one job, or one CPU,
-    this is the built-in ``map``.  Otherwise J = min(jobs, CPUs) forked
-    workers each replay ``items`` from its start, and worker w runs ``fn`` on
-    items w, w + J, w + 2J, ...  No item is sent to a worker, so the stream
-    must replay the same in every process: deterministic, and reading no
-    shared state such as an open file.  Every caller passes one it builds
-    itself from data already in memory.  Each worker writes its results down
-    its own pipe with ``marshal``, so a result must be plain data (see
-    ``_work``), and this process reads the pipes in turn, so results come in
-    input order, an error (in ``fn`` or in the stream) is raised at its place,
-    and a worker runs ahead by what its pipe and its write buffer hold.
-    Results cross in buffer-sized batches, not one write each, so this
-    process wakes rarely and leaves the CPUs to the workers.  A worker that
-    exits before its end marker makes the map raise ``RuntimeError``.  When
-    the map ends every worker is reaped; when it fails or is closed early,
-    every worker is killed first.
+    ``jobs`` is checked before any worker starts.  Of J = min(jobs, CPUs)
+    stripes, this process runs ``fn`` on items 0, J, 2J, ... itself, and J - 1
+    forked workers each replay ``items`` from its start, worker w running
+    items w, w + J, w + 2J, ...  With one job, or one CPU, nothing is forked
+    and the map behaves like the built-in ``map``.  No item is sent to a
+    worker, so the stream must replay the same in every process:
+    deterministic, and reading no shared state such as an open file.  Every
+    caller passes one it builds itself from data already in memory.  This
+    process walks the stream too and reads each worker's result at its
+    place, so results come in input order, a stream error is raised at its
+    place, and a worker runs ahead by what its pipe and its write buffer
+    hold.  A worker writes each result as one ``marshal`` value, so a result
+    must be plain data: None, a bool, int, float, str or bytes, or a tuple,
+    list or dict of them.  Results cross in buffer-sized batches, not one
+    write each.  A worker stops at its first error, and no error crosses a
+    pipe: where a worker's results end early, this process runs that item
+    again, so an error in ``fn``, or a result ``marshal`` cannot write, is
+    raised at its place with its own type and message.  If the item runs,
+    the worker died, and the map raises ``RuntimeError``.  When the map ends
+    every worker is reaped; when it fails or is closed early, every worker
+    is killed first.
     """
     check_range("jobs", jobs, 1)
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers == 1:
-        return map(fn, items)
-    return _striped_map(fn, items, workers)
+    return _striped_map(fn, items, min(jobs, os.cpu_count() or 1))
 
 
-def _striped_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
+def _striped_map(fn: Callable, items: Iterable, stripes: int) -> Iterator:
     pids: "list[int]" = []
     pipes: list = []
     finished = False
     try:
-        for w in range(workers):
+        for w in range(1, stripes):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -219,30 +223,33 @@ def _striped_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
                     for pipe in pipes:
                         pipe.close()
                     with os.fdopen(write_end, "wb") as out:
-                        _work(fn, islice(items, w, None, workers), out)
+                        for item in islice(items, w, None, stripes):
+                            out.write(marshal.dumps(fn(item)))
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(write_end)
             pids.append(pid)
             pipes.append(os.fdopen(read_end, "rb"))
-        for pid, pipe in cycle(zip(pids, pipes)):
+        for index, item in enumerate(items):
+            w = index % stripes
+            if w == 0:
+                yield fn(item)
+                continue
             try:
-                result = marshal.load(pipe)
+                result = marshal.load(pipes[w - 1])
             except (EOFError, ValueError):
-                raise RuntimeError(f"worker {pid} exited before sending all its results") from None
-            if result is None:
-                # the stream has ended in every stripe, so every worker is ending too
-                finished = True
-                return
-            ok, value = result
-            if not ok:
-                import pickle  # only an error is pickled
-
-                raise pickle.loads(value)
-            yield value
+                pass
+            else:
+                yield result
+                continue
+            # the worker stopped before this item: an error of the item is raised here
+            marshal.dumps(fn(item))
+            raise RuntimeError(f"worker {pids[w - 1]} exited before sending all its results")
+        # the stream has ended in every stripe, so every worker is ending too
+        finished = True
     finally:
-        if not finished:
+        if pids and not finished:
             import signal  # only a worker that may still be running is killed
 
             for pid in pids:
@@ -251,29 +258,6 @@ def _striped_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
             os.waitpid(pid, 0)
         for pipe in pipes:
             pipe.close()
-
-
-def _work(fn: Callable, stripe: Iterator, out) -> None:
-    """Write ``(True, fn(item))`` for each item of ``stripe``, then the end marker ``None``.
-
-    Each record is one ``marshal`` value, so a result must be plain data:
-    None, a bool, int, float, str or bytes, or a tuple, list or dict of them.
-    An error, in ``fn``, in the stream or in writing a result marshal cannot
-    carry, is written as ``(False, the pickled error)`` and ends the stripe:
-    the map raises it there and reads no further.
-    """
-    while True:
-        try:
-            data = marshal.dumps((True, fn(next(stripe))))
-        except StopIteration:
-            out.write(marshal.dumps(None))
-            return
-        except Exception as exc:
-            import pickle
-
-            out.write(marshal.dumps((False, pickle.dumps(exc))))
-            return
-        out.write(data)
 
 
 def _ratio_job(row: "tuple[FamilySpec, int, int]") -> "tuple[int, int, int]":

@@ -152,12 +152,10 @@ def lex_cube(n: int) -> "tuple[int, ...]":
 
 def check_subset(domain_size: int, subset: Sequence[int]) -> None:
     """Validate a canonical subset: strictly increasing, in range."""
+    shown = f"0..{domain_size - 1}" if domain_size else "the empty domain"
     prev = -1
     for e in subset:
-        if not 0 <= e < domain_size:
-            raise ValueError(
-                f"domain index {e} out of range for domain of size {domain_size}"
-            )
+        check_range("domain index", e, 0, domain_size - 1, shown)
         if e <= prev:
             raise ValueError("subset elements must be strictly increasing")
         prev = e

@@ -50,7 +50,7 @@ MUTANTS = {
     "no-range-check": ("space.py", "elif not low <= value <= high:", "elif False:",
                        ["tests/test_errors.py -k seed"]),
     # without check_range's one-sided test a negative count is accepted; none of these rows can
-    # hang: jobs = 0 starts no worker and fails the orbit count, the others return at once
+    # hang: jobs = 0 makes no stripe and fails at the first row, the others return at once
     "no-lower-bound": ("space.py", "if value < low:", "if False:",
                        ["tests/test_errors.py -k 'jobs or samples or bracket or pairs'"]),
     # without check_int a float or bool is accepted: the rows and the raise-site check fail
@@ -59,6 +59,10 @@ MUTANTS = {
     # a search whose main process holds every row grows with --samples
     "buffered-rows": ("experiments.py", "_ratio_job, rows()", "_ratio_job, list(rows())",
                       ["tests/test_experiments.py -k live_rows"]),
+    # a map that does not run a worker's failed item again reports every error a worker stops
+    # at as a dead worker: the job and the unmarshallable rows must fail
+    "no-rerun": ("experiments.py", "marshal.dumps(fn(item))\n", "pass\n",
+                 ["tests/test_experiments.py -k raised_at_its_place"]),
 }
 
 

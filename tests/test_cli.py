@@ -261,7 +261,8 @@ class TestSearch:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_exhaustive_n4_output(self, capsys, jobs):
-        # at jobs 2 each worker replays the 401 orbit representatives and verifies half
+        # at jobs 2 the main process and one worker each walk the 401 orbit representatives
+        # and verify half of them
         code, out, _ = run_cli(
             capsys, "search", "--mode", "exhaustive", "--n", "4", "--jobs", jobs
         )
@@ -566,10 +567,12 @@ def test_module_entry_point(tmp_path):
 
 def test_import_loads_neither_dataclasses_nor_the_pool(tmp_path):
     # every vc call pays for what ``import simvc.cli`` loads, and report lines
-    # are joined without csv; the workers of --jobs are forked without
-    # multiprocessing and send plain data, so a run without an error imports
-    # neither pickle, which carries only an error, nor signal, which kills only
-    # a worker still running.  Site hooks may preload modules, so only what simvc adds counts.
+    # are joined without csv; --jobs 2 forks one worker without multiprocessing
+    # while the main process runs items 0, 2, 4, ... itself, and the worker sends
+    # plain data; no error crosses, since the main process runs a failed item
+    # again, so nothing imports pickle, and a run without an error does not
+    # import signal, which kills only a worker still running.  --jobs 1, or one
+    # CPU, forks nothing.  Site hooks may preload modules, so only what simvc adds counts.
     spec = tmp_path / "spec.json"
     spec.write_text('[{"family": "exhaustive", "n": 2}]')
     code = (

@@ -68,9 +68,16 @@ VALUE_ERRORS = {
     "file-bit-arabic-one": (lambda: bit_space(1, ["\u0661"]),
                             "invalid bit character '\u0661' in '\u0661'"),
     "restrict-index-2-on-2": (lambda: restrict(full_cube(2), (2,)),
-                              "domain index 2 out of range for domain of size 2"),
+                              "domain index must be in 0..1, got 2"),
     "shattered-index-2-on-2": (lambda: is_shattered(full_cube(2), (2,)),
-                               "domain index 2 out of range for domain of size 2"),
+                               "domain index must be in 0..1, got 2"),
+    # True == 1 would restrict to element 1, and 1 << 0.0 would raise TypeError
+    "restrict-index-True": (lambda: restrict(full_cube(2), (True,)),
+                            "domain index must be an integer, got True"),
+    "shattered-index-0.0": (lambda: is_shattered(full_cube(2), (0.0,)),
+                            "domain index must be an integer, got 0.0"),
+    "restrict-index-0-on-0": (lambda: restrict(HypothesisSpace(0, [0]), (0,)),
+                              "domain index must be in the empty domain, got 0"),
     # the mask of (0, 0) is 0b10, element 1's, so the subset is checked before any count
     "shattered-repeated-index": (lambda: is_shattered(full_cube(2), (0, 0)),
                                  "subset elements must be strictly increasing"),

@@ -171,7 +171,8 @@ class TestRatioSearch:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_live_rows_stay_bounded(self, jobs):
         """This process holds a bounded number of rows however long the search is, also when
-        only the workers run the jobs; rows that count themselves show the peak."""
+        it runs one stripe of the jobs and reads the others; rows that count themselves show the
+        peak."""
         if jobs > 1 and (os.cpu_count() or 1) < 2:
             pytest.skip("the striped map runs only on two or more CPUs")
 
@@ -192,31 +193,33 @@ class TestRatioSearch:
         assert Row.peak <= 4
 
     def test_pool_has_at_most_one_worker_per_cpu(self):
-        # real forks, counted; a fork past the second fails the test instead of running away
+        # real forks, counted; a fork past the first fails the test instead of running away
         code = (
             "forks = []\n"
             "real_fork = os.fork\n"
             "def fork():\n"
             "    forks.append(None)\n"
-            "    if len(forks) > 2:\n"
-            "        raise OSError('a third worker was forked')\n"
+            "    if len(forks) > 1:\n"
+            "        raise OSError('a second worker was forked')\n"
             "    return real_fork()\n"
             "os.fork = fork\n"
             "pids = list(_ordered_map(lambda _: os.getpid(), range(20), 10**6))\n"
-            # worker w runs items w, w + 2, ...
-            "print(len(forks), len(set(pids)), os.getpid() in pids, pids == pids[:2] * 10)\n"
+            # this process runs items 0, 2, ... and the one worker items 1, 3, ...
+            "print(len(forks), len(set(pids)), pids[0] == os.getpid(), pids == pids[:2] * 10)\n"
             "for cpus in (None, 1):\n"
             "    os.cpu_count = lambda: cpus\n"
             "    own = list(_ordered_map(lambda _: os.getpid(), range(5), 3))\n"
             "    print(own == [os.getpid()] * 5)\n"
             "print(len(forks))\n"
         )
-        assert run_map(code, timeout=60) == "2 2 False True\nTrue\nTrue\n2\n"
+        assert run_map(code, timeout=60) == "1 2 True True\nTrue\nTrue\n1\n"
 
     @pytest.mark.parametrize("where", ["job", "stream"])
     def test_error_is_raised_at_its_place(self, where):
-        # the results before it come first, in order, as from the built-in map
+        # the results before it come first, in order, as from the built-in map; at two jobs
+        # item 7 is the worker's, and its error reaches this process as it is, not pickled
         code = (
+            "import sys\n"
             f"where = {where!r}\n"
             "def job(i):\n"
             "    if where == 'job' and i == 7:\n"
@@ -227,14 +230,17 @@ class TestRatioSearch:
             "        if where == 'stream' and i == 7:\n"
             "            raise KeyError(i)\n"
             "        yield i\n"
-            "results = _ordered_map(job, stream(), 2)\n"
-            "print([next(results) for _ in range(7)])\n"
-            "try:\n"
-            "    next(results)\n"
-            "except KeyError as exc:\n"
-            "    print(exc.args)\n"
+            "for jobs in (1, 2):\n"
+            "    results = _ordered_map(job, stream(), jobs)\n"
+            "    print([next(results) for _ in range(7)])\n"
+            "    try:\n"
+            "        next(results)\n"
+            "    except Exception as exc:\n"
+            "        print(type(exc).__name__, exc.args)\n"
+            "print('pickle' in sys.modules)\n"
         )
-        assert run_map(code, timeout=60) == "[0, 1, 2, 3, 4, 5, 6]\n(7,)\n"
+        expected = "[0, 1, 2, 3, 4, 5, 6]\nKeyError (7,)\n" * 2 + "False\n"
+        assert run_map(code, timeout=60) == expected
 
     def test_unmarshallable_result_is_raised_at_its_place(self):
         # results cross as marshal data; a Fraction cannot, so its job fails there
@@ -263,9 +269,11 @@ class TestRatioSearch:
         assert run_map(code, timeout=60) == "256\n255\n[]\n"
 
     def test_failed_fork_leaves_no_pipe_or_worker(self):
-        # the second fork fails: the first worker is reaped and both pipes are closed,
-        # so the next pipe gets the same descriptors as one made before the map
+        # three CPUs make two workers, and the second fork fails: the first worker is reaped
+        # and both pipes are closed, so the next pipe gets the same descriptors as one made
+        # before the map
         code = (
+            "os.cpu_count = lambda: 3\n"
             "forks = []\n"
             "real_fork = os.fork\n"
             "def fork():\n"
@@ -278,7 +286,7 @@ class TestRatioSearch:
             "for fd in before:\n"
             "    os.close(fd)\n"
             "try:\n"
-            "    list(_ordered_map(abs, range(10), 2))\n"
+            "    list(_ordered_map(abs, range(10), 3))\n"
             "except OSError as exc:\n"
             "    print(exc)\n"
             "print(os.pipe() == before)\n"
@@ -286,12 +294,14 @@ class TestRatioSearch:
         assert run_map(code, timeout=60) == "no second worker\nTrue\n"
 
     def test_dead_worker_fails_the_map(self):
-        # a worker killed mid-stream (the OOM killer, say) must not hang the map,
-        # and no worker may outlive it; the timeout fails the test on a hang
+        # a worker killed mid-stream (the OOM killer, say) must not hang the map, and no
+        # worker may outlive it; the timeout fails the test on a hang.  The job kills only a
+        # worker, as an outside kill would, so item 301 runs when this process runs it again
         code = (
             "import re, signal\n"
+            "main = os.getpid()\n"
             "def job(i):\n"
-            "    if i == 300:\n"
+            "    if i == 301 and os.getpid() != main:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
             "    return i\n"
             "try:\n"
